@@ -8,7 +8,6 @@ from .circuit import (
     Circuit,
     DeviceParams,
     Gate,
-    NoiseModel,
     apply_circuit,
     build_teleport_circuit,
     ideal_phi,
@@ -31,7 +30,6 @@ __all__ = [
     "DensityMatrix",
     "DeviceParams",
     "Gate",
-    "NoiseModel",
     "TomographyRecord",
     "WitnessResult",
     "apply_circuit",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -114,26 +115,27 @@ class DeviceParams:
     single_qubit_error: float = 0.0
 
     def __post_init__(self):
+        if len(self.t1) != 3 or len(self.t2_star) != 3:
+            raise ValueError("t1 and t2_star must list exactly three qubits (A, B, C)")
+        # Times and couplings must be finite positive reals: a NaN or infinite
+        # one makes a gate duration NaN or 0, which silently skips that gate's
+        # decoherence. bool is an int subclass, so it is rejected by name.
+        checked = [(f"{name}[{q}]", v) for name in ("t1", "t2_star") for q, v in enumerate(getattr(self, name))]
+        checked += [(name, getattr(self, name)) for name in ("j_ab", "j_bc", "single_qubit_gate_time")]
+        checked += [
+            (name, v) for name in ("cphase_time_ab", "cphase_time_bc") if (v := getattr(self, name)) is not None
+        ]
+        for name, v in checked:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or v <= 0:
+                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
         t1 = tuple(float(x) for x in self.t1)
         t2 = tuple(float(x) for x in self.t2_star)
-        if len(t1) != 3 or len(t2) != 3:
-            raise ValueError("t1 and t2_star must list exactly three qubits (A, B, C)")
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2_star", t2)
         for q in range(3):
-            if t1[q] <= 0 or t2[q] <= 0:
-                raise ValueError(f"coherence times must be positive (qubit {q})")
             if t2[q] > 2.0 * t1[q] * (1.0 + 1e-12):
                 raise ValueError(f"unphysical dephasing: T2*={t2[q]} exceeds 2*T1={2 * t1[q]} on qubit {q}")
-        if self.j_ab <= 0 or self.j_bc <= 0:
-            raise ValueError("coupling strengths must be positive")
-        if self.single_qubit_gate_time <= 0:
-            raise ValueError("single_qubit_gate_time must be positive")
-        for name in ("cphase_time_ab", "cphase_time_bc"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when given")
-        if not 0.0 <= self.single_qubit_error < 1.0:
+        if isinstance(self.single_qubit_error, bool) or not 0.0 <= self.single_qubit_error < 1.0:
             raise ValueError("single_qubit_error must lie in [0, 1)")
 
     def cphase_time(self, pair: str) -> float:
@@ -145,79 +147,28 @@ class DeviceParams:
 
     def scaled_coherence(self, factor: float) -> "DeviceParams":
         """Copy with all T1 and T2* multiplied by ``factor``."""
-        return DeviceParams(
-            t1=tuple(t * factor for t in self.t1),
-            t2_star=tuple(t * factor for t in self.t2_star),
-            j_ab=self.j_ab,
-            j_bc=self.j_bc,
-            single_qubit_gate_time=self.single_qubit_gate_time,
-            cphase_time_ab=self.cphase_time_ab,
-            cphase_time_bc=self.cphase_time_bc,
-            single_qubit_error=self.single_qubit_error,
+        return replace(
+            self, t1=tuple(t * factor for t in self.t1), t2_star=tuple(t * factor for t in self.t2_star)
         )
 
     def to_dict(self) -> dict:
-        return {
-            "t1": list(self.t1),
-            "t2_star": list(self.t2_star),
-            "j_ab": self.j_ab,
-            "j_bc": self.j_bc,
-            "single_qubit_gate_time": self.single_qubit_gate_time,
-            "cphase_time_ab": self.cphase_time_ab,
-            "cphase_time_bc": self.cphase_time_bc,
-            "single_qubit_error": self.single_qubit_error,
-        }
+        return {**asdict(self), "t1": list(self.t1), "t2_star": list(self.t2_star)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceParams":
-        known = {
-            "t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time",
-            "cphase_time_ab", "cphase_time_bc", "single_qubit_error",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown device field(s): {sorted(unknown)}")
-        missing = {"t1", "t2_star", "j_ab", "j_bc"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ValueError(f"device config is missing required field(s): {sorted(missing)}")
-        kwargs = {k: v for k, v in d.items()}
-        kwargs["t1"] = tuple(kwargs["t1"])
-        kwargs["t2_star"] = tuple(kwargs["t2_star"])
-        return cls(**kwargs)
+        return cls(**d)
 
     @classmethod
     def reference(cls) -> "DeviceParams":
         """The bundled reference device (paper_device.json)."""
         text = resources.files("telebench").joinpath("data/paper_device.json").read_text()
         return cls.from_dict(json.loads(text)["device"])
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-qubit decoherence rates derived from DeviceParams.
-
-    ``tphi`` is the pure-dephasing time 1/(1/T2* - 1/(2*T1)); infinity when
-    the dephasing rate vanishes.
-    """
-
-    enabled: bool
-    t1: tuple[float, ...] = field(default=())
-    t2_star: tuple[float, ...] = field(default=())
-    tphi: tuple[float, ...] = field(default=())
-
-    @classmethod
-    def disabled(cls) -> "NoiseModel":
-        return cls(enabled=False)
-
-    @classmethod
-    def from_device(cls, device: DeviceParams, enabled: bool = True) -> "NoiseModel":
-        tphi = []
-        for q in range(3):
-            rate = 1.0 / device.t2_star[q] - 1.0 / (2.0 * device.t1[q])
-            if rate < -1e-12 / device.t2_star[q]:
-                raise ValueError(f"unphysical dephasing on qubit {q}: T2* exceeds 2*T1")
-            tphi.append(math.inf if rate <= 0.0 else 1.0 / rate)
-        return cls(enabled=enabled, t1=device.t1, t2_star=device.t2_star, tphi=tuple(tphi))
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:
@@ -391,11 +342,9 @@ def ideal_phi(psi_a) -> np.ndarray:
     return out
 
 
-def _gate_duration(gate: Gate, device: DeviceParams | None) -> float:
+def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     if gate.duration is not None:
         return gate.duration
-    if device is None:
-        raise ValueError("device parameters are required to resolve gate durations")
     if gate.kind in ("rotation", "hadamard"):
         return device.single_qubit_gate_time
     if gate.kind == "cphase":
@@ -409,43 +358,39 @@ def _gate_duration(gate: Gate, device: DeviceParams | None) -> float:
 
 
 def _apply_1q_kraus(arr: np.ndarray, kraus: list[np.ndarray], qubit: int, num_qubits: int) -> np.ndarray:
-    out = np.zeros_like(arr)
+    """sum_k K rho K^dag with each K acting on one qubit of the (2,)*2n tensor."""
+    n = num_qubits
+    t = arr.reshape((2,) * (2 * n))
+    out = np.zeros_like(t)
     for k in kraus:
-        full = _embed_1q(k, qubit, num_qubits)
-        out += full @ arr @ full.conj().T
-    return out
+        ket = np.moveaxis(np.tensordot(k, t, axes=(1, qubit)), 0, qubit)
+        out += np.moveaxis(np.tensordot(ket, k.conj(), axes=(n + qubit, 1)), -1, n + qubit)
+    return out.reshape(arr.shape)
 
 
-def apply_circuit(
-    circuit: Circuit,
-    rho: DensityMatrix,
-    noise: NoiseModel | None = None,
-    device: DeviceParams | None = None,
-) -> DensityMatrix:
-    """Evolve a state through a circuit, optionally with decoherence.
+def apply_circuit(circuit: Circuit, rho: DensityMatrix, device: DeviceParams | None = None) -> DensityMatrix:
+    """Evolve a state through a circuit, with decoherence when given a device.
 
-    Gates act as ideal unitary conjugations. With noise enabled, every gate
-    is followed by amplitude-damping and pure-dephasing channels on all
-    qubits for that gate's duration (idle qubits decohere too), plus an
-    optional depolarizing channel on the target of single-qubit gates when
-    the device's ``single_qubit_error`` is nonzero.
+    Gates act as ideal unitary conjugations. With a device, every gate is
+    followed by amplitude-damping and pure-dephasing channels on all qubits
+    for that gate's duration (idle qubits decohere too), plus an optional
+    depolarizing channel on the target of single-qubit gates when the
+    device's ``single_qubit_error`` is nonzero. Without one, the evolution
+    is noiseless.
     """
     n = circuit.num_qubits
     if rho.dim != 2**n:
         raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
-    noisy = noise is not None and noise.enabled
-    if noisy and device is None:
-        raise ValueError("device parameters are required when noise is enabled")
     arr = np.array(rho.matrix)
     for gate in circuit.gates:
         u = gate_unitary(gate, n)
         arr = u @ arr @ u.conj().T
-        if not noisy:
+        if device is None:
             continue
         duration = _gate_duration(gate, device)
         if duration > 0.0:
             for q in range(n):
-                arr = _apply_1q_kraus(arr, damping_channels(duration, noise.t1[q], noise.t2_star[q]), q, n)
+                arr = _apply_1q_kraus(arr, damping_channels(duration, device.t1[q], device.t2_star[q]), q, n)
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
             arr = _apply_1q_kraus(arr, _depolarizing_kraus(device.single_qubit_error), gate.qubits[0], n)
     return DensityMatrix(arr)

@@ -63,8 +63,12 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"config file not found: {path}")
     else:
         text = candidate.read_text()
+
+    def reject_constant(constant: str):
+        raise ConfigError(f"config file {path} contains the non-finite number {constant}")
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):

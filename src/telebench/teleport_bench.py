@@ -20,8 +20,8 @@ import json
 import numpy as np
 
 from .circuit import (
+    Circuit,
     DeviceParams,
-    NoiseModel,
     TELEPORT_BRANCH_OPS,
     apply_circuit,
     build_teleport_circuit,
@@ -132,13 +132,7 @@ def process_tomography(input_kets, output_states) -> np.ndarray:
     if np.linalg.matrix_rank(design, tol=1e-9) < 16:
         raise ValueError("singular design matrix: input states are not tomographically complete")
     solution, *_ = np.linalg.lstsq(design, np.array(rhs), rcond=None)
-    chi = solution.reshape(4, 4)
-    return _physical_chi(chi)
-
-
-def _physical_chi(chi: np.ndarray) -> np.ndarray:
-    """Hermitize, truncate negative eigenvalues, renormalize to unit trace."""
-    return np.array(nearest_physical(chi).matrix)
+    return np.array(nearest_physical(solution.reshape(4, 4)).matrix)
 
 
 def ideal_chi(outcome: str) -> np.ndarray:
@@ -186,6 +180,47 @@ def device_hash(device: DeviceParams) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts: int) -> dict:
+    return {
+        "seed": int(seed),
+        "shots": int(shots),
+        "noise": bool(noise),
+        "restarts": int(restarts),
+        "device": device.to_dict(),
+        "device_hash": device_hash(device),
+    }
+
+
+def _run_input(
+    circuit: Circuit, device: DeviceParams, label: str, shots: int, seed: int, noise: bool, restarts: int
+) -> tuple[dict, DensityMatrix]:
+    """Per-input stage shared by :func:`run_benchmark` and :func:`run_state`.
+
+    Evolution -> readout -> physical reconstruction -> state fidelity and
+    Pauli sets, plus witness and tangle bound for the entangled inputs.
+    Returns the figures of merit and the reconstructed state.
+    """
+    index = INPUT_LABELS.index(label)
+    psi = INPUT_KETS[label]
+    ket0 = computational_ket(0, 2)
+    rho_in = DensityMatrix.from_ket(np.kron(psi, np.kron(ket0, ket0)))
+    rho_out = apply_circuit(circuit, rho_in, device if noise else None)
+    record = simulate_readout(rho_out, shots, _derived_seed(seed, 0, index), state_label=label)
+    rho_m = mle_reconstruct(record)
+    phi = ideal_phi(psi)
+    entry: dict = {
+        "state_fidelity": state_fidelity_pure(rho_m, phi),
+        "pauli_set": _pack_pauli_set(pauli_set(rho_m)),
+        "pauli_set_ideal": _pack_pauli_set(pauli_set(DensityMatrix.from_ket(phi))),
+    }
+    if label in ENTANGLED_INPUT_LABELS:
+        entry["witness"] = witness_evaluate(rho_m, phi, WITNESS_ALPHA).to_dict()
+        entry["three_tangle_upper"] = three_tangle_mixed_upper(
+            rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
+        )
+    return entry, rho_m
+
+
 def run_benchmark(
     device: DeviceParams,
     shots: int = 0,
@@ -195,43 +230,25 @@ def run_benchmark(
 ) -> dict:
     """Run the full benchmark and return the report as a plain dict.
 
-    For each canonical input: compiled circuit -> (noisy) evolution ->
-    simulated readout -> physical reconstruction -> state fidelity, Pauli
-    sets, and (for the entangled inputs) witness and tangle bound. Then,
-    per measurement outcome: conditional states for all inputs -> process
-    tomography -> process and average output fidelities. Deterministic for
-    a given seed; per-input substreams keep the four pipelines independent.
+    For each canonical input, the per-input stage (:func:`_run_input`).
+    Then, per measurement outcome: conditional states for all inputs ->
+    process tomography -> process and average output fidelities.
+    Deterministic for a given seed; per-input substreams keep the four
+    pipelines independent.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    noise_model = NoiseModel.from_device(device, enabled=True) if noise else NoiseModel.disabled()
     circuit = build_teleport_circuit("compiled_fig1b")
-    ket0 = computational_ket(0, 2)
 
     states_block: dict[str, dict] = {}
     conditionals: dict[str, dict[str, DensityMatrix]] = {o: {} for o in OUTCOMES}
     probabilities: dict[str, dict[str, float]] = {o: {} for o in OUTCOMES}
-    for index, label in enumerate(INPUT_LABELS):
-        psi = INPUT_KETS[label]
-        rho_in = DensityMatrix.from_ket(np.kron(psi, np.kron(ket0, ket0)))
-        rho_out = apply_circuit(circuit, rho_in, noise_model, device)
-        record = simulate_readout(rho_out, shots, _derived_seed(seed, 0, index), state_label=label)
-        rho_m = mle_reconstruct(record)
-        phi = ideal_phi(psi)
-        entry: dict = {
-            "state_fidelity": state_fidelity_pure(rho_m, phi),
-            "pauli_set": _pack_pauli_set(pauli_set(rho_m)),
-            "pauli_set_ideal": _pack_pauli_set(pauli_set(DensityMatrix.from_ket(phi))),
-            "outcomes": {},
-        }
-        if label in ENTANGLED_INPUT_LABELS:
-            entry["witness"] = witness_evaluate(rho_m, phi, WITNESS_ALPHA).to_dict()
-            entry["three_tangle_upper"] = three_tangle_mixed_upper(
-                rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
-            )
+    for label in INPUT_LABELS:
+        entry, rho_m = _run_input(circuit, device, label, shots, seed, noise, restarts)
+        entry["outcomes"] = {}
         for outcome in OUTCOMES:
             rho_c, probability = conditional_output_state(rho_m, outcome)
-            branch = TELEPORT_BRANCH_OPS[outcome] @ psi
+            branch = TELEPORT_BRANCH_OPS[outcome] @ INPUT_KETS[label]
             entry["outcomes"][outcome] = {
                 "probability": probability,
                 "conditional_fidelity": state_fidelity_pure(rho_c, branch),
@@ -270,14 +287,7 @@ def run_benchmark(
 
     report = {
         "schema": SCHEMA_VERSION,
-        "metadata": {
-            "seed": int(seed),
-            "shots": int(shots),
-            "noise": bool(noise),
-            "restarts": int(restarts),
-            "device": device.to_dict(),
-            "device_hash": device_hash(device),
-        },
+        "metadata": _metadata(device, shots, seed, noise, restarts),
         "states": states_block,
         "processes": processes_block,
         "averages": {
@@ -300,44 +310,21 @@ def run_state(
 ) -> dict:
     """Single-input drill-down: the reconstructed state and its figures of merit.
 
-    Mirrors the per-input stage of :func:`run_benchmark` (same seed
-    substreams, so the two agree for a given seed) and additionally emits
-    the reconstructed density matrix as real/imag arrays.
+    Runs the same per-input stage as :func:`run_benchmark`, so its entries
+    equal that report's ``states[label]`` apart from ``outcomes``, and
+    additionally emits the reconstructed density matrix as real/imag arrays.
     """
     if label not in INPUT_LABELS:
         raise ValueError(f"input label must be one of {INPUT_LABELS}, got {label!r}")
-    index = INPUT_LABELS.index(label)
-    psi = INPUT_KETS[label]
-    noise_model = NoiseModel.from_device(device, enabled=True) if noise else NoiseModel.disabled()
     circuit = build_teleport_circuit("compiled_fig1b")
-    ket0 = computational_ket(0, 2)
-    rho_in = DensityMatrix.from_ket(np.kron(psi, np.kron(ket0, ket0)))
-    rho_out = apply_circuit(circuit, rho_in, noise_model, device)
-    record = simulate_readout(rho_out, shots, _derived_seed(seed, 0, index), state_label=label)
-    rho_m = mle_reconstruct(record)
-    phi = ideal_phi(psi)
-    result = {
+    entry, rho_m = _run_input(circuit, device, label, shots, seed, noise, restarts)
+    return {
         "schema": SCHEMA_VERSION,
         "input": label,
-        "state_fidelity": state_fidelity_pure(rho_m, phi),
         "rho": _pack_matrix(np.array(rho_m.matrix)),
-        "pauli_set": _pack_pauli_set(pauli_set(rho_m)),
-        "pauli_set_ideal": _pack_pauli_set(pauli_set(DensityMatrix.from_ket(phi))),
-        "metadata": {
-            "seed": int(seed),
-            "shots": int(shots),
-            "noise": bool(noise),
-            "restarts": int(restarts),
-            "device": device.to_dict(),
-            "device_hash": device_hash(device),
-        },
+        **entry,
+        "metadata": _metadata(device, shots, seed, noise, restarts),
     }
-    if label in ENTANGLED_INPUT_LABELS:
-        result["witness"] = witness_evaluate(rho_m, phi, WITNESS_ALPHA).to_dict()
-        result["three_tangle_upper"] = three_tangle_mixed_upper(
-            rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
-        )
-    return result
 
 
 def _round_sig(value, digits: int = 12):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityMatrix, expectation, nearest_physical, pauli_operator
+from .qops import STRUCTURAL_TOL, DensityMatrix, nearest_physical, pauli_operator
 
 # All 63 nontrivial Pauli strings in lexicographic order with I < X < Y < Z,
 # leftmost character acting on qubit A.
@@ -22,6 +22,10 @@ PAULI_LABELS: tuple[str, ...] = tuple(
     "".join(p) for p in itertools.product("IXYZ", repeat=3) if p != ("I", "I", "I")
 )
 _LABEL_SET = frozenset(PAULI_LABELS)
+
+# The 63 operators in PAULI_LABELS order, built once: shape (63, 8, 8).
+PAULI_STACK = np.array([pauli_operator(label) for label in PAULI_LABELS])
+PAULI_STACK.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,7 @@ def simulate_readout(rho: DensityMatrix, shots: int, seed: int, state_label: str
     if shots < 0:
         raise ValueError("shots must be non-negative")
     entries = []
-    for index, label in enumerate(PAULI_LABELS):
-        exact = expectation(rho, pauli_operator(label))
+    for index, (label, exact) in enumerate(zip(PAULI_LABELS, pauli_set(rho).tolist())):
         if shots == 0:
             entries.append((label, exact, 0))
             continue
@@ -92,10 +95,9 @@ def linear_inversion(record: TomographyRecord) -> np.ndarray:
     missing = [label for label in PAULI_LABELS if label not in values]
     if missing:
         raise ValueError(f"record is missing Pauli string(s): {missing}")
-    acc = np.eye(8, dtype=complex)
-    for label in PAULI_LABELS:
-        acc += values[label] * pauli_operator(label)
-    return acc / 8.0
+    coeffs = np.array([1.0] + [values[label] for label in PAULI_LABELS])
+    operators = np.concatenate((np.eye(8, dtype=complex)[np.newaxis], PAULI_STACK))
+    return np.sum(coeffs[:, np.newaxis, np.newaxis] * operators, axis=0) / 8.0
 
 
 def mle_reconstruct(record: TomographyRecord) -> DensityMatrix:
@@ -109,4 +111,8 @@ def pauli_set(rho: DensityMatrix) -> np.ndarray:
     ordered as :data:`PAULI_LABELS`."""
     if rho.num_qubits != 3:
         raise ValueError("Pauli sets are defined for three-qubit states")
-    return np.array([expectation(rho, pauli_operator(label)) for label in PAULI_LABELS])
+    values = np.trace(rho.matrix @ PAULI_STACK, axis1=1, axis2=2)
+    worst = float(np.max(np.abs(values.imag)))
+    if worst >= STRUCTURAL_TOL:
+        raise ValueError(f"expectation has non-negligible imaginary part {worst:.3e}")
+    return values.real

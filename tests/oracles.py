@@ -126,3 +126,14 @@ def partial_trace_index_sum(rho, dims, keep):
             c = int(np.ravel_multi_index(cidx, [dims[q] for q in keep])) if keep else 0
             out[r, c] = acc
     return out
+
+
+def dense_1q_kraus(rho, kraus, qubit, num_qubits):
+    """sum_k K rho K^dag with each K embedded densely by Kronecker products."""
+    out = np.zeros_like(rho, dtype=complex)
+    for k in kraus:
+        full = np.array([[1.0 + 0.0j]])
+        for q in range(num_qubits):
+            full = np.kron(full, k if q == qubit else np.eye(2))
+        out += full @ rho @ full.conj().T
+    return out

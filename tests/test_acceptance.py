@@ -34,6 +34,11 @@ from telebench.teleport_bench import (
 from telebench.tomography import mle_reconstruct, simulate_readout
 
 
+# The one report line allowed to differ between identical runs. Criterion 9
+# and the golden-report test both strip it with this pattern and nothing else.
+TIMESTAMP_LINE = re.compile(r'^\s*"timestamp": "[^"]*",?\n', flags=re.MULTILINE)
+
+
 def embed_input(psi):
     zero = computational_ket(0, 2)
     return np.kron(psi, np.kron(zero, zero))
@@ -195,8 +200,7 @@ def test_criterion_9_byte_identical_reports(tmp_path):
     assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
     text_a = (tmp_path / "a" / "report.json").read_text()
     text_b = (tmp_path / "b" / "report.json").read_text()
-    pattern = re.compile(r'^\s*"timestamp": "[^"]*",?\n', flags=re.MULTILINE)
-    assert pattern.sub("", text_a) == pattern.sub("", text_b)
+    assert TIMESTAMP_LINE.sub("", text_a) == TIMESTAMP_LINE.sub("", text_b)
     parsed = json.loads(text_a)
     assert parsed["schema"] == 1
     print("\nACCEPTANCE 9 PASS: identical config and seed produce byte-identical JSON "

@@ -21,6 +21,7 @@ from telebench.teleport_bench import (
     report_csv_text,
     report_json_text,
     run_benchmark,
+    run_state,
 )
 
 MINUS = INPUT_KETS["minus"]
@@ -168,6 +169,19 @@ def noiseless_report():
 @pytest.fixture(scope="module")
 def noisy_report():
     return run_benchmark(DeviceParams.reference(), shots=0, seed=0, noise=True, restarts=40)
+
+
+@pytest.fixture(scope="module")
+def sampled_noisy_report():
+    return run_benchmark(DeviceParams.reference(), shots=300, seed=21, noise=True, restarts=5)
+
+
+@pytest.mark.parametrize("label", INPUT_LABELS)
+def test_run_state_equals_benchmark_entry(label, sampled_noisy_report):
+    state = run_state(DeviceParams.reference(), label, shots=300, seed=21, noise=True, restarts=5)
+    entry = {k: v for k, v in sampled_noisy_report["states"][label].items() if k != "outcomes"}
+    assert {k: v for k, v in state.items() if k not in ("schema", "input", "rho", "metadata")} == entry
+    assert state["metadata"] == sampled_noisy_report["metadata"]
 
 
 def test_noiseless_benchmark_is_ideal(noiseless_report):

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import qutrit_pair_leakage, random_ket
+from oracles import dense_1q_kraus, qutrit_pair_leakage, random_density, random_ket
 from telebench.circuit import (
+    _apply_1q_kraus,
+    _depolarizing_kraus,
     Circuit,
     DeviceParams,
     Gate,
-    NoiseModel,
     TELEPORT_BRANCH_OPS,
     apply_circuit,
     build_teleport_circuit,
@@ -220,9 +223,8 @@ def test_noiseless_evolution_preserves_purity():
 
 def test_noisy_teleport_fidelity_between_half_and_one():
     device = reference_device()
-    noise = NoiseModel.from_device(device)
     circuit = build_teleport_circuit("compiled_fig1b")
-    rho = apply_circuit(circuit, DensityMatrix.from_ket(embed_input(INPUT_KETS["minus"])), noise, device)
+    rho = apply_circuit(circuit, DensityMatrix.from_ket(embed_input(INPUT_KETS["minus"])), device)
     fidelity = state_fidelity_pure(rho, ideal_phi(INPUT_KETS["minus"]))
     assert 0.5 < fidelity < 1.0
     purity = np.trace(rho.matrix @ rho.matrix).real
@@ -236,8 +238,7 @@ def test_noisy_fidelity_degrades_monotonically_with_coherence():
     fidelities = []
     for k in (0.25, 0.5, 1.0):
         scaled = device.scaled_coherence(k)
-        noise = NoiseModel.from_device(scaled)
-        out = apply_circuit(circuit, rho_in, noise, scaled)
+        out = apply_circuit(circuit, rho_in, scaled)
         fidelities.append(state_fidelity_pure(out, ideal_phi(INPUT_KETS["minus"])))
     assert fidelities[0] <= fidelities[1] <= fidelities[2]
 
@@ -255,13 +256,25 @@ def test_depolarizing_knob_reduces_fidelity():
     )
     circuit = build_teleport_circuit("compiled_fig1b")
     rho_in = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
-    fid_base = state_fidelity_pure(
-        apply_circuit(circuit, rho_in, NoiseModel.from_device(base), base), ideal_phi(INPUT_KETS["plus"])
-    )
-    fid_knob = state_fidelity_pure(
-        apply_circuit(circuit, rho_in, NoiseModel.from_device(knobbed), knobbed), ideal_phi(INPUT_KETS["plus"])
-    )
+    fid_base = state_fidelity_pure(apply_circuit(circuit, rho_in, base), ideal_phi(INPUT_KETS["plus"]))
+    fid_knob = state_fidelity_pure(apply_circuit(circuit, rho_in, knobbed), ideal_phi(INPUT_KETS["plus"]))
     assert fid_knob < fid_base
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    duration=st.floats(0.0, 200e-9),
+    t1=st.floats(0.1e-6, 5e-6),
+    t2_ratio=st.floats(0.01, 2.0),
+    p=st.floats(0.0, 1.0),
+)
+def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, p):
+    rho = random_density(np.random.default_rng(seed), 8)
+    for kraus in (damping_channels(duration, t1, t2_ratio * t1), _depolarizing_kraus(p)):
+        for qubit in range(3):
+            contracted = _apply_1q_kraus(rho, kraus, qubit, 3)
+            assert np.max(np.abs(contracted - dense_1q_kraus(rho, kraus, qubit, 3))) < 1e-12
 
 
 # --- noise channels --------------------------------------------------------
@@ -312,6 +325,43 @@ def test_device_params_validation():
         DeviceParams(t1=(1e-6, 1e-6, 1e-6), t2_star=(1e-6, 1e-6, 1e-6), j_ab=-1.0, j_bc=23e6)
 
 
+CHECKED_DEVICE_FIELDS = (
+    "t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time", "cphase_time_ab", "cphase_time_bc",
+)
+
+
+def device_dict_with(field, value, qubit=0):
+    """Reference-device dict with one field (one qubit for t1/t2_star) replaced."""
+    d = reference_device().to_dict()
+    if field in ("t1", "t2_star"):
+        d[field][qubit] = value
+    else:
+        d[field] = value
+    return d
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, 0.0, -1.0])
+@pytest.mark.parametrize("field", CHECKED_DEVICE_FIELDS)
+def test_device_params_rejects_non_finite_bool_and_non_positive(field, value):
+    for qubit in range(3) if field in ("t1", "t2_star") else (0,):
+        with pytest.raises(ValueError, match=f"{field}.* must be a finite positive number"):
+            DeviceParams.from_dict(device_dict_with(field, value, qubit))
+
+
+def test_device_params_rejects_bool_single_qubit_error():
+    with pytest.raises(ValueError, match="single_qubit_error"):
+        DeviceParams.from_dict(device_dict_with("single_qubit_error", True))
+
+
+def test_device_params_dict_round_trip_and_scaling():
+    device = reference_device()
+    assert DeviceParams.from_dict(device.to_dict()) == device
+    scaled = device.scaled_coherence(0.5)
+    assert scaled.t1 == tuple(0.5 * t for t in device.t1)
+    assert scaled.t2_star == tuple(0.5 * t for t in device.t2_star)
+    assert dataclasses.replace(scaled, t1=device.t1, t2_star=device.t2_star) == device
+
+
 def test_device_default_cphase_times_from_couplings():
     device = reference_device()
     assert device.cphase_time("AB") == pytest.approx(1.0 / (2.0 * 36e6))
@@ -320,10 +370,12 @@ def test_device_default_cphase_times_from_couplings():
     assert device.cphase_time("BC") == pytest.approx(21.74e-9, rel=1e-3)
 
 
-def test_noise_model_dephasing_rate_nonnegative():
+def test_damping_channels_dephase_every_reference_qubit():
     device = reference_device()
-    noise = NoiseModel.from_device(device)
-    assert all(t > 0 for t in noise.tphi)
+    for q in range(3):
+        kraus = damping_channels(device.single_qubit_gate_time, device.t1[q], device.t2_star[q])
+        dephasing = kraus[2]  # sqrt(p) Z applied after the no-decay damping operator
+        assert np.max(np.abs(dephasing)) > 0.0
 
 
 def test_gate_constructors_validate():

@@ -1,15 +1,19 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from telebench.circuit import ideal_phi
+import telebench
+from telebench.circuit import DeviceParams, ideal_phi
 from telebench.cli import main
 from telebench.qops import DensityMatrix
 from telebench.tomography import pauli_set
+from test_circuit import CHECKED_DEVICE_FIELDS
 
 
 def run_cli(args):
@@ -78,6 +82,32 @@ def test_bench_malformed_json_reports_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "true"])
+@pytest.mark.parametrize("field", CHECKED_DEVICE_FIELDS)
+def test_bench_non_finite_or_bool_device_value_exits_2(field, token, tmp_path, capsys):
+    device = DeviceParams.reference().to_dict()
+    if field in ("t1", "t2_star"):
+        device[field][1] = "BAD"
+    else:
+        device[field] = "BAD"
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"device": device}).replace('"BAD"', token))
+    code = run_cli(["bench", "--config", str(config), "--noise=on", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_bench_non_finite_run_setting_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"shots": Infinity}')
+    code = run_cli(["bench", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Infinity" in err
 
 
 def test_bench_seed_required_with_shots(tmp_path, capsys):
@@ -156,11 +186,16 @@ def test_state_unknown_label_exits_2():
 
 
 def test_cli_entry_point_subprocess(tmp_path):
+    # The child imports the same telebench as this process, installed or not.
+    package_root = str(Path(telebench.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "telebench", "bench", "--noise=off", "--shots=0", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     assert proc.returncode == 0
     assert "mean Fbar" in proc.stdout
