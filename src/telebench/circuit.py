@@ -26,7 +26,6 @@ from .qops import (
     PAULI_Z,
     STRUCTURAL_TOL,
     require_normalized,
-    tensor,
 )
 
 CPHASE_PAIRS = {"AB": (0, 1), "BC": (1, 2)}
@@ -213,23 +212,19 @@ def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, fl
     return effective, leakage
 
 
-def damping_channels(duration: float, t1: float, t2_star: float) -> list[np.ndarray]:
-    """Single-qubit Kraus set for amplitude damping plus pure dephasing.
+def damping_channels(duration: float, device: DeviceParams, qubit: int) -> list[np.ndarray]:
+    """Kraus set for amplitude damping plus pure dephasing of one device qubit.
 
     Amplitude damping uses gamma = 1 - exp(-duration/T1); the dephasing
     probability follows from the pure-dephasing rate
-    1/Tphi = 1/T2* - 1/(2*T1), which must be non-negative. The returned
-    operators satisfy sum(K^dag K) = I to better than 1e-12.
+    1/Tphi = 1/T2* - 1/(2*T1), which ``DeviceParams`` keeps non-negative.
+    The returned operators satisfy sum(K^dag K) = I to better than 1e-12.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    if t1 <= 0 or t2_star <= 0:
-        raise ValueError("coherence times must be positive")
-    phi_rate = 1.0 / t2_star - 1.0 / (2.0 * t1)
-    if phi_rate < -1e-12 / t2_star:
-        raise ValueError("unphysical dephasing: T2* exceeds 2*T1")
-    phi_rate = max(phi_rate, 0.0)
-    gamma = 1.0 - math.exp(-duration / t1) if math.isfinite(t1) else 0.0
+    t1, t2_star = device.t1[qubit], device.t2_star[qubit]
+    phi_rate = max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)
+    gamma = 1.0 - math.exp(-duration / t1)
     p = 0.5 * (1.0 - math.exp(-duration * phi_rate))
     amp = [
         np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
@@ -248,32 +243,35 @@ def _depolarizing_kraus(p: float) -> list[np.ndarray]:
     ]
 
 
-def _embed_1q(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    full = np.array([[1.0 + 0.0j]])
-    for q in range(num_qubits):
-        full = np.kron(full, op if q == qubit else ID2)
-    return full
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def gate_operator(gate: Gate) -> np.ndarray:
+    """The 2x2 or 4x4 operator of a gate on ``gate.qubits``, first listed
+    qubit most significant."""
+    if gate.kind == "rotation":
+        return rotation_unitary(gate.axis, gate.angle)
+    if gate.kind == "hadamard":
+        return HADAMARD
+    if gate.kind == "cphase":
+        return cphase_ideal()
+    if gate.kind == "cnot":
+        return _CNOT
+    raise ValueError(f"unknown gate kind {gate.kind!r}")
+
+
+def _on_ket_axes(op: np.ndarray, t: np.ndarray, qubits) -> np.ndarray:
+    """Apply ``op`` to the ket axes ``qubits`` of a (2,)*2n tensor."""
+    k = len(qubits)
+    ket = np.tensordot(op.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(qubits)))
+    return np.moveaxis(ket, list(range(k)), list(qubits))
 
 
 def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     """Full-register unitary for a single gate."""
-    if gate.kind == "rotation":
-        return _embed_1q(rotation_unitary(gate.axis, gate.angle), gate.qubits[0], num_qubits)
-    if gate.kind == "hadamard":
-        return _embed_1q(HADAMARD, gate.qubits[0], num_qubits)
-    if gate.kind == "cphase":
-        a, b = gate.qubits
-        one = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        both_one = _embed_1q(one, a, num_qubits) @ _embed_1q(one, b, num_qubits)
-        return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
-    if gate.kind == "cnot":
-        control, target = gate.qubits
-        zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        one = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        return _embed_1q(zero, control, num_qubits) + _embed_1q(one, control, num_qubits) @ _embed_1q(
-            PAULI_X, target, num_qubits
-        )
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    d = 2**num_qubits
+    eye = np.eye(d, dtype=complex).reshape((2,) * (2 * num_qubits))
+    return _on_ket_axes(gate_operator(gate), eye, gate.qubits).reshape(d, d)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -357,40 +355,42 @@ def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_1q_kraus(arr: np.ndarray, kraus: list[np.ndarray], qubit: int, num_qubits: int) -> np.ndarray:
-    """sum_k K rho K^dag with each K acting on one qubit of the (2,)*2n tensor."""
-    n = num_qubits
-    t = arr.reshape((2,) * (2 * n))
+def _apply_kraus(arr: np.ndarray, ops: list[np.ndarray], qubits, num_qubits: int) -> np.ndarray:
+    """sum_k K rho K^dag with each K acting on ``qubits`` of the (2,)*2n tensor."""
+    k = len(qubits)
+    bras = [num_qubits + q for q in qubits]
+    t = arr.reshape((2,) * (2 * num_qubits))
     out = np.zeros_like(t)
-    for k in kraus:
-        ket = np.moveaxis(np.tensordot(k, t, axes=(1, qubit)), 0, qubit)
-        out += np.moveaxis(np.tensordot(ket, k.conj(), axes=(n + qubit, 1)), -1, n + qubit)
+    for op in ops:
+        ket = _on_ket_axes(op, t, qubits)
+        bra = np.tensordot(ket, op.reshape((2,) * (2 * k)).conj(), axes=(bras, list(range(k, 2 * k))))
+        out += np.moveaxis(bra, list(range(-k, 0)), bras)
     return out.reshape(arr.shape)
 
 
 def apply_circuit(circuit: Circuit, rho: DensityMatrix, device: DeviceParams | None = None) -> DensityMatrix:
     """Evolve a state through a circuit, with decoherence when given a device.
 
-    Gates act as ideal unitary conjugations. With a device, every gate is
-    followed by amplitude-damping and pure-dephasing channels on all qubits
-    for that gate's duration (idle qubits decohere too), plus an optional
-    depolarizing channel on the target of single-qubit gates when the
-    device's ``single_qubit_error`` is nonzero. Without one, the evolution
-    is noiseless.
+    Gates act as ideal unitary conjugations and channels as Kraus sums, each
+    contracted on its own qubits' axes of the (2,)*2n state tensor. With a
+    device, every gate is followed by amplitude-damping and pure-dephasing
+    channels on all qubits for that gate's duration (idle qubits decohere
+    too), plus an optional depolarizing channel on the target of
+    single-qubit gates when the device's ``single_qubit_error`` is nonzero.
+    Without one, the evolution is noiseless.
     """
     n = circuit.num_qubits
     if rho.dim != 2**n:
         raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
     arr = np.array(rho.matrix)
     for gate in circuit.gates:
-        u = gate_unitary(gate, n)
-        arr = u @ arr @ u.conj().T
+        arr = _apply_kraus(arr, [gate_operator(gate)], gate.qubits, n)
         if device is None:
             continue
         duration = _gate_duration(gate, device)
         if duration > 0.0:
             for q in range(n):
-                arr = _apply_1q_kraus(arr, damping_channels(duration, device.t1[q], device.t2_star[q]), q, n)
+                arr = _apply_kraus(arr, damping_channels(duration, device, q), (q,), n)
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
-            arr = _apply_1q_kraus(arr, _depolarizing_kraus(device.single_qubit_error), gate.qubits[0], n)
+            arr = _apply_kraus(arr, _depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
     return DensityMatrix(arr)

@@ -59,7 +59,8 @@ def _pure_tangles(states: np.ndarray) -> np.ndarray:
     c2_a_bc = 4.0 * (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]).real
     rho_ab = np.einsum("mabc,mdec->mabde", t, t.conj()).reshape(m, 4, 4)
     rho_ac = np.einsum("mabc,mdbe->macde", t, t.conj()).reshape(m, 4, 4)
-    tau = c2_a_bc - _concurrences(rho_ab) ** 2 - _concurrences(rho_ac) ** 2
+    c = _concurrences(np.concatenate([rho_ab, rho_ac]))
+    tau = c2_a_bc - c[:m] ** 2 - c[m:] ** 2
     if float(tau.min(initial=0.0)) < -1e-9:
         raise AssertionError(f"monogamy violated beyond tolerance: {tau.min()}")
     return np.clip(tau, 0.0, 1.0)
@@ -90,6 +91,14 @@ def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return q * np.sign(np.diagonal(r).real)
 
 
+def _mix_pair(pair: np.ndarray, x) -> np.ndarray:
+    """Re-mix two columns by the 2x2 special unitary with angles ``x``."""
+    wk, wl = pair[:, 0], pair[:, 1]
+    c, s = math.cos(x[0]), math.sin(x[0])
+    e = complex(math.cos(x[1]), math.sin(x[1]))
+    return np.stack([c * wk + e * s * wl, -np.conj(e) * s * wk + c * wl], axis=1)
+
+
 def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Coordinate descent over two-column mixing angles.
 
@@ -107,28 +116,15 @@ def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             chosen = all_pairs
         improved = False
         for k, l in chosen:
-            wk = w[:, k].copy()
-            wl = w[:, l].copy()
-            base = _column_tangle_sum(np.stack([wk, wl], axis=1))
-
-            def pair_objective(x):
-                c, s = math.cos(x[0]), math.sin(x[0])
-                e = complex(math.cos(x[1]), math.sin(x[1]))
-                nk = c * wk + e * s * wl
-                nl = -np.conj(e) * s * wk + c * wl
-                return _column_tangle_sum(np.stack([nk, nl], axis=1))
-
+            pair = w[:, [k, l]]
             res = minimize(
-                pair_objective,
+                lambda x: _column_tangle_sum(_mix_pair(pair, x)),
                 x0=np.zeros(2),
                 method="Nelder-Mead",
                 options={"maxfev": 60, "xatol": 1e-4, "fatol": 1e-12},
             )
-            if res.fun < base - 1e-12:
-                c, s = math.cos(res.x[0]), math.sin(res.x[0])
-                e = complex(math.cos(res.x[1]), math.sin(res.x[1]))
-                w[:, k] = c * wk + e * s * wl
-                w[:, l] = -np.conj(e) * s * wk + c * wl
+            if res.fun < _column_tangle_sum(pair) - 1e-12:
+                w[:, [k, l]] = _mix_pair(pair, res.x)
                 improved = True
         if not improved:
             break

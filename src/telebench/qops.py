@@ -101,15 +101,6 @@ def computational_ket(index: int, dim: int) -> np.ndarray:
     return v
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
-
-    ``tensor(a, b)[i*rb + k, j*cb + l] == a[i, j] * b[k, l]``, i.e. block
-    (i, j) of the result is ``a[i, j] * b``.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all qubits not listed in ``keep``.
 
@@ -180,25 +171,6 @@ def state_fidelity_pure(rho: DensityMatrix, target) -> float:
     if f < -STRUCTURAL_TOL or f > 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"fidelity {f} outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, f))
-
-
-def project_and_renormalize(rho: DensityMatrix, projector) -> tuple[DensityMatrix, float]:
-    """Apply a projector and renormalize: (P rho P / Tr(P rho P), Tr(P rho P)).
-
-    Raises if the outcome probability is below 1e-12.
-    """
-    p = np.asarray(projector, dtype=complex)
-    if p.shape != rho.matrix.shape:
-        raise ValueError(f"projector shape {p.shape} does not match state {rho.matrix.shape}")
-    if float(np.max(np.abs(p - p.conj().T))) > STRUCTURAL_TOL:
-        raise ValueError("projector must be Hermitian")
-    if float(np.max(np.abs(p @ p - p))) > STRUCTURAL_TOL:
-        raise ValueError("projector must be idempotent")
-    projected = p @ rho.matrix @ p.conj().T
-    prob = float(np.trace(projected).real)
-    if prob < 1e-12:
-        raise ValueError("outcome has vanishing probability")
-    return DensityMatrix(projected / prob), prob
 
 
 def nearest_physical(h) -> DensityMatrix:

@@ -36,10 +36,7 @@ from .qops import (
     PAULI_Z,
     computational_ket,
     nearest_physical,
-    partial_trace,
-    project_and_renormalize,
     state_fidelity_pure,
-    tensor,
 )
 from .tomography import PAULI_LABELS, mle_reconstruct, pauli_set, simulate_readout
 
@@ -95,13 +92,11 @@ def conditional_output_state(rho_m: DensityMatrix, outcome: str) -> tuple[Densit
     if rho_m.num_qubits != 3:
         raise ValueError("conditional projection expects a three-qubit state")
     i, j = int(outcome[0]), int(outcome[1])
-    ket_ab = tensor(
-        np.outer(computational_ket(i, 2), computational_ket(i, 2).conj()),
-        np.outer(computational_ket(j, 2), computational_ket(j, 2).conj()),
-    )
-    projector = tensor(ket_ab, ID2)
-    projected, probability = project_and_renormalize(rho_m, projector)
-    return partial_trace(projected, {2}), probability
+    block = rho_m.matrix.reshape((2,) * 6)[i, j, :, i, j, :]
+    probability = float(np.trace(block).real)
+    if probability < 1e-12:
+        raise ValueError("outcome has vanishing probability")
+    return DensityMatrix(block / probability), probability
 
 
 def process_tomography(input_kets, output_states) -> np.ndarray:
@@ -115,23 +110,14 @@ def process_tomography(input_kets, output_states) -> np.ndarray:
     outs = list(output_states)
     if len(kets) != len(outs) or len(kets) < 4:
         raise ValueError("need at least four matched input/output states")
-    rows = []
-    rhs = []
-    for psi, out in zip(kets, outs):
-        rho_in = np.outer(psi, psi.conj())
-        rho_out = out.matrix if isinstance(out, DensityMatrix) else np.asarray(out, dtype=complex)
-        coeffs = np.empty((16, 2, 2), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                coeffs[4 * m + n] = CHI_BASIS[m] @ rho_in @ CHI_BASIS[n].conj().T
-        for i in range(2):
-            for j in range(2):
-                rows.append(coeffs[:, i, j])
-                rhs.append(rho_out[i, j])
-    design = np.array(rows)
+    rho_ins = np.array([np.outer(psi, psi.conj()) for psi in kets])
+    basis = np.array(CHI_BASIS)
+    # design[(input, i, j), (m, n)] = (B_m rho_in B_n^dag)[i, j]
+    design = np.einsum("mik,pkl,njl->pijmn", basis, rho_ins, basis.conj()).reshape(-1, 16)
+    rhs = np.array([getattr(out, "matrix", out) for out in outs], dtype=complex).reshape(-1)
     if np.linalg.matrix_rank(design, tol=1e-9) < 16:
         raise ValueError("singular design matrix: input states are not tomographically complete")
-    solution, *_ = np.linalg.lstsq(design, np.array(rhs), rcond=None)
+    solution, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     return np.array(nearest_physical(solution.reshape(4, 4)).matrix)
 
 

@@ -2,19 +2,22 @@
 
 Everything here deliberately avoids the package's own computational paths:
 projections go through sorted simplex projection, tangles through the
-Cayley hyperdeterminant, leakage through a 9x9 matrix exponential, and
-process matrices through direct Kraus-operator basis expansion.
+Cayley hyperdeterminant, leakage through a 9x9 matrix exponential, process
+matrices through direct Kraus-operator basis expansion, and gates, channels
+and conditional states through dense full-register matrices.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 CHI_BASIS = (
     np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    SX,
     -1j * SY,
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    SZ,
 )
 
 
@@ -128,12 +131,71 @@ def partial_trace_index_sum(rho, dims, keep):
     return out
 
 
-def dense_1q_kraus(rho, kraus, qubit, num_qubits):
-    """sum_k K rho K^dag with each K embedded densely by Kronecker products."""
+def embed_1q(op, qubit, num_qubits):
+    """Full-register matrix of a single-qubit operator by Kronecker products."""
+    full = np.array([[1.0 + 0.0j]])
+    for q in range(num_qubits):
+        full = np.kron(full, op if q == qubit else np.eye(2))
+    return full
+
+
+def kron_gate_unitary(gate, num_qubits):
+    """Full-register gate unitary built from Kronecker-embedded factors.
+
+    Rotations come from the matrix exponential of the Pauli generator;
+    C-Phase is I - 2 |11><11| and CNOT is |0><0| (x) I + |1><1| (x) X.
+    """
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    one = np.diag([0.0, 1.0]).astype(complex)
+    if gate.kind == "rotation":
+        generator = sum(a * p for a, p in zip(gate.axis, (SX, SY, SZ)))
+        return embed_1q(expm(-0.5j * gate.angle * generator), gate.qubits[0], num_qubits)
+    if gate.kind == "hadamard":
+        return embed_1q((SX + SZ) / np.sqrt(2.0), gate.qubits[0], num_qubits)
+    if gate.kind == "cphase":
+        a, b = gate.qubits
+        both_one = embed_1q(one, a, num_qubits) @ embed_1q(one, b, num_qubits)
+        return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
+    if gate.kind == "cnot":
+        control, target = gate.qubits
+        return embed_1q(zero, control, num_qubits) + embed_1q(one, control, num_qubits) @ embed_1q(
+            SX, target, num_qubits
+        )
+    raise ValueError(f"unknown gate kind {gate.kind!r}")
+
+
+def embed_operator(op, qubits, num_qubits):
+    """Full-register matrix of ``op`` on ``qubits`` (first listed most
+    significant), entry by entry from the basis-index bits."""
+    d = 2**num_qubits
+    full = np.zeros((d, d), dtype=complex)
+    for r in range(d):
+        for c in range(d):
+            rbits = [(r >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
+            cbits = [(c >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
+            if any(rbits[q] != cbits[q] for q in range(num_qubits) if q not in qubits):
+                continue
+            sub_r = int("".join(str(rbits[q]) for q in qubits), 2)
+            sub_c = int("".join(str(cbits[q]) for q in qubits), 2)
+            full[r, c] = op[sub_r, sub_c]
+    return full
+
+
+def dense_kraus(rho, kraus, qubits, num_qubits):
+    """sum_k K rho K^dag with each K embedded densely on ``qubits``."""
     out = np.zeros_like(rho, dtype=complex)
     for k in kraus:
-        full = np.array([[1.0 + 0.0j]])
-        for q in range(num_qubits):
-            full = np.kron(full, k if q == qubit else np.eye(2))
+        full = embed_operator(k, qubits, num_qubits)
         out += full @ rho @ full.conj().T
     return out
+
+
+def dense_conditional_state(rho, i, j):
+    """Qubit-C state and probability after projecting A, B of a 3-qubit
+    matrix onto |ij>: dense projector, then index-sum partial trace."""
+    ab = np.zeros((4, 4))
+    ab[2 * i + j, 2 * i + j] = 1.0
+    projector = np.kron(ab, np.eye(2))
+    projected = projector @ np.asarray(rho) @ projector
+    probability = float(np.trace(projected).real)
+    return partial_trace_index_sum(projected / probability, [2, 2, 2], [2]), probability

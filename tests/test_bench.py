@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import chi_from_kraus, random_density
+from oracles import chi_from_kraus, dense_conditional_state, random_density
 from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
 from telebench.teleport_bench import (
@@ -70,6 +70,17 @@ def test_conditional_output_probabilities_sum_to_one():
         rho = DensityMatrix(random_density(rng, 8))
         total = sum(conditional_output_state(rho, o)[1] for o in OUTCOMES)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_conditional_output_state_matches_dense_projection():
+    rng = np.random.default_rng(3)
+    for rank in (1, 3, 8):
+        rho = DensityMatrix(random_density(rng, 8, rank))
+        for outcome in OUTCOMES:
+            rho_c, prob = conditional_output_state(rho, outcome)
+            oracle, oracle_prob = dense_conditional_state(rho.matrix, int(outcome[0]), int(outcome[1]))
+            assert abs(prob - oracle_prob) < 1e-12
+            assert np.max(np.abs(rho_c.matrix - oracle)) < 1e-12
 
 
 # --- process tomography -------------------------------------------------------

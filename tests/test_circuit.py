@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_1q_kraus, qutrit_pair_leakage, random_density, random_ket
+from oracles import dense_kraus, kron_gate_unitary, qutrit_pair_leakage, random_density, random_ket
 from telebench.circuit import (
-    _apply_1q_kraus,
+    _apply_kraus,
     _depolarizing_kraus,
     Circuit,
     DeviceParams,
@@ -36,6 +36,11 @@ INPUT_KETS = {
 
 def reference_device():
     return DeviceParams.reference()
+
+
+def uniform_device(t1, t2_star):
+    """Reference device with the same T1 and T2* on every qubit."""
+    return dataclasses.replace(reference_device(), t1=(t1,) * 3, t2_star=(t2_star,) * 3)
 
 
 def embed_input(psi):
@@ -68,6 +73,13 @@ def test_gate_unitaries_are_unitary():
         for gate in build_teleport_circuit(variant).gates:
             u = gate_unitary(gate, 3)
             assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
+
+
+def test_gate_unitary_matches_kron_embedding():
+    extra = (Gate.hadamard(2), Gate.cnot(2, 0), Gate.cnot(1, 0), Gate.cphase("AB"))
+    gates = [g for v in ("standard_fig1a", "compiled_fig1b") for g in build_teleport_circuit(v).gates]
+    for gate in gates + list(extra):
+        assert np.max(np.abs(gate_unitary(gate, 3) - kron_gate_unitary(gate, 3))) < 1e-12
 
 
 def test_cphase_ideal():
@@ -270,28 +282,35 @@ def test_depolarizing_knob_reduces_fidelity():
     p=st.floats(0.0, 1.0),
 )
 def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, p):
-    rho = random_density(np.random.default_rng(seed), 8)
-    for kraus in (damping_channels(duration, t1, t2_ratio * t1), _depolarizing_kraus(p)):
-        for qubit in range(3):
-            contracted = _apply_1q_kraus(rho, kraus, qubit, 3)
-            assert np.max(np.abs(contracted - dense_1q_kraus(rho, kraus, qubit, 3))) < 1e-12
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 8)
+    device = uniform_device(t1, t2_ratio * t1)
+    cases = [(damping_channels(duration, device, q), (q,)) for q in range(3)]
+    cases += [(_depolarizing_kraus(p), (q,)) for q in range(3)]
+    for qubits in ((0, 1), (1, 2), (0, 2), (2, 1)):
+        ops = [(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4.0 for _ in range(2)]
+        cases.append((ops, qubits))
+    for kraus, qubits in cases:
+        contracted = _apply_kraus(rho, kraus, qubits, 3)
+        assert np.max(np.abs(contracted - dense_kraus(rho, kraus, qubits, 3))) < 1e-12
 
 
 # --- noise channels --------------------------------------------------------
 
 
 def test_damping_channels_identity_limit():
-    kraus = damping_channels(20e-9, math.inf, math.inf)
-    total = sum(k.conj().T @ k for k in kraus)
-    assert np.allclose(total, np.eye(2), atol=1e-12)
     rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
-    evolved = sum(k @ rho @ k.conj().T for k in kraus)
-    assert np.allclose(evolved, rho, atol=1e-12)
+    for q in range(3):
+        kraus = damping_channels(0.0, reference_device(), q)
+        total = sum(k.conj().T @ k for k in kraus)
+        assert np.allclose(total, np.eye(2), atol=1e-12)
+        evolved = sum(k @ rho @ k.conj().T for k in kraus)
+        assert np.allclose(evolved, rho, atol=1e-12)
 
 
 def test_damping_gamma_closed_form():
     t1 = 0.55e-6
-    kraus = damping_channels(t1, t1, 2.0 * t1)  # pure damping: T2* = 2 T1
+    kraus = damping_channels(t1, uniform_device(t1, 2.0 * t1), 0)  # pure damping: T2* = 2 T1
     raising = [k for k in kraus if abs(k[0, 1]) > 1e-12]
     gamma = sum(abs(k[0, 1]) ** 2 for k in raising)
     assert gamma == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
@@ -303,14 +322,15 @@ def test_damping_channels_complete_for_any_parameters():
         t1 = rng.uniform(0.1e-6, 2e-6)
         t2 = rng.uniform(0.05e-6, 2.0 * t1)
         duration = rng.uniform(0.0, 100e-9)
-        kraus = damping_channels(duration, t1, t2)
+        kraus = damping_channels(duration, uniform_device(t1, t2), 1)
         total = sum(k.conj().T @ k for k in kraus)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
 
 def test_damping_channels_reject_unphysical_dephasing():
+    # The channels read a validated DeviceParams, so T2* > 2 T1 never reaches them.
     with pytest.raises(ValueError, match="unphysical dephasing"):
-        damping_channels(10e-9, 1e-6, 2.5e-6)
+        damping_channels(10e-9, uniform_device(1e-6, 2.5e-6), 0)
 
 
 # --- parameter containers ---------------------------------------------------
@@ -373,7 +393,7 @@ def test_device_default_cphase_times_from_couplings():
 def test_damping_channels_dephase_every_reference_qubit():
     device = reference_device()
     for q in range(3):
-        kraus = damping_channels(device.single_qubit_gate_time, device.t1[q], device.t2_star[q])
+        kraus = damping_channels(device.single_qubit_gate_time, device, q)
         dephasing = kraus[2]  # sqrt(p) Z applied after the no-decay damping operator
         assert np.max(np.abs(dephasing)) > 0.0
 

@@ -12,32 +12,9 @@ from telebench.qops import (
     nearest_physical,
     partial_trace,
     pauli_operator,
-    project_and_renormalize,
     state_fidelity_pure,
-    tensor,
 )
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor(ID2, ID2), np.eye(4))
-
-
-def test_tensor_diagonal():
-    assert np.array_equal(tensor(PAULI_Z, PAULI_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_tensor_basis_projector():
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    assert np.array_equal(tensor(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_block_structure():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    full = tensor(a, b)
-    assert np.allclose(full[3:6, 0:3], a[1, 0] * b)
+from telebench.teleport_bench import conditional_output_state
 
 
 def test_density_matrix_validation():
@@ -82,7 +59,7 @@ def test_partial_trace_recovers_left_factor_of_products():
     for _ in range(20):
         a = random_density(rng, 2)
         b = random_density(rng, 4)
-        rho = DensityMatrix(tensor(a, b))
+        rho = DensityMatrix(np.kron(a, b))
         assert np.allclose(partial_trace(rho, {0}).matrix, a, atol=1e-12)
         assert np.allclose(partial_trace(rho, {1, 2}).matrix, b, atol=1e-12)
 
@@ -144,37 +121,34 @@ def test_state_fidelity_dimension_mismatch():
         state_fidelity_pure(DensityMatrix(np.eye(2) / 2.0), np.ones(8) / np.sqrt(8.0))
 
 
+# --- projection onto an outcome of qubits A, B (conditional_output_state) ----
+
+
 def test_project_and_renormalize_examples():
     psi000 = computational_ket(0, 8)
     rho = DensityMatrix.from_ket(psi000)
-    p00 = tensor(np.diag([1.0, 0.0, 0.0, 0.0]), ID2)
-    out, prob = project_and_renormalize(rho, p00)
+    out, prob = conditional_output_state(rho, "00")
     assert prob == pytest.approx(1.0)
-    assert np.allclose(out.matrix, rho.matrix)
-    p11 = tensor(np.diag([0.0, 0.0, 0.0, 1.0]), ID2)
+    assert np.allclose(out.matrix, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="vanishing probability"):
-        project_and_renormalize(rho, p11)
+        conditional_output_state(rho, "11")
 
 
 def test_project_and_renormalize_maximally_mixed():
     rho = DensityMatrix(np.eye(8) / 8.0)
-    p = tensor(np.diag([0.0, 1.0, 0.0, 0.0]), ID2)
-    out, prob = project_and_renormalize(rho, p)
+    p = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), ID2)
+    out, prob = conditional_output_state(rho, "01")
     assert prob == pytest.approx(0.25)
-    assert np.allclose(out.matrix, p / 2.0)
+    dense = partial_trace(DensityMatrix(p @ rho.matrix @ p / prob), {2})
+    assert np.allclose(out.matrix, dense.matrix)
+    assert np.allclose(out.matrix, ID2 / 2.0)
 
 
 def test_projection_probabilities_sum_to_one():
     rng = np.random.default_rng(9)
     for _ in range(10):
         rho = DensityMatrix(random_density(rng, 8))
-        total = 0.0
-        for i in range(2):
-            for j in range(2):
-                pij = np.zeros((4, 4))
-                pij[2 * i + j, 2 * i + j] = 1.0
-                _, prob = project_and_renormalize(rho, tensor(pij, ID2))
-                total += prob
+        total = sum(conditional_output_state(rho, f"{i}{j}")[1] for i in range(2) for j in range(2))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
