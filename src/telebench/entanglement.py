@@ -1,19 +1,20 @@
 """Entanglement quantification: concurrence, three-tangle, witness.
 
-The mixed-state three-tangle is reported as an upper bound on the convex
-roof, obtained by searching over pure-state decompositions; the search is
-heuristic, so the value is never a certificate of separability, only of
-how much tangle a decomposition can avoid.
+The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
+amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
+three-tangle is reported as an upper bound on the convex roof, obtained by
+searching over pure-state decompositions: random restarts scored in one
+batch per column count, then pairwise re-mixing scored on angle grids. The
+search is heuristic, so the value is never a certificate of separability,
+only of how much tangle a decomposition can avoid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qops import DensityMatrix, PAULI_Y, require_normalized, state_fidelity_pure
 
@@ -45,66 +46,108 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(_concurrences(rho.matrix[np.newaxis])[0])
 
 
-def _pure_tangles(states: np.ndarray) -> np.ndarray:
-    """Residual tangle for a batch of normalized three-qubit kets.
+def _hyperdeterminant(a: np.ndarray) -> np.ndarray:
+    """Cayley hyperdeterminant of three-qubit amplitudes on the last axis.
 
-    Uses the monogamy form C^2_A(BC) - C^2_AB - C^2_AC with
-    C^2_A(BC) = 4 det(rho_A). Negative values beyond 1e-9 indicate a bug
-    and raise; smaller negatives clamp to zero.
+    With a_ijk at index 4i + 2j + k,
+    Hdet = (a000 a111 - a001 a110 - a010 a101 + a011 a100)^2
+           - 4 (a000 a011 - a001 a010) (a100 a111 - a101 a110).
+    4|Hdet| is the three-tangle of a normalized ket; the polynomial is
+    homogeneous of degree 4 in the amplitudes.
     """
-    m = states.shape[0]
-    t = states.reshape(m, 2, 2, 2)
-    ta = states.reshape(m, 2, 4)
-    g = np.einsum("mif,mjf->mij", ta, ta.conj())
-    c2_a_bc = 4.0 * (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]).real
-    rho_ab = np.einsum("mabc,mdec->mabde", t, t.conj()).reshape(m, 4, 4)
-    rho_ac = np.einsum("mabc,mdbe->macde", t, t.conj()).reshape(m, 4, 4)
-    c = _concurrences(np.concatenate([rho_ab, rho_ac]))
-    tau = c2_a_bc - c[:m] ** 2 - c[m:] ** 2
-    if float(tau.min(initial=0.0)) < -1e-9:
-        raise AssertionError(f"monogamy violated beyond tolerance: {tau.min()}")
-    return np.clip(tau, 0.0, 1.0)
+    a0, a1, a2, a3, a4, a5, a6, a7 = np.moveaxis(a, -1, 0)
+    return (a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4) ** 2 - 4.0 * (a0 * a3 - a1 * a2) * (a4 * a7 - a5 * a6)
 
 
 def three_tangle_pure(psi) -> float:
-    """Residual tangle of a pure three-qubit state, in [0, 1]."""
+    """Three-tangle 4|Hdet| of a pure three-qubit state, in [0, 1]."""
     v = require_normalized(psi)
     if v.shape[0] != 8:
         raise ValueError("expected a three-qubit ket of dimension 8")
     v = v / np.linalg.norm(v)
-    return float(_pure_tangles(v[np.newaxis])[0])
+    return min(4.0 * abs(complex(_hyperdeterminant(v))), 1.0)
 
 
-def _column_tangle_sum(w: np.ndarray) -> float:
-    """Average tangle sum(p_k * tau(w_k/|w_k|)) for unnormalized columns."""
-    p = np.sum(np.abs(w) ** 2, axis=0)
+def _column_tangle_sum(w: np.ndarray) -> np.ndarray:
+    """Average tangle sum(p_k * tau(w_k/|w_k|)) of unnormalized columns.
+
+    ``w`` has shape (..., 8, m) and the result shape (...). As tau is
+    homogeneous of degree 4, column k contributes 4|Hdet(w_k)| / p_k with
+    p_k = |w_k|^2; columns with p_k <= 1e-14 contribute nothing.
+    """
+    p = np.sum(w.real**2 + w.imag**2, axis=-2)
     keep = p > 1e-14
-    if not keep.any():
-        return 0.0
-    states = (w[:, keep] / np.sqrt(p[keep])).T
-    return float(np.sum(p[keep] * _pure_tangles(states)))
+    tau = 4.0 * np.abs(_hyperdeterminant(np.swapaxes(w, -1, -2)))
+    return np.sum(np.where(keep, tau / np.where(keep, p, 1.0), 0.0), axis=-1)
 
 
-def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+def _haar_isometries(g: np.ndarray) -> np.ndarray:
+    """Haar-random isometries from stacked complex Gaussian matrices."""
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r).real)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real)[..., np.newaxis, :]
 
 
-def _mix_pair(pair: np.ndarray, x) -> np.ndarray:
-    """Re-mix two columns by the 2x2 special unitary with angles ``x``."""
+def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Score the restart candidates m_root @ V_k^dag, k = 0 .. restarts - 1.
+
+    Restart k draws a Haar isometry V_k with r + k % (r + 1) rows from its
+    own stream ``default_rng([seed, k])``. Restarts with the same column
+    count share one batch, so group j holds k = j, j + r + 1, ... Returns
+    the values in k order and the candidate batches by group.
+    """
+    r = m_root.shape[1]
+    values = np.empty(restarts)
+    groups = []
+    for j in range(min(restarts, r + 1)):
+        ks = range(j, restarts, r + 1)
+        rngs = [np.random.default_rng([seed, k]) for k in ks]
+        g = np.stack([rng.normal(size=(r + j, r)) + 1j * rng.normal(size=(r + j, r)) for rng in rngs])
+        w = m_root @ np.swapaxes(_haar_isometries(g).conj(), -1, -2)
+        values[j :: r + 1] = _column_tangle_sum(w)
+        groups.append(w)
+    return values, groups
+
+
+# Refine grid: theta in [0, pi/2) (larger theta only swaps the two columns up
+# to phase), phi in [0, 2 pi); the zoom spans one coarse step either side of
+# the best point at half the step.
+_GRID_THETA = np.arange(12) * (np.pi / 24.0)
+_GRID_PHI = np.arange(16) * (np.pi / 8.0)
+_ZOOM_THETA = np.arange(-2, 3) * (np.pi / 48.0)
+_ZOOM_PHI = np.arange(-2, 3) * (np.pi / 16.0)
+
+
+def _mix_pair(pair: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Re-mix two columns by the 2x2 special unitary with angles (theta, phi).
+
+    ``pair`` is (8, 2); ``theta`` and ``phi`` are equal-shaped angle arrays
+    and the result is (*angles.shape, 8, 2). Each result spans the same
+    decomposition as ``pair``: the mix is unitary.
+    """
+    c = np.cos(theta)[..., np.newaxis]
+    s = np.sin(theta)[..., np.newaxis]
+    e = np.exp(1j * phi)[..., np.newaxis]
     wk, wl = pair[:, 0], pair[:, 1]
-    c, s = math.cos(x[0]), math.sin(x[0])
-    e = complex(math.cos(x[1]), math.sin(x[1]))
-    return np.stack([c * wk + e * s * wl, -np.conj(e) * s * wk + c * wl], axis=1)
+    return np.stack([c * wk + e * s * wl, -np.conj(e) * s * wk + c * wl], axis=-1)
+
+
+def _best_mix(pair: np.ndarray, theta: np.ndarray, phi: np.ndarray):
+    """Angles, tangle sum and mixed pair of the best point on theta x phi."""
+    t, f = np.meshgrid(theta, phi, indexing="ij")
+    mixed = _mix_pair(pair, t.ravel(), f.ravel())
+    values = _column_tangle_sum(mixed)
+    i = int(np.argmin(values))
+    return t.flat[i], f.flat[i], float(values[i]), mixed[i]
 
 
 def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Coordinate descent over two-column mixing angles.
 
-    Each selected column pair is re-mixed by a 2x2 special unitary whose
-    two angles are optimized with Nelder-Mead; the overall decomposition
-    stays exact throughout.
+    Each selected column pair is re-mixed by the 2x2 special unitary that
+    minimizes the pair's tangle sum over a batched theta x phi grid and then
+    over one finer grid around the grid's best point. The mix is kept only
+    when it lowers that sum by more than 1e-12; the decomposition stays
+    exact throughout.
     """
     m = w.shape[1]
     all_pairs = list(combinations(range(m), 2))
@@ -117,14 +160,10 @@ def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         improved = False
         for k, l in chosen:
             pair = w[:, [k, l]]
-            res = minimize(
-                lambda x: _column_tangle_sum(_mix_pair(pair, x)),
-                x0=np.zeros(2),
-                method="Nelder-Mead",
-                options={"maxfev": 60, "xatol": 1e-4, "fatol": 1e-12},
-            )
-            if res.fun < _column_tangle_sum(pair) - 1e-12:
-                w[:, [k, l]] = _mix_pair(pair, res.x)
+            theta, phi, _, _ = _best_mix(pair, _GRID_THETA, _GRID_PHI)
+            _, _, val, mixed = _best_mix(pair, theta + _ZOOM_THETA, phi + _ZOOM_PHI)
+            if val < _column_tangle_sum(pair) - 1e-12:
+                w[:, [k, l]] = mixed
                 improved = True
         if not improved:
             break
@@ -152,24 +191,21 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     basis = vecs[:, keep]
     r = int(lam.shape[0])
     m_root = basis * np.sqrt(lam)
-    if r == 1:
-        return _column_tangle_sum(m_root)
+    best_val = float(_column_tangle_sum(m_root))
+    if r == 1 or best_val < 1e-9:
+        return best_val
     seed_norm = int(seed) % (2**63)
-    best_val = _column_tangle_sum(m_root)
-    best_w = np.array(m_root)
-    for k in range(restarts):
+    values, groups = _restart_values(m_root, restarts, seed_norm)
+    best_w = m_root
+    for k, val in enumerate(values):
         if best_val < 1e-9:
             break
-        rng = np.random.default_rng([seed_norm, k])
-        m = r + (k % (r + 1))
-        w = m_root @ _haar_isometry(rng, m, r).conj().T
-        val = _column_tangle_sum(w)
         if val < best_val:
-            best_val = val
-            best_w = w
+            best_val = float(val)
+            best_w = groups[k % (r + 1)][k // (r + 1)]
     if best_val >= 1e-9:
         refined = _refine_pairs(np.array(best_w), np.random.default_rng([seed_norm, restarts]))
-        best_val = min(best_val, _column_tangle_sum(refined))
+        best_val = min(best_val, float(_column_tangle_sum(refined)))
     return best_val
 
 

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the package's own computational paths:
 projections go through sorted simplex projection, tangles through the
-Cayley hyperdeterminant, leakage through a 9x9 matrix exponential, process
+Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
 matrices through direct Kraus-operator basis expansion, and gates, channels
 and conditional states through dense full-register matrices.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from telebench.qops import DensityMatrix, partial_trace
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -79,6 +81,33 @@ def hyperdet_tangle(psi):
     d3 = a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1] + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
     hdet = d1 - 2.0 * d2 + 4.0 * d3
     return float(4.0 * abs(hdet))
+
+
+def wootters_concurrence(rho):
+    """Concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit density matrix.
+
+    The l_i^2 are the eigenvalues of rho (YY rho^* YY). Its nonzero ones
+    equal those of the Hermitian A^dag (YY rho^* YY) A with rho = A A^dag
+    over the support of rho; staying on the support keeps the exactly-zero
+    eigenvalues, whose square roots would amplify rounding to ~1e-8, out.
+    """
+    yy = np.kron(SY, SY)
+    w, u = np.linalg.eigh(rho)
+    keep = w > 1e-12
+    a = u[:, keep] * np.sqrt(w[keep])
+    tilde = yy @ np.conj(rho) @ yy
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(a.conj().T @ tilde @ a), 0.0, None))[::-1]
+    return float(max(0.0, lam[0] - np.sum(lam[1:])))
+
+
+def monogamy_tangle(psi):
+    """Three-tangle of a pure state as the CKW residual
+    C^2_A(BC) - C^2_AB - C^2_AC, with C^2_A(BC) = 4 det(rho_A)."""
+    rho = DensityMatrix.from_ket(psi)
+    c2_a_bc = 4.0 * np.linalg.det(partial_trace(rho, {0}).matrix).real
+    c_ab = wootters_concurrence(partial_trace(rho, {0, 1}).matrix)
+    c_ac = wootters_concurrence(partial_trace(rho, {0, 2}).matrix)
+    return float(c2_a_bc - c_ab**2 - c_ac**2)
 
 
 def qutrit_pair_leakage(j_over_2pi, t):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hyperdet_tangle, qutrit_pair_leakage, random_density, random_ket, simplex_projection_psd
+from oracles import hyperdet_tangle, monogamy_tangle, qutrit_pair_leakage, random_density, random_ket, simplex_projection_psd
 from telebench.circuit import (
     DeviceParams,
     TELEPORT_BRANCH_OPS,
@@ -110,7 +110,9 @@ def test_criterion_5_tangle_oracles():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         psi = random_ket(rng, 8)
-        assert abs(three_tangle_pure(psi) - hyperdet_tangle(psi)) < 1e-8
+        value = three_tangle_pure(psi)
+        assert abs(value - hyperdet_tangle(psi)) < 1e-8
+        assert abs(value - monogamy_tangle(psi)) < 1e-8
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
     w_state = np.zeros(8, dtype=complex)
@@ -124,8 +126,8 @@ def test_criterion_5_tangle_oracles():
     assert mixed_bound <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    print(f"\nACCEPTANCE 5 PASS: tangle agrees with the hyperdeterminant oracle on 100 "
-          f"states; GHZ/W/product anchors hold; I/8 bound reached {mixed_bound:.2e} ({elapsed:.2f} s)")
+    print(f"\nACCEPTANCE 5 PASS: tangle agrees with the hyperdeterminant and monogamy "
+          f"oracles on 100 states; GHZ/W/product anchors hold; I/8 bound reached {mixed_bound:.2e} ({elapsed:.2f} s)")
 
 
 def test_criterion_6_physicality_projection():

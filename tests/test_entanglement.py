@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import hyperdet_tangle, random_ket, random_unitary
+from oracles import hyperdet_tangle, monogamy_tangle, random_density, random_ket, random_unitary
 from telebench.entanglement import (
     WitnessResult,
+    _column_tangle_sum,
     biseparable_alpha,
     concurrence,
     three_tangle_mixed_upper,
@@ -84,7 +85,28 @@ def test_three_tangle_matches_hyperdeterminant_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         psi = random_ket(rng, 8)
-        assert abs(three_tangle_pure(psi) - hyperdet_tangle(psi)) < 1e-8
+        value = three_tangle_pure(psi)
+        assert abs(value - hyperdet_tangle(psi)) < 1e-8
+        assert abs(value - monogamy_tangle(psi)) < 1e-8
+
+
+def test_column_tangle_sum_matches_normalized_oracle_sum():
+    # Unnormalized columns, one of them zero: the homogeneous form must equal
+    # sum_k p_k tau(w_k / sqrt(p_k)), skipping the zero column, also batched.
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 5, 9):
+        stack = rng.normal(size=(3, 8, m)) + 1j * rng.normal(size=(3, 8, m))
+        stack *= rng.uniform(0.05, 2.0, size=(3, 1, m))
+        stack[1, :, m // 2] = 0.0
+        expected = []
+        for w in stack:
+            p = np.sum(np.abs(w) ** 2, axis=0)
+            expected.append(sum(pk * hyperdet_tangle(wk / np.sqrt(pk)) for pk, wk in zip(p, w.T) if pk > 0))
+        batched = _column_tangle_sum(stack)
+        assert batched.shape == (3,)
+        for w, b, e in zip(stack, batched, expected):
+            assert abs(_column_tangle_sum(w) - e) < 1e-12
+            assert abs(b - e) < 1e-12
 
 
 def test_three_tangle_local_unitary_invariance():
@@ -176,6 +198,77 @@ def test_mixed_tangle_ghz_zero_mixture_against_scan_oracle():
     dominant = three_tangle_pure(vecs[:, -1])
     assert value <= best_scan + 1e-3
     assert value <= dominant + 1e-9
+
+
+def eigen_average_tangle(rho):
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    return sum(lam * hyperdet_tangle(v) for lam, v in zip(vals, vecs.T) if lam > 1e-12)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 8, 9, 10])
+def test_mixed_tangle_rank_eight_few_restarts(restarts):
+    # Rank 8 draws r + k % (r + 1) = 8..16 columns per restart, so fewer than
+    # nine restarts leave some column counts without a candidate.
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    value = three_tangle_mixed_upper(rho, restarts=restarts, seed=4)
+    assert 0.0 <= value <= eigen_average_tangle(rho) + 1e-12
+
+
+# Convex roof of rho(p) = p |GHZ><GHZ| + (1 - p) |W><W| (Lohmayer, Osterloh,
+# Siewert and Uhlmann, PRL 97, 260502 (2006)). The pure superpositions
+# sqrt(p) GHZ - sqrt(1 - p) W have tangle g(p) = p^2 - (8 sqrt6 / 9) sqrt(p (1 - p)^3),
+# which vanishes at p0; the roof is 0 up to p0, g(p) up to p1, and beyond p1
+# the tangent line from (p1, g(p1)) to the pure GHZ point (1, 1).
+GHZ_W_P0 = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
+GHZ_W_P1 = 0.5 + 3.0 * np.sqrt(465.0) / 310.0
+GHZ_W_SLOPE = 1.5 + np.sqrt(465.0) / 18.0
+
+
+def ghz_w_superposition_tangle(p):
+    return p**2 - (8.0 * np.sqrt(6.0) / 9.0) * np.sqrt(p * (1.0 - p) ** 3)
+
+
+def ghz_w_roof(p):
+    if p <= GHZ_W_P0:
+        return 0.0
+    if p <= GHZ_W_P1:
+        return ghz_w_superposition_tangle(p)
+    return 1.0 - (1.0 - p) * GHZ_W_SLOPE
+
+
+def ghz_w_mixture(p):
+    return DensityMatrix(p * np.outer(GHZ, GHZ.conj()) + (1.0 - p) * np.outer(W_STATE, W_STATE.conj()))
+
+
+def test_ghz_w_roof_constants():
+    assert GHZ_W_P0 == pytest.approx(0.6269, abs=1e-4)
+    assert GHZ_W_P1 == pytest.approx(0.7087, abs=1e-4)
+    for p in (0.3, GHZ_W_P0, 0.68, GHZ_W_P1, 0.9):
+        psi = np.sqrt(p) * GHZ - np.sqrt(1.0 - p) * W_STATE
+        assert hyperdet_tangle(psi) == pytest.approx(abs(ghz_w_superposition_tangle(p)), abs=1e-12)
+    assert ghz_w_superposition_tangle(GHZ_W_P0) == pytest.approx(0.0, abs=1e-12)
+    # p1 is where the line through (1, 1) touches g: equal value and slope.
+    assert 1.0 - (1.0 - GHZ_W_P1) * GHZ_W_SLOPE == pytest.approx(ghz_w_superposition_tangle(GHZ_W_P1), abs=1e-12)
+    h = 1e-6
+    slope = (ghz_w_superposition_tangle(GHZ_W_P1 + h) - ghz_w_superposition_tangle(GHZ_W_P1 - h)) / (2.0 * h)
+    assert slope == pytest.approx(GHZ_W_SLOPE, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9, 1.0])
+def test_mixed_tangle_ghz_w_bound_is_valid(p):
+    # Every candidate is an exact decomposition, so no seed may go below the
+    # roof. Below p0 the search stays far above the roof (0.2 at p = 0.2);
+    # nothing is asserted about tightness there.
+    rho = ghz_w_mixture(p)
+    for seed in range(3):
+        assert three_tangle_mixed_upper(rho, seed=seed) >= ghz_w_roof(p) - 1e-9
+
+
+@pytest.mark.parametrize("p", [0.7, 0.8, 0.9])
+def test_mixed_tangle_ghz_w_bound_is_tight_above_p0(p):
+    rho = ghz_w_mixture(p)
+    best = min(three_tangle_mixed_upper(rho, seed=seed) for seed in range(3))
+    assert best <= ghz_w_roof(p) + 0.02
 
 
 def test_mixed_tangle_validates_inputs():
