@@ -12,7 +12,7 @@ from .circuit import (
     build_teleport_circuit,
     ideal_phi,
 )
-from .tomography import TomographyRecord, mle_reconstruct, pauli_set, simulate_readout
+from .tomography import mle_reconstruct, pauli_set, simulate_readout
 from .entanglement import (
     WitnessResult,
     biseparable_alpha,
@@ -30,7 +30,6 @@ __all__ = [
     "DensityMatrix",
     "DeviceParams",
     "Gate",
-    "TomographyRecord",
     "WitnessResult",
     "apply_circuit",
     "biseparable_alpha",

@@ -298,7 +298,7 @@ def build_teleport_circuit(variant: str = "compiled_fig1b") -> Circuit:
     y = (0.0, 1.0, 0.0)
     z = (0.0, 0.0, 1.0)
     half = math.pi / 2.0
-    if variant in ("compiled_fig1b", "compiled"):
+    if variant == "compiled_fig1b":
         gates = (
             Gate.rotation(y, -half, qubit=1),
             Gate.rotation(y, -half, qubit=2),
@@ -310,7 +310,7 @@ def build_teleport_circuit(variant: str = "compiled_fig1b") -> Circuit:
             Gate.rotation(y, -half, qubit=0),
         )
         return Circuit(num_qubits=3, gates=gates)
-    if variant in ("standard_fig1a", "standard"):
+    if variant == "standard_fig1a":
         gates = (
             Gate.hadamard(1),
             Gate.cnot(1, 2),

@@ -191,8 +191,7 @@ def _run_input(
     ket0 = computational_ket(0, 2)
     rho_in = DensityMatrix.from_ket(np.kron(psi, np.kron(ket0, ket0)))
     rho_out = apply_circuit(circuit, rho_in, device if noise else None)
-    record = simulate_readout(rho_out, shots, _derived_seed(seed, 0, index), state_label=label)
-    rho_m = mle_reconstruct(record)
+    rho_m = mle_reconstruct(simulate_readout(rho_out, shots, _derived_seed(seed, 0, index)))
     phi = ideal_phi(psi)
     entry: dict = {
         "state_fidelity": state_fidelity_pure(rho_m, phi),
@@ -228,7 +227,6 @@ def run_benchmark(
 
     states_block: dict[str, dict] = {}
     conditionals: dict[str, dict[str, DensityMatrix]] = {o: {} for o in OUTCOMES}
-    probabilities: dict[str, dict[str, float]] = {o: {} for o in OUTCOMES}
     for label in INPUT_LABELS:
         entry, rho_m = _run_input(circuit, device, label, shots, seed, noise, restarts)
         entry["outcomes"] = {}
@@ -240,18 +238,16 @@ def run_benchmark(
                 "conditional_fidelity": state_fidelity_pure(rho_c, branch),
             }
             conditionals[outcome][label] = rho_c
-            probabilities[outcome][label] = probability
         states_block[label] = entry
 
     processes_block: dict[str, dict] = {}
     fps = []
     fbars = []
     for outcome in OUTCOMES:
+        probabilities = [states_block[label]["outcomes"][outcome]["probability"] for label in INPUT_LABELS]
         floor_hit = any(
-            (probabilities[outcome][label] < ANALYTIC_PROBABILITY_FLOOR)
-            if shots == 0
-            else (probabilities[outcome][label] * shots < SAMPLED_MIN_COUNTS)
-            for label in INPUT_LABELS
+            (p < ANALYTIC_PROBABILITY_FLOOR) if shots == 0 else (p * shots < SAMPLED_MIN_COUNTS)
+            for p in probabilities
         )
         if floor_hit:
             processes_block[outcome] = {"skipped": True}

@@ -10,7 +10,6 @@ projection onto the physical set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,89 +20,59 @@ from .qops import STRUCTURAL_TOL, DensityMatrix, nearest_physical, pauli_operato
 PAULI_LABELS: tuple[str, ...] = tuple(
     "".join(p) for p in itertools.product("IXYZ", repeat=3) if p != ("I", "I", "I")
 )
-_LABEL_SET = frozenset(PAULI_LABELS)
 
 # The 63 operators in PAULI_LABELS order, built once: shape (63, 8, 8).
 PAULI_STACK = np.array([pauli_operator(label) for label in PAULI_LABELS])
 PAULI_STACK.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class TomographyRecord:
-    """Estimated Pauli expectation values for one prepared state.
-
-    ``entries`` holds (label, estimated expectation, shot count) triples.
-    A shot count of 0 marks an analytic (exact) entry. Duplicate labels and
-    out-of-range estimates are rejected here; completeness over all 63
-    strings is checked where the record is consumed.
-    """
-
-    entries: tuple[tuple[str, float, int], ...]
-    state_label: str = ""
-
-    def __post_init__(self):
-        seen = set()
-        for label, value, shots in self.entries:
-            if label not in _LABEL_SET:
-                raise ValueError(f"unknown Pauli label {label!r}")
-            if label in seen:
-                raise ValueError(f"duplicate Pauli label {label!r}")
-            seen.add(label)
-            if abs(value) > 1.0 + 1e-12:
-                raise ValueError(f"expectation for {label} out of range: {value}")
-            if shots < 0:
-                raise ValueError("shot count must be non-negative")
-
-    def expectations(self) -> dict[str, float]:
-        return {label: value for label, value, _ in self.entries}
-
-
-def simulate_readout(rho: DensityMatrix, shots: int, seed: int, state_label: str = "") -> TomographyRecord:
+def simulate_readout(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
     """Sample Pauli expectation values of a three-qubit state.
 
-    With ``shots == 0`` the exact expectations Tr(rho P) are recorded.
-    Otherwise each Pauli setting draws ``shots`` eigenvalue outcomes from
-    the Born distribution and records the sample mean. Every setting uses
-    an independent substream derived from (seed, setting index), so the
-    record is deterministic for a given seed and settings could be sampled
-    concurrently without changing the result.
+    Returns the 63 estimates in :data:`PAULI_LABELS` order. With
+    ``shots == 0`` they are the exact expectations Tr(rho P). Otherwise each
+    Pauli setting draws ``shots`` eigenvalue outcomes from the Born
+    distribution and records the sample mean. Every setting uses an
+    independent substream derived from (seed, setting index), so the
+    estimates are deterministic for a given seed and settings could be
+    sampled concurrently without changing the result.
     """
-    if rho.num_qubits != 3:
-        raise ValueError("readout simulation expects a three-qubit state")
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    entries = []
-    for index, (label, exact) in enumerate(zip(PAULI_LABELS, pauli_set(rho).tolist())):
-        if shots == 0:
-            entries.append((label, exact, 0))
-            continue
-        p_plus = min(1.0, max(0.0, 0.5 * (1.0 + exact)))
-        rng = np.random.default_rng([seed, index])
-        n_plus = int(rng.binomial(shots, p_plus))
-        estimate = (2.0 * n_plus - shots) / shots
-        entries.append((label, estimate, shots))
-    return TomographyRecord(entries=tuple(entries), state_label=state_label)
+    exact = pauli_set(rho)
+    if shots == 0:
+        return exact
+    p_plus = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
+    n_plus = np.array(
+        [np.random.default_rng([seed, index]).binomial(shots, p) for index, p in enumerate(p_plus.tolist())]
+    )
+    return (2.0 * n_plus - shots) / shots
 
 
-def linear_inversion(record: TomographyRecord) -> np.ndarray:
-    """Pauli-basis inversion (1/8)(I + sum <P> P) of a complete record.
+def linear_inversion(values) -> np.ndarray:
+    """Pauli-basis inversion (1/8)(I + sum <P> P) of 63 expectation values
+    in :data:`PAULI_LABELS` order.
 
-    The output is Hermitian with unit trace by construction but may have
-    negative eigenvalues when the record is noisy.
+    Raises ``ValueError`` unless there are exactly 63 finite values of
+    magnitude at most 1. The output is Hermitian with unit trace by
+    construction but may have negative eigenvalues when the values are noisy.
     """
-    values = record.expectations()
-    missing = [label for label in PAULI_LABELS if label not in values]
-    if missing:
-        raise ValueError(f"record is missing Pauli string(s): {missing}")
-    coeffs = np.array([1.0] + [values[label] for label in PAULI_LABELS])
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(PAULI_LABELS),):
+        raise ValueError(f"expected {len(PAULI_LABELS)} Pauli expectations, got shape {values.shape}")
+    bad = ~(np.abs(values) <= 1.0 + 1e-12)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(f"expectation for {PAULI_LABELS[index]} not finite or out of range: {values[index]}")
+    coeffs = np.concatenate(([1.0], values))
     operators = np.concatenate((np.eye(8, dtype=complex)[np.newaxis], PAULI_STACK))
     return np.sum(coeffs[:, np.newaxis, np.newaxis] * operators, axis=0) / 8.0
 
 
-def mle_reconstruct(record: TomographyRecord) -> DensityMatrix:
+def mle_reconstruct(values) -> DensityMatrix:
     """Physical state estimate: linear inversion projected onto the
     positive-semidefinite unit-trace set."""
-    return nearest_physical(linear_inversion(record))
+    return nearest_physical(linear_inversion(values))
 
 
 def pauli_set(rho: DensityMatrix) -> np.ndarray:

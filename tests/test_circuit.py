@@ -164,8 +164,9 @@ def test_compiled_circuit_gate_inventory():
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        build_teleport_circuit("fancy")
+    for variant in ("fancy", "compiled", "standard"):
+        with pytest.raises(ValueError):
+            build_teleport_circuit(variant)
 
 
 # --- ideal output state ---------------------------------------------------

@@ -185,18 +185,35 @@ def test_state_unknown_label_exits_2():
     assert excinfo.value.code == 2
 
 
-def test_cli_entry_point_subprocess(tmp_path):
+def child_env() -> dict:
     # The child imports the same telebench as this process, installed or not.
     package_root = str(Path(telebench.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "telebench", "bench", "--noise=off", "--shots=0", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "mean Fbar" in proc.stdout
     assert (tmp_path / "report.json").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # SciPy is a test-only dependency; the CLI must run without it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, telebench.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,7 +7,6 @@ from telebench.qops import DensityMatrix, computational_ket, expectation, pauli_
 from telebench.tomography import (
     PAULI_LABELS,
     PAULI_STACK,
-    TomographyRecord,
     linear_inversion,
     mle_reconstruct,
     pauli_set,
@@ -33,17 +32,16 @@ def test_pauli_stack_equals_pauli_operator_for_every_label():
 def test_analytic_readout_matches_exact_expectations():
     rng = np.random.default_rng(1)
     rho = DensityMatrix(random_density(rng, 8))
-    record = simulate_readout(rho, shots=0, seed=0)
-    values = record.expectations()
-    for label in PAULI_LABELS:
-        assert values[label] == pytest.approx(expectation(rho, pauli_operator(label)), abs=1e-12)
+    values = simulate_readout(rho, shots=0, seed=0)
+    for label, value in zip(PAULI_LABELS, values):
+        assert value == pytest.approx(expectation(rho, pauli_operator(label)), abs=1e-12)
 
 
 def test_analytic_readout_ground_state():
     rho = DensityMatrix.from_ket(computational_ket(0, 8))
-    values = simulate_readout(rho, shots=0, seed=0).expectations()
-    assert values["ZII"] == pytest.approx(1.0)
-    assert values["XII"] == pytest.approx(0.0, abs=1e-12)
+    values = simulate_readout(rho, shots=0, seed=0)
+    assert values[PAULI_LABELS.index("ZII")] == pytest.approx(1.0)
+    assert values[PAULI_LABELS.index("XII")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sampled_readout_deterministic_given_seed():
@@ -51,8 +49,27 @@ def test_sampled_readout_deterministic_given_seed():
     a = simulate_readout(rho, shots=500, seed=123)
     b = simulate_readout(rho, shots=500, seed=123)
     c = simulate_readout(rho, shots=500, seed=124)
-    assert a.entries == b.entries
-    assert a.entries != c.entries
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("shots", [0, 500])
+@pytest.mark.parametrize("seed", [17, 2024])
+def test_sampled_readout_matches_per_setting_streams(seed, shots):
+    # Setting i draws from its own stream default_rng([seed, i]), whatever
+    # the other settings do.
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    exact = pauli_set(rho)
+    expected = exact
+    if shots:
+        expected = []
+        for i, e in enumerate(exact):
+            n_plus = np.random.default_rng([seed, i]).binomial(shots, np.clip(0.5 * (1.0 + e), 0.0, 1.0))
+            expected.append((2.0 * n_plus - shots) / shots)
+    values = simulate_readout(rho, shots=shots, seed=seed)
+    assert values.shape == (63,)
+    assert values.dtype == np.float64
+    assert np.array_equal(values, expected)
 
 
 def test_sampled_readout_standard_error_scales_as_inverse_sqrt_shots():
@@ -60,21 +77,10 @@ def test_sampled_readout_standard_error_scales_as_inverse_sqrt_shots():
     # standard deviation 1/sqrt(shots).
     rho = DensityMatrix.from_ket(computational_ket(0, 8))
     shots = 400
-    estimates = []
-    for seed in range(100):
-        record = simulate_readout(rho, shots=shots, seed=seed)
-        estimates.append(record.expectations()["XII"])
+    index = PAULI_LABELS.index("XII")
+    estimates = [simulate_readout(rho, shots=shots, seed=seed)[index] for seed in range(100)]
     std = np.std(estimates)
     assert 0.7 / np.sqrt(shots) < std < 1.3 / np.sqrt(shots)
-
-
-def test_record_validation():
-    with pytest.raises(ValueError):
-        TomographyRecord(entries=(("XXQ", 0.0, 0),))
-    with pytest.raises(ValueError):
-        TomographyRecord(entries=(("XII", 0.0, 0), ("XII", 0.1, 0)))
-    with pytest.raises(ValueError):
-        TomographyRecord(entries=(("XII", 1.5, 0),))
 
 
 def test_linear_inversion_recovers_physical_state():
@@ -85,22 +91,40 @@ def test_linear_inversion_recovers_physical_state():
 
 
 def test_linear_inversion_of_zero_record_is_maximally_mixed():
-    record = TomographyRecord(entries=tuple((label, 0.0, 0) for label in PAULI_LABELS))
-    assert np.allclose(linear_inversion(record), np.eye(8) / 8.0)
+    assert np.allclose(linear_inversion(np.zeros(63)), np.eye(8) / 8.0)
 
 
 def test_linear_inversion_output_is_hermitian_unit_trace_by_construction():
     rng = np.random.default_rng(5)
-    entries = tuple((label, float(rng.uniform(-1, 1)), 100) for label in PAULI_LABELS)
-    mu = linear_inversion(TomographyRecord(entries=entries))
+    mu = linear_inversion(rng.uniform(-1, 1, size=63))
     assert np.max(np.abs(mu - mu.conj().T)) < 1e-12
     assert np.trace(mu).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_linear_inversion_reports_missing_strings():
-    entries = tuple((label, 0.0, 0) for label in PAULI_LABELS[:-2])
-    with pytest.raises(ValueError, match="ZZY.*ZZZ|missing"):
-        linear_inversion(TomographyRecord(entries=entries))
+def _set_xii(value):
+    values = np.zeros(63)
+    values[PAULI_LABELS.index("XII")] = value
+    return values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _set_xii(np.nan),
+        _set_xii(np.inf),
+        _set_xii(-np.inf),
+        _set_xii(1.5),
+        _set_xii(-1.0 - 1e-9),
+        np.zeros(62),
+        np.zeros(64),
+    ],
+    ids=["nan", "inf", "-inf", "above_one", "below_minus_one", "62_values", "64_values"],
+)
+def test_linear_inversion_rejects_invalid_estimates(values):
+    with pytest.raises(ValueError):
+        linear_inversion(values)
+    with pytest.raises(ValueError):
+        mle_reconstruct(values)
 
 
 def test_mle_round_trip_analytic():
@@ -114,23 +138,22 @@ def test_mle_round_trip_analytic():
 def test_mle_reconstruction_quality_at_1e4_shots():
     psi = ideal_phi(np.array([1.0, -1.0j]) / np.sqrt(2.0))
     rho = DensityMatrix.from_ket(psi)
-    record = simulate_readout(rho, shots=10_000, seed=42)
-    recon = mle_reconstruct(record)
+    recon = mle_reconstruct(simulate_readout(rho, shots=10_000, seed=42))
     fidelity = float((psi.conj() @ recon.matrix @ psi).real)
     assert fidelity > 0.95
 
 
 def test_mle_handles_negative_linear_inversion():
-    # A noisy record whose linear inversion has negative eigenvalues must
+    # A noisy estimate whose linear inversion has negative eigenvalues must
     # land exactly on the truncate-and-redistribute projection.
     from telebench.qops import nearest_physical
 
     rng = np.random.default_rng(11)
     rho = DensityMatrix.from_ket(random_ket(rng, 8))
-    record = simulate_readout(rho, shots=50, seed=3)
-    mu = linear_inversion(record)
+    values = simulate_readout(rho, shots=50, seed=3)
+    mu = linear_inversion(values)
     assert np.linalg.eigvalsh(mu)[0] < -1e-6
-    recon = mle_reconstruct(record)
+    recon = mle_reconstruct(values)
     assert np.max(np.abs(recon.matrix - nearest_physical(mu).matrix)) < 1e-12
     assert np.linalg.eigvalsh(recon.matrix)[0] > -1e-9
 
@@ -169,3 +192,5 @@ def test_pauli_set_consistent_with_expectation():
 def test_pauli_set_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         pauli_set(DensityMatrix(np.eye(4) / 4.0))
+    with pytest.raises(ValueError):
+        simulate_readout(DensityMatrix(np.eye(4) / 4.0), shots=10, seed=0)
