@@ -2,9 +2,10 @@
 
 The three-qubit register is ordered A, B, C with qubit A most significant.
 Two-qubit C-Phase gates exist only between the adjacent pairs AB and BC,
-matching the modeled device. Noise is applied as post-gate Kraus channels
-(amplitude damping plus pure dephasing) on every qubit for each gate's
-duration; gate unitaries themselves are ideal.
+matching the modeled device. Gate unitaries are ideal. With a device, each
+gate is followed by amplitude damping plus pure dephasing of every qubit for
+the gate's duration, applied in closed form to that qubit's 2x2 (ket, bra)
+blocks of the state tensor.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ class Gate:
     angle: float | None = None
     pair: str | None = None
     duration: float | None = None
+
+    def __post_init__(self):
+        # A negative or NaN duration would skip decoherence silently; a bool would read as 1 s.
+        d = self.duration
+        if d is not None and (isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 <= d < math.inf):
+            raise ValueError(f"gate duration must be None or a finite number >= 0, got {d!r}")
 
     @classmethod
     def rotation(cls, axis, angle: float, qubit: int, duration: float | None = None) -> "Gate":
@@ -212,37 +219,6 @@ def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, fl
     return effective, leakage
 
 
-def damping_channels(duration: float, device: DeviceParams, qubit: int) -> list[np.ndarray]:
-    """Kraus set for amplitude damping plus pure dephasing of one device qubit.
-
-    Amplitude damping uses gamma = 1 - exp(-duration/T1); the dephasing
-    probability follows from the pure-dephasing rate
-    1/Tphi = 1/T2* - 1/(2*T1), which ``DeviceParams`` keeps non-negative.
-    The returned operators satisfy sum(K^dag K) = I to better than 1e-12.
-    """
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    t1, t2_star = device.t1[qubit], device.t2_star[qubit]
-    phi_rate = max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)
-    gamma = 1.0 - math.exp(-duration / t1)
-    p = 0.5 * (1.0 - math.exp(-duration * phi_rate))
-    amp = [
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
-        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
-    ]
-    deph = [math.sqrt(1.0 - p) * ID2, math.sqrt(p) * PAULI_Z]
-    return [d @ a for d in deph for a in amp]
-
-
-def _depolarizing_kraus(p: float) -> list[np.ndarray]:
-    return [
-        math.sqrt(1.0 - 0.75 * p) * ID2,
-        math.sqrt(0.25 * p) * PAULI_X,
-        math.sqrt(0.25 * p) * PAULI_Y,
-        math.sqrt(0.25 * p) * PAULI_Z,
-    ]
-
-
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
@@ -260,18 +236,23 @@ def gate_operator(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _on_ket_axes(op: np.ndarray, t: np.ndarray, qubits) -> np.ndarray:
-    """Apply ``op`` to the ket axes ``qubits`` of a (2,)*2n tensor."""
-    k = len(qubits)
-    ket = np.tensordot(op.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(qubits)))
-    return np.moveaxis(ket, list(range(k)), list(qubits))
+def _axes_first(axes, ndim: int) -> list[int]:
+    """Axis order that puts ``axes`` first, in that order, and the rest after."""
+    return [*axes, *(a for a in range(ndim) if a not in axes)]
+
+
+def _on_axes(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
+    """Apply ``op`` to ``axes`` of a (2,)*m tensor, first listed axis most significant."""
+    order = _axes_first(axes, t.ndim)
+    out = op @ t.transpose(order).reshape(len(op), -1)
+    return out.reshape(t.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     """Full-register unitary for a single gate."""
     d = 2**num_qubits
     eye = np.eye(d, dtype=complex).reshape((2,) * (2 * num_qubits))
-    return _on_ket_axes(gate_operator(gate), eye, gate.qubits).reshape(d, d)
+    return _on_axes(gate_operator(gate), eye, gate.qubits).reshape(d, d)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -355,42 +336,61 @@ def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_kraus(arr: np.ndarray, ops: list[np.ndarray], qubits, num_qubits: int) -> np.ndarray:
-    """sum_k K rho K^dag with each K acting on ``qubits`` of the (2,)*2n tensor."""
-    k = len(qubits)
-    bras = [num_qubits + q for q in qubits]
-    t = arr.reshape((2,) * (2 * num_qubits))
-    out = np.zeros_like(t)
-    for op in ops:
-        ket = _on_ket_axes(op, t, qubits)
-        bra = np.tensordot(ket, op.reshape((2,) * (2 * k)).conj(), axes=(bras, list(range(k, 2 * k))))
-        out += np.moveaxis(bra, list(range(-k, 0)), bras)
-    return out.reshape(arr.shape)
+def _conjugate(t: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
+    """op rho op^dag with ``op`` acting on ``qubits`` of the (2,)*2n tensor."""
+    return _on_axes(op.conj(), _on_axes(op, t, qubits), [t.ndim // 2 + q for q in qubits])
+
+
+def _decohere(t: np.ndarray, duration: float, device: DeviceParams, q: int) -> None:
+    """Amplitude damping plus pure dephasing of qubit ``q`` for ``duration``, in place.
+
+    gamma = 1 - exp(-duration/T1) and p = (1 - exp(-duration/Tphi))/2, with the
+    pure-dephasing rate 1/Tphi = 1/T2* - 1/(2*T1) >= 0. On the (ket q, bra q)
+    blocks: b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10 *= sqrt(1 - gamma)*(1 - 2p).
+    """
+    t1, t2_star = device.t1[q], device.t2_star[q]
+    gamma = 1.0 - math.exp(-duration / t1)
+    p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
+    b = t.transpose(_axes_first((q, t.ndim // 2 + q), t.ndim))
+    b[0, 0] += gamma * b[1, 1]
+    b[1, 1] *= 1.0 - gamma
+    b[0, 1] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
+    b[1, 0] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
+
+
+def _depolarize(t: np.ndarray, p: float, q: int) -> None:
+    """Depolarizing channel (1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q``, in place."""
+    b = t.transpose(_axes_first((q, t.ndim // 2 + q), t.ndim))
+    mixed = 0.5 * p * (b[0, 0] + b[1, 1])
+    t *= 1.0 - p
+    b[0, 0] += mixed
+    b[1, 1] += mixed
 
 
 def apply_circuit(circuit: Circuit, rho: DensityMatrix, device: DeviceParams | None = None) -> DensityMatrix:
     """Evolve a state through a circuit, with decoherence when given a device.
 
-    Gates act as ideal unitary conjugations and channels as Kraus sums, each
-    contracted on its own qubits' axes of the (2,)*2n state tensor. With a
-    device, every gate is followed by amplitude-damping and pure-dephasing
-    channels on all qubits for that gate's duration (idle qubits decohere
-    too), plus an optional depolarizing channel on the target of
-    single-qubit gates when the device's ``single_qubit_error`` is nonzero.
-    Without one, the evolution is noiseless.
+    Gates act as ideal unitary conjugations contracted on their own qubits'
+    axes of the (2,)*2n state tensor. With a device, every gate is followed
+    by amplitude damping and pure dephasing of all qubits for that gate's
+    duration (idle qubits decohere too), plus an optional depolarizing
+    channel on the target of single-qubit gates when the device's
+    ``single_qubit_error`` is nonzero; both channels update each qubit's
+    2x2 (ket, bra) blocks in closed form. Without a device, the evolution is
+    noiseless.
     """
     n = circuit.num_qubits
     if rho.dim != 2**n:
         raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
-    arr = np.array(rho.matrix)
+    t = np.array(rho.matrix).reshape((2,) * (2 * n))
     for gate in circuit.gates:
-        arr = _apply_kraus(arr, [gate_operator(gate)], gate.qubits, n)
+        t = _conjugate(t, gate_operator(gate), gate.qubits)
         if device is None:
             continue
         duration = _gate_duration(gate, device)
         if duration > 0.0:
             for q in range(n):
-                arr = _apply_kraus(arr, damping_channels(duration, device, q), (q,), n)
+                _decohere(t, duration, device, q)
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
-            arr = _apply_kraus(arr, _depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
-    return DensityMatrix(arr)
+            _depolarize(t, device.single_qubit_error, gate.qubits[0])
+    return DensityMatrix(t.reshape(rho.matrix.shape))

@@ -4,12 +4,16 @@ Everything here deliberately avoids the package's own computational paths:
 projections go through sorted simplex projection, tangles through the
 Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
 matrices through direct Kraus-operator basis expansion, and gates, channels
-and conditional states through dense full-register matrices.
+and conditional states through dense full-register matrices. Noisy
+evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``).
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
 
+from telebench.circuit import _gate_duration, gate_operator
 from telebench.qops import DensityMatrix, partial_trace
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -228,3 +232,58 @@ def dense_conditional_state(rho, i, j):
     projected = projector @ np.asarray(rho) @ projector
     probability = float(np.trace(projected).real)
     return partial_trace_index_sum(projected / probability, [2, 2, 2], [2]), probability
+
+
+def damping_channels(duration, device, qubit):
+    """Kraus set for amplitude damping plus pure dephasing of one device qubit.
+
+    Amplitude damping uses gamma = 1 - exp(-duration/T1); the dephasing
+    probability follows from the pure-dephasing rate
+    1/Tphi = 1/T2* - 1/(2*T1), which ``DeviceParams`` keeps non-negative.
+    """
+    t1, t2_star = device.t1[qubit], device.t2_star[qubit]
+    phi_rate = max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)
+    gamma = 1.0 - math.exp(-duration / t1)
+    p = 0.5 * (1.0 - math.exp(-duration * phi_rate))
+    amp = [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+    ]
+    deph = [math.sqrt(1.0 - p) * np.eye(2), math.sqrt(p) * SZ]
+    return [d @ a for d in deph for a in amp]
+
+
+def depolarizing_kraus(p):
+    return [math.sqrt(1.0 - 0.75 * p) * np.eye(2, dtype=complex)] + [math.sqrt(0.25 * p) * s for s in (SX, SY, SZ)]
+
+
+def apply_kraus(arr, ops, qubits, num_qubits):
+    """sum_k K rho K^dag with each K contracted on ``qubits`` of the (2,)*2n tensor."""
+    k = len(qubits)
+    bras = [num_qubits + q for q in qubits]
+    t = arr.reshape((2,) * (2 * num_qubits))
+    out = np.zeros_like(t)
+    for op in ops:
+        op_t = op.reshape((2,) * (2 * k))
+        ket = np.tensordot(op_t, t, axes=(list(range(k, 2 * k)), list(qubits)))
+        ket = np.moveaxis(ket, list(range(k)), list(qubits))
+        bra = np.tensordot(ket, op_t.conj(), axes=(bras, list(range(k, 2 * k))))
+        out += np.moveaxis(bra, list(range(-k, 0)), bras)
+    return out.reshape(arr.shape)
+
+
+def kraus_apply_circuit(circuit, rho, device):
+    """Noisy evolution as one Kraus list per gate and channel: the gate, then
+    damping and dephasing on every qubit for the gate's duration, then
+    depolarizing on the target of single-qubit gates."""
+    n = circuit.num_qubits
+    arr = np.array(rho, dtype=complex)
+    for gate in circuit.gates:
+        arr = apply_kraus(arr, [gate_operator(gate)], gate.qubits, n)
+        duration = _gate_duration(gate, device)
+        if duration > 0.0:
+            for q in range(n):
+                arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), n)
+        if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
+            arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
+    return arr

@@ -5,10 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_kraus, kron_gate_unitary, qutrit_pair_leakage, random_density, random_ket
+from oracles import (
+    damping_channels,
+    dense_kraus,
+    depolarizing_kraus,
+    kron_gate_unitary,
+    partial_trace_index_sum,
+    qutrit_pair_leakage,
+    random_density,
+    random_ket,
+)
 from telebench.circuit import (
-    _apply_kraus,
-    _depolarizing_kraus,
+    _conjugate,
+    _decohere,
+    _depolarize,
     Circuit,
     DeviceParams,
     Gate,
@@ -18,7 +28,6 @@ from telebench.circuit import (
     circuit_unitary,
     cphase_avoided_crossing,
     cphase_ideal,
-    damping_channels,
     gate_unitary,
     ideal_phi,
     rotation_unitary,
@@ -45,6 +54,17 @@ def uniform_device(t1, t2_star):
 
 def embed_input(psi):
     return np.kron(psi, np.kron(computational_ket(0, 2), computational_ket(0, 2)))
+
+
+def decohered(rho, duration, device, q):
+    """The in-place block update applied to a copy of an 8x8 matrix."""
+    t = np.array(rho, dtype=complex).reshape((2,) * 6)
+    _decohere(t, duration, device, q)
+    return t.reshape(8, 8)
+
+
+def reduced_qubit(rho, q):
+    return partial_trace_index_sum(rho, [2, 2, 2], [q])
 
 
 # --- gate unitaries -----------------------------------------------------
@@ -286,35 +306,39 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 8)
     device = uniform_device(t1, t2_ratio * t1)
-    cases = [(damping_channels(duration, device, q), (q,)) for q in range(3)]
-    cases += [(_depolarizing_kraus(p), (q,)) for q in range(3)]
-    for qubits in ((0, 1), (1, 2), (0, 2), (2, 1)):
-        ops = [(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4.0 for _ in range(2)]
-        cases.append((ops, qubits))
-    for kraus, qubits in cases:
-        contracted = _apply_kraus(rho, kraus, qubits, 3)
-        assert np.max(np.abs(contracted - dense_kraus(rho, kraus, qubits, 3))) < 1e-12
+    for q in range(3):
+        expected = dense_kraus(rho, damping_channels(duration, device, q), (q,), 3)
+        assert np.max(np.abs(decohered(rho, duration, device, q) - expected)) < 1e-13
+        t = rho.astype(complex).reshape((2,) * 6)
+        _depolarize(t, p, q)
+        assert np.max(np.abs(t.reshape(8, 8) - dense_kraus(rho, depolarizing_kraus(p), (q,), 3))) < 1e-13
+    for qubits in ((0,), (2,), (0, 1), (1, 2), (0, 2), (2, 1)):
+        d = 2 ** len(qubits)
+        op = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+        contracted = _conjugate(rho.reshape((2,) * 6), op, qubits).reshape(8, 8)
+        assert np.max(np.abs(contracted - dense_kraus(rho, [op], qubits, 3))) < 1e-12
 
 
 # --- noise channels --------------------------------------------------------
 
 
 def test_damping_channels_identity_limit():
-    rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+    rho = random_density(np.random.default_rng(3), 8)
     for q in range(3):
-        kraus = damping_channels(0.0, reference_device(), q)
-        total = sum(k.conj().T @ k for k in kraus)
-        assert np.allclose(total, np.eye(2), atol=1e-12)
-        evolved = sum(k @ rho @ k.conj().T for k in kraus)
-        assert np.allclose(evolved, rho, atol=1e-12)
+        assert np.array_equal(decohered(rho, 0.0, reference_device(), q), rho)
 
 
 def test_damping_gamma_closed_form():
     t1 = 0.55e-6
-    kraus = damping_channels(t1, uniform_device(t1, 2.0 * t1), 0)  # pure damping: T2* = 2 T1
-    raising = [k for k in kraus if abs(k[0, 1]) > 1e-12]
-    gamma = sum(abs(k[0, 1]) ** 2 for k in raising)
-    assert gamma == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    device = uniform_device(t1, 2.0 * t1)  # pure damping: T2* = 2 T1
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    for q in range(3):
+        kets = [plus if k == q else computational_ket(1, 2) for k in range(3)]
+        rho = DensityMatrix.from_ket(np.kron(kets[0], np.kron(kets[1], kets[2]))).matrix
+        block = reduced_qubit(decohered(rho, t1, device, q), q)
+        assert block[1, 1].real == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
+        assert block[0, 0].real == pytest.approx(1.0 - 0.5 * math.exp(-1.0), abs=1e-15)
+        assert block[0, 1].real == pytest.approx(0.5 * math.exp(-0.5), abs=1e-15)
 
 
 def test_damping_channels_complete_for_any_parameters():
@@ -323,15 +347,25 @@ def test_damping_channels_complete_for_any_parameters():
         t1 = rng.uniform(0.1e-6, 2e-6)
         t2 = rng.uniform(0.05e-6, 2.0 * t1)
         duration = rng.uniform(0.0, 100e-9)
-        kraus = damping_channels(duration, uniform_device(t1, t2), 1)
-        total = sum(k.conj().T @ k for k in kraus)
-        assert np.max(np.abs(total - np.eye(2))) < 1e-12
+        device = uniform_device(t1, t2)
+        rho = random_density(rng, 8)
+        for q in range(3):
+            out = decohered(rho, duration, device, q)
+            assert abs(np.trace(out) - 1.0) < 1e-14
+            expected = reduced_qubit(dense_kraus(rho, damping_channels(duration, device, q), (q,), 3), q)
+            assert np.max(np.abs(reduced_qubit(out, q) - expected)) < 1e-14
 
 
 def test_damping_channels_reject_unphysical_dephasing():
-    # The channels read a validated DeviceParams, so T2* > 2 T1 never reaches them.
+    # The update reads a validated DeviceParams, so T2* > 2 T1 never reaches it.
     with pytest.raises(ValueError, match="unphysical dephasing"):
-        damping_channels(10e-9, uniform_device(1e-6, 2.5e-6), 0)
+        uniform_device(1e-6, 2.5e-6)
+    # T2* at 2 T1 within the tolerance gives a rate of 0, not a coherence gain.
+    device = uniform_device(1e-6, 2e-6 * (1.0 + 5e-13))
+    rho = random_density(np.random.default_rng(5), 8)
+    for q in range(3):
+        before, after = reduced_qubit(rho, q), reduced_qubit(decohered(rho, 1e-6, device, q), q)
+        assert after[0, 1] == pytest.approx(math.exp(-0.5) * before[0, 1], abs=1e-15)
 
 
 # --- parameter containers ---------------------------------------------------
@@ -393,10 +427,41 @@ def test_device_default_cphase_times_from_couplings():
 
 def test_damping_channels_dephase_every_reference_qubit():
     device = reference_device()
+    duration = device.single_qubit_gate_time
+    rho = DensityMatrix.from_ket(np.full(8, 1.0 / np.sqrt(8.0))).matrix
     for q in range(3):
-        kraus = damping_channels(device.single_qubit_gate_time, device, q)
-        dephasing = kraus[2]  # sqrt(p) Z applied after the no-decay damping operator
-        assert np.max(np.abs(dephasing)) > 0.0
+        coherence = reduced_qubit(decohered(rho, duration, device, q), q)[0, 1].real
+        damping_only = 0.5 * math.exp(-0.5 * duration / device.t1[q])
+        assert coherence < damping_only - 1e-6
+        expected = reduced_qubit(dense_kraus(rho, damping_channels(duration, device, q), (q,), 3), q)
+        assert coherence == pytest.approx(expected[0, 1].real, abs=1e-15)
+
+
+@pytest.mark.parametrize("duration", [-1e-6, math.nan, math.inf, -math.inf, True])
+def test_gate_rejects_negative_non_finite_and_bool_duration(duration):
+    builders = (
+        lambda: Gate.rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=duration),
+        lambda: Gate.hadamard(1, duration=duration),
+        lambda: Gate.cphase("AB", duration=duration),
+        lambda: Gate.cnot(1, 2, duration=duration),
+        lambda: Gate(kind="hadamard", qubits=(0,), duration=duration),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match="gate duration"):
+            build()
+
+
+def test_gate_duration_accepts_none_zero_and_positive():
+    for duration in (None, 0.0, 0, 12e-9, np.float64(1e-6)):
+        assert Gate.hadamard(0, duration=duration).duration == duration
+
+
+def test_gate_duration_decoheres_idle_excited_state():
+    # |111> through an identity rotation of 1 us must decay on every qubit.
+    circuit = Circuit(num_qubits=3, gates=(Gate.rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=1e-6),))
+    out = apply_circuit(circuit, DensityMatrix.from_ket(computational_ket(7, 8)), reference_device())
+    t1 = reference_device().t1
+    assert out.matrix[7, 7].real == pytest.approx(math.prod(math.exp(-1e-6 / t) for t in t1), abs=1e-12)
 
 
 def test_gate_constructors_validate():

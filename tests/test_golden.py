@@ -8,10 +8,14 @@ change report values regenerates the goldens on purpose, from the repository
 root::
 
     PYTHONPATH=src python tests/test_golden.py
+
+Regeneration rewrites only the configurations whose reports differ beyond
+the timestamp line, so its diff names exactly the goldens whose values moved.
 """
 
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -30,23 +34,35 @@ CONFIGS = {
 }
 
 
+def stripped_reports(directory: Path) -> dict[str, str]:
+    """File name -> text without the timestamp line, for every file in ``directory``."""
+    if not directory.is_dir():
+        return {}
+    return {p.name: TIMESTAMP_LINE.sub("", p.read_text()) for p in directory.iterdir()}
+
+
+def differing_files(golden: Path, actual: Path) -> list[str]:
+    """Files missing on one side or differing beyond the timestamp line."""
+    want, got = stripped_reports(golden), stripped_reports(actual)
+    return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cli_reports_match_golden(name, tmp_path):
     assert cli_main(CONFIGS[name] + ["--out", str(tmp_path)]) == 0
-    golden = sorted(p.name for p in (GOLDEN_DIR / name).iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == golden
-    for filename in golden:
-        expected = TIMESTAMP_LINE.sub("", (GOLDEN_DIR / name / filename).read_text())
-        actual = TIMESTAMP_LINE.sub("", (tmp_path / filename).read_text())
-        assert actual == expected, f"{name}/{filename} differs from its golden copy"
+    assert differing_files(GOLDEN_DIR / name, tmp_path) == [], f"{name} differs from its golden copy"
 
 
 def regenerate() -> None:
     for name, args in CONFIGS.items():
         out = GOLDEN_DIR / name
-        shutil.rmtree(out, ignore_errors=True)
-        if cli_main(args + ["--out", str(out)]) != 0:
-            sys.exit(f"golden config {name} failed")
+        with tempfile.TemporaryDirectory() as tmp:
+            if cli_main(args + ["--out", tmp]) != 0:
+                sys.exit(f"golden config {name} failed")
+            if differing_files(out, Path(tmp)):
+                shutil.rmtree(out, ignore_errors=True)
+                shutil.copytree(tmp, out)
+                print(f"rewrote {out}")
 
 
 if __name__ == "__main__":

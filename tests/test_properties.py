@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_ket, random_unitary
+from oracles import kraus_apply_circuit, random_density, random_ket, random_unitary
 from telebench.circuit import DeviceParams, apply_circuit, build_teleport_circuit
 from telebench.entanglement import three_tangle_pure
 from telebench.qops import DensityMatrix, computational_ket, nearest_physical
@@ -38,6 +38,20 @@ def test_noisy_outputs_are_states_with_outcome_probabilities_summing_to_one(devi
         assert isinstance(out, DensityMatrix)
         total = sum(conditional_output_state(out, outcome)[1] for outcome in OUTCOMES)
         assert abs(total - 1.0) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    device=devices(),
+    seed=seeds,
+    rank=st.sampled_from([1, 3, 8]),
+    variant=st.sampled_from(["compiled_fig1b", "standard_fig1a"]),
+)
+def test_noisy_evolution_matches_per_gate_kraus_oracle(device, seed, rank, variant):
+    circuit = build_teleport_circuit(variant)
+    rho = random_density(np.random.default_rng(seed), 8, rank)
+    out = apply_circuit(circuit, DensityMatrix(rho), device)
+    assert np.max(np.abs(out.matrix - kraus_apply_circuit(circuit, rho, device))) < 1e-13
 
 
 @settings(max_examples=20, deadline=None)
