@@ -4,13 +4,17 @@ The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
 amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
 searching over pure-state decompositions: random restarts scored in one
-batch per column count, then pairwise re-mixing scored on angle grids. The
-search is heuristic, so the value is never a certificate of separability,
-only of how much tangle a decomposition can avoid.
+batch per column count, then pairwise re-mixing on an angle grid and a zoom
+around its best point. Because Hdet is a quartic form, a pair's tangle sum
+on a whole grid follows from five coefficients and the pair's Gram matrix,
+so each grid costs two small matmuls. The search is heuristic, so the value
+is never a certificate of separability, only of how much tangle a
+decomposition can avoid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -55,7 +59,7 @@ def _hyperdeterminant(a: np.ndarray) -> np.ndarray:
     4|Hdet| is the three-tangle of a normalized ket; the polynomial is
     homogeneous of degree 4 in the amplitudes.
     """
-    a0, a1, a2, a3, a4, a5, a6, a7 = np.moveaxis(a, -1, 0)
+    a0, a1, a2, a3, a4, a5, a6, a7 = (a[..., i] for i in range(8))
     return (a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4) ** 2 - 4.0 * (a0 * a3 - a1 * a2) * (a4 * a7 - a5 * a6)
 
 
@@ -116,6 +120,51 @@ _GRID_PHI = np.arange(16) * (np.pi / 8.0)
 _ZOOM_THETA = np.arange(-2, 3) * (np.pi / 48.0)
 _ZOOM_PHI = np.arange(-2, 3) * (np.pi / 16.0)
 
+# Hdet(alpha x + beta y) = sum_j C_j alpha^(4-j) beta^j. Sampling it at
+# alpha = 1, beta = omega^k (omega = e^(2 pi i / 5)) is a 5-point DFT of the
+# C_j, which the constant inverse-DFT matrix undoes.
+_DEGREES = np.arange(5)
+_FIFTHS = np.outer(_DEGREES, _DEGREES) * (2.0 * np.pi / 5.0)
+_PAIR_SAMPLES = np.exp(1j * _FIFTHS[:2])
+_QUARTIC_FROM_SAMPLES = np.exp(-1j * _FIFTHS) / 5.0
+
+
+def _theta_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Theta parts of both mixed columns' Hdet and norm, rows stacked.
+
+    With c = cos(theta), s = sin(theta) and e = e^(i phi), ``_mix_pair``
+    makes the columns c x + e s y and -e^* s x + c y. Their Hdet is
+    sum_j C_j T_j e^(i j phi), times the unit factor e^(-4 i phi) for the
+    second column, with T_j = c^(4-j) s^j and (-s)^(4-j) c^j. Their norms are
+    the real parts of (c^2, s^2, 2cs) and (s^2, c^2, -2cs) dotted with
+    (|x|^2, |y|^2, e x^dag y). ``theta`` has shape (..., n); the tables have
+    shapes (..., 2n, 5) and (..., 2n, 3), first column's rows first, and are
+    complex so that the per-pair matmuls convert nothing.
+    """
+    c = np.cos(theta)[..., np.newaxis]
+    s = np.sin(theta)[..., np.newaxis]
+    j = _DEGREES
+    quartic = np.concatenate([c ** (4 - j) * s**j, (-s) ** (4 - j) * c**j], axis=-2)
+    first = np.concatenate([c * c, s * s, 2.0 * c * s], axis=-1)
+    second = np.concatenate([s * s, c * c, -2.0 * c * s], axis=-1)
+    return quartic.astype(complex), np.concatenate([first, second], axis=-2).astype(complex)
+
+
+def _phase_table(phi: np.ndarray) -> np.ndarray:
+    """Phi parts, shape (..., 8, n) for ``phi`` (..., n), matching ``_pair_forms``.
+
+    Rows e^(i j phi) for j = 0 .. 4 go with the C_j, and rows 1, 1, e^(i phi)
+    with |x|^2, |y|^2 and x^dag y.
+    """
+    powers = np.array([0, 1, 2, 3, 4, 0, 0, 1])[:, np.newaxis]
+    return np.exp(1j * powers * phi[..., np.newaxis, :])
+
+
+_GRID_QUARTIC, _GRID_NORM = _theta_tables(_GRID_THETA)
+_GRID_PHASES = _phase_table(_GRID_PHI)
+_ZOOM_QUARTIC, _ZOOM_NORM = _theta_tables(_GRID_THETA[:, np.newaxis] + _ZOOM_THETA)
+_ZOOM_PHASES = _phase_table(_GRID_PHI[:, np.newaxis] + _ZOOM_PHI)
+
 
 def _mix_pair(pair: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Re-mix two columns by the 2x2 special unitary with angles (theta, phi).
@@ -131,23 +180,52 @@ def _mix_pair(pair: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarra
     return np.stack([c * wk + e * s * wl, -np.conj(e) * s * wk + c * wl], axis=-1)
 
 
-def _best_mix(pair: np.ndarray, theta: np.ndarray, phi: np.ndarray):
-    """Angles, tangle sum and mixed pair of the best point on theta x phi."""
-    t, f = np.meshgrid(theta, phi, indexing="ij")
-    mixed = _mix_pair(pair, t.ravel(), f.ravel())
-    values = _column_tangle_sum(mixed)
-    i = int(np.argmin(values))
-    return t.flat[i], f.flat[i], float(values[i]), mixed[i]
+def _pair_forms(pair: np.ndarray) -> np.ndarray:
+    """(C_0, .., C_4, |x|^2, |y|^2, x^dag y) for the columns x, y of ``pair``.
+
+    The C_j are the coefficients of Hdet(alpha x + beta y), from one batch
+    of five hyperdeterminants. The columns are sampled at unit norm (a zero
+    column stays zero), so each C_j carries the rounding of its own scale
+    |x|^(4-j) |y|^j rather than that of the larger column.
+    """
+    gram = pair.conj().T @ pair
+    gxx, gyy = float(gram[0, 0].real), float(gram[1, 1].real)
+    nx, ny = math.sqrt(gxx) or 1.0, math.sqrt(gyy) or 1.0
+    samples = _hyperdeterminant((pair @ (_PAIR_SAMPLES / np.array([[nx], [ny]]))).T)
+    forms = np.empty(8, dtype=complex)
+    forms[:5] = (_QUARTIC_FROM_SAMPLES @ samples) * (nx**4 * (ny / nx) ** _DEGREES)
+    forms[5:] = gxx, gyy, gram[0, 1]
+    return forms
+
+
+def _pair_grid(forms: np.ndarray, quartic: np.ndarray, norm: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Tangle sum of ``_mix_pair`` on a theta x phi grid: two small matmuls.
+
+    ``forms`` come from ``_pair_forms``, ``quartic`` and ``norm`` from
+    ``_theta_tables`` and ``phases`` from ``_phase_table``. Entry (a, b)
+    equals ``_column_tangle_sum(_mix_pair(pair, theta[a], phi[b]))``.
+    """
+    terms = forms[:, np.newaxis] * phases
+    hdet = quartic @ terms[:5]
+    p = (norm @ terms[5:]).real
+    tau = np.divide(np.abs(hdet), p, out=np.zeros_like(p), where=p > 1e-14)
+    n = tau.shape[0] // 2
+    return 4.0 * (tau[:n] + tau[n:])
 
 
 def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Coordinate descent over two-column mixing angles.
 
-    Each selected column pair is re-mixed by the 2x2 special unitary that
-    minimizes the pair's tangle sum over a batched theta x phi grid and then
-    over one finer grid around the grid's best point. The mix is kept only
-    when it lowers that sum by more than 1e-12; the decomposition stays
-    exact throughout.
+    Each selected column pair (x, y) is re-mixed by the 2x2 special unitary
+    that minimizes the pair's tangle sum over a theta x phi grid and then
+    over one finer grid around the grid's best point. Both grids are scored
+    in closed form: Hdet is a quartic, so five hyperdeterminants of
+    x + omega^k y give its coefficients in (alpha, beta), and the Gram
+    matrix gives the column norms (``_pair_forms``); each grid is then one
+    small matmul for Hdet and one for the norms against constant angle
+    tables (``_pair_grid``). The unmixed pair is grid point (0, 0). The mix
+    is kept only when it lowers the pair's sum by more than 1e-12, and it
+    is applied with ``_mix_pair``, so the decomposition stays exact.
     """
     m = w.shape[1]
     all_pairs = list(combinations(range(m), 2))
@@ -160,10 +238,13 @@ def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         improved = False
         for k, l in chosen:
             pair = w[:, [k, l]]
-            theta, phi, _, _ = _best_mix(pair, _GRID_THETA, _GRID_PHI)
-            _, _, val, mixed = _best_mix(pair, theta + _ZOOM_THETA, phi + _ZOOM_PHI)
-            if val < _column_tangle_sum(pair) - 1e-12:
-                w[:, [k, l]] = mixed
+            forms = _pair_forms(pair)
+            coarse = _pair_grid(forms, _GRID_QUARTIC, _GRID_NORM, _GRID_PHASES)
+            i, j = divmod(int(np.argmin(coarse)), coarse.shape[1])
+            zoom = _pair_grid(forms, _ZOOM_QUARTIC[i], _ZOOM_NORM[i], _ZOOM_PHASES[j])
+            a, b = divmod(int(np.argmin(zoom)), zoom.shape[1])
+            if zoom[a, b] < coarse[0, 0] - 1e-12:
+                w[:, [k, l]] = _mix_pair(pair, _GRID_THETA[i] + _ZOOM_THETA[a], _GRID_PHI[j] + _ZOOM_PHI[b])
                 improved = True
         if not improved:
             break

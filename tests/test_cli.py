@@ -217,3 +217,17 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_noisy_sampled_run_does_not_load_numpy_fft():
+    # numpy.fft costs resident memory on import; no stage needs it.
+    script = (
+        "import sys\n"
+        "from telebench.circuit import DeviceParams\n"
+        "from telebench.teleport_bench import run_benchmark\n"
+        "run_benchmark(DeviceParams.reference(), shots=10000, seed=7, noise=True)\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,8 +3,23 @@ import pytest
 
 from oracles import hyperdet_tangle, monogamy_tangle, random_density, random_ket, random_unitary
 from telebench.entanglement import (
+    _GRID_NORM,
+    _GRID_PHASES,
+    _GRID_PHI,
+    _GRID_QUARTIC,
+    _GRID_THETA,
+    _ZOOM_NORM,
+    _ZOOM_PHASES,
+    _ZOOM_PHI,
+    _ZOOM_QUARTIC,
+    _ZOOM_THETA,
     WitnessResult,
     _column_tangle_sum,
+    _haar_isometries,
+    _mix_pair,
+    _pair_forms,
+    _pair_grid,
+    _refine_pairs,
     biseparable_alpha,
     concurrence,
     three_tangle_mixed_upper,
@@ -269,6 +284,66 @@ def test_mixed_tangle_ghz_w_bound_is_tight_above_p0(p):
     rho = ghz_w_mixture(p)
     best = min(three_tangle_mixed_upper(rho, seed=seed) for seed in range(3))
     assert best <= ghz_w_roof(p) + 0.02
+
+
+def random_pairs():
+    # Column pairs (8, 2): generic ones, a zero column, parallel columns, a
+    # pair of total weight 1e-3 and columns 1e4 apart in norm.
+    rng = np.random.default_rng(14)
+    pairs = [rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)) for _ in range(7)]
+    pairs[3][:, 1] = 0.0
+    pairs[4][:, 1] = (0.6 - 0.3j) * pairs[4][:, 0]
+    pairs[5] *= np.sqrt(1e-3 / np.sum(np.abs(pairs[5]) ** 2))
+    pairs[6][:, 0] *= 1e-4
+    return pairs
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_pair_grid_matches_mixed_column_oracle(index):
+    # The closed-form grid must score every point as the direct tangle sum of
+    # the mixed pair does: on the coarse grid and on the zoom around each of
+    # the 12 x 16 coarse points, including the negative angles zoomed at
+    # theta index 0. Grid point (0, 0) is the unmixed pair.
+    pair = random_pairs()[index]
+    forms = _pair_forms(pair)
+    theta, phi = np.meshgrid(_GRID_THETA, _GRID_PHI, indexing="ij")
+    coarse = _pair_grid(forms, _GRID_QUARTIC, _GRID_NORM, _GRID_PHASES)
+    np.testing.assert_allclose(coarse, _column_tangle_sum(_mix_pair(pair, theta, phi)), rtol=1e-12, atol=0.0)
+    assert coarse[0, 0] == pytest.approx(_column_tangle_sum(pair), rel=1e-12)
+    assert np.min(_GRID_THETA[0] + _ZOOM_THETA) < 0.0
+    for i in range(_GRID_THETA.size):
+        for j in range(_GRID_PHI.size):
+            theta, phi = np.meshgrid(_GRID_THETA[i] + _ZOOM_THETA, _GRID_PHI[j] + _ZOOM_PHI, indexing="ij")
+            zoom = _pair_grid(forms, _ZOOM_QUARTIC[i], _ZOOM_NORM[i], _ZOOM_PHASES[j])
+            oracle = _column_tangle_sum(_mix_pair(pair, theta, phi))
+            np.testing.assert_allclose(zoom, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("state", ["rank3", "rank8", "ghz_w"])
+def test_refine_pairs_keeps_the_decomposition_and_never_raises_the_tangle(state):
+    # Every accepted move is a unitary mix of two columns, so W W^dag must stay
+    # the input's to 1e-12, and the direct tangle sum may only fall.
+    rng = np.random.default_rng(15)
+    rho = {
+        "rank3": lambda: random_density(rng, 8, 3),
+        "rank8": lambda: random_density(rng, 8),
+        "ghz_w": lambda: ghz_w_mixture(0.5).matrix,
+    }[state]()
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > 1e-12
+    root = vecs[:, keep] * np.sqrt(vals[keep])
+    r = root.shape[1]
+    lowered = []
+    for seed, m in enumerate((r, r + 2, 2 * r)):
+        g = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+        w = root @ _haar_isometries(g).conj().T
+        before = _column_tangle_sum(w)
+        refined = _refine_pairs(w.copy(), np.random.default_rng([seed, 1]))
+        assert np.max(np.abs(refined @ refined.conj().T - w @ w.conj().T)) <= 1e-12
+        after = _column_tangle_sum(refined)
+        assert after <= before
+        lowered.append(after < before - 1e-6)
+    assert any(lowered)
 
 
 def test_mixed_tangle_validates_inputs():

@@ -1,5 +1,9 @@
 """Hypothesis property tests over random valid devices and random states."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -73,3 +77,34 @@ def test_three_tangle_pure_is_local_unitary_invariant(seed):
     psi = random_ket(rng, 8)
     local = np.kron(random_unitary(rng, 2), np.kron(random_unitary(rng, 2), random_unitary(rng, 2)))
     assert abs(three_tangle_pure(local @ psi) - three_tangle_pure(psi)) < 1e-9
+
+
+FALSIFIABLE_TESTS = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_falsifiable_property(n):
+    assert n < 10
+
+
+def test_plain_failure():
+    assert False
+"""
+
+
+def test_falsified_property_does_not_end_the_session(tmp_path):
+    # Under the repository's warning filters, a falsified property must be
+    # reported as one failure, and the tests after it must still run.
+    (tmp_path / "test_two_failures.py").write_text(FALSIFIABLE_TESTS)
+    ini = Path(__file__).parents[1] / "pyproject.toml"
+    args = ["-q", "-p", "no:cacheprovider", "-c", str(ini), "--rootdir", str(tmp_path), str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "2 failed" in proc.stdout, proc.stdout
