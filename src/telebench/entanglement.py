@@ -3,13 +3,13 @@
 The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
 amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
-searching over pure-state decompositions: random restarts scored in one
-batch per column count, then pairwise re-mixing on an angle grid and a zoom
-around its best point. Because Hdet is a quartic form, a pair's tangle sum
-on a whole grid follows from five coefficients and the pair's Gram matrix,
-so each grid costs two small matmuls. The search is heuristic, so the value
-is never a certificate of separability, only of how much tangle a
-decomposition can avoid.
+searching over pure-state decompositions: random restarts, cut from one
+Gaussian draw and scored in one batch per column count, then pairwise
+re-mixing on an angle grid and a zoom around its best point. Because Hdet
+is a quartic form, a pair's tangle sum on a whole grid follows from five
+coefficients and the pair's Gram matrix, so each grid costs two small
+matmuls. The search is heuristic, so the value is never a certificate of
+separability, only of how much tangle a decomposition can avoid.
 """
 
 from __future__ import annotations
@@ -94,19 +94,19 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
 def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Score the restart candidates m_root @ V_k^dag, k = 0 .. restarts - 1.
 
-    Restart k draws a Haar isometry V_k with r + k % (r + 1) rows from its
-    own stream ``default_rng([seed, k])``. Restarts with the same column
+    One draw from ``default_rng(seed)`` gives a (2r, r) complex Gaussian
+    block per restart, and restart k takes a Haar isometry V_k from the
+    first r + k % (r + 1) rows of block k. So V_k depends only on (seed, k),
+    not on the restart count or the batching. Restarts with the same column
     count share one batch, so group j holds k = j, j + r + 1, ... Returns
     the values in k order and the candidate batches by group.
     """
     r = m_root.shape[1]
+    g = np.random.default_rng(seed).standard_normal((restarts, 2 * r, r, 2)).view(complex)[..., 0]
     values = np.empty(restarts)
     groups = []
     for j in range(min(restarts, r + 1)):
-        ks = range(j, restarts, r + 1)
-        rngs = [np.random.default_rng([seed, k]) for k in ks]
-        g = np.stack([rng.normal(size=(r + j, r)) + 1j * rng.normal(size=(r + j, r)) for rng in rngs])
-        w = m_root @ np.swapaxes(_haar_isometries(g).conj(), -1, -2)
+        w = m_root @ np.swapaxes(_haar_isometries(g[j :: r + 1, : r + j]).conj(), -1, -2)
         values[j :: r + 1] = _column_tangle_sum(w)
         groups.append(w)
     return values, groups
@@ -277,13 +277,11 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
         return best_val
     seed_norm = int(seed) % (2**63)
     values, groups = _restart_values(m_root, restarts, seed_norm)
+    k = int(np.argmin(values))
     best_w = m_root
-    for k, val in enumerate(values):
-        if best_val < 1e-9:
-            break
-        if val < best_val:
-            best_val = float(val)
-            best_w = groups[k % (r + 1)][k // (r + 1)]
+    if values[k] < best_val:
+        best_val = float(values[k])
+        best_w = groups[k % (r + 1)][k // (r + 1)]
     if best_val >= 1e-9:
         refined = _refine_pairs(np.array(best_w), np.random.default_rng([seed_norm, restarts]))
         best_val = min(best_val, float(_column_tangle_sum(refined)))

@@ -20,6 +20,7 @@ from telebench.entanglement import (
     _pair_forms,
     _pair_grid,
     _refine_pairs,
+    _restart_values,
     biseparable_alpha,
     concurrence,
     three_tangle_mixed_upper,
@@ -218,6 +219,49 @@ def test_mixed_tangle_ghz_zero_mixture_against_scan_oracle():
 def eigen_average_tangle(rho):
     vals, vecs = np.linalg.eigh(rho.matrix)
     return sum(lam * hyperdet_tangle(v) for lam, v in zip(vals, vecs.T) if lam > 1e-12)
+
+
+@pytest.mark.parametrize("rank", [3, 8])
+def test_restart_candidates_depend_only_on_seed_and_index(rank):
+    # Restart k is block k of one Gaussian draw, so the first 50 restarts of
+    # a 200-restart search are those of a 50-restart search, bit for bit.
+    # Every candidate is an exact decomposition, and together they cover
+    # every column count from r to 2r.
+    rho = random_density(np.random.default_rng(16), 8, rank)
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > 1e-12
+    assert np.count_nonzero(keep) == rank
+    root = vecs[:, keep] * np.sqrt(vals[keep])
+    few_values, few_groups = _restart_values(root, 50, 9)
+    values, groups = _restart_values(root, 200, 9)
+    np.testing.assert_array_equal(few_values, values[:50])
+    columns = set()
+    for k in range(200):
+        j, i = k % (rank + 1), k // (rank + 1)
+        w = groups[j][i]
+        assert w.shape == (8, rank + j)
+        assert np.max(np.abs(w @ w.conj().T - rho)) <= 1e-12
+        assert values[k] == _column_tangle_sum(w)
+        if k < 50:
+            np.testing.assert_array_equal(few_groups[j][i], w)
+        columns.add(w.shape[1])
+    assert columns == set(range(rank, 2 * rank + 1))
+
+
+def test_mixed_tangle_builds_one_generator_per_phase(monkeypatch):
+    # One stream serves all restarts and one the refine. Building a
+    # generator per restart cost more than a third of the restart phase.
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    assert three_tangle_mixed_upper(rho, restarts=200, seed=4) > 1e-9
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 8, 9, 10])
