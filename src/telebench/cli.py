@@ -192,6 +192,8 @@ def command_bench(args: argparse.Namespace) -> int:
 
 def command_state(args: argparse.Namespace) -> int:
     config = _build_run_config(args)
+    if config.format != "json":
+        raise ConfigError(f"'state' writes only the 'json' format, got {config.format!r}")
     label = args.input
     result = run_state(
         device=config.device,
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="random seed (required when shots > 0)")
         p.add_argument("--noise", choices=("on", "off"), default=None, help="enable decoherence")
         p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-        p.add_argument("--format", choices=_FORMATS, default=None, help="report format")
+        p.add_argument("--format", choices=_FORMATS, default=None, help="report format (state: json only)")
         p.add_argument("--restarts", type=int, default=None, help="decomposition-search restarts")
 
     bench = sub.add_parser("bench", help="run the full benchmark and write report(s)")

@@ -4,19 +4,16 @@ The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
 amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
 searching over pure-state decompositions: random restarts, cut from one
-Gaussian draw and scored in one batch per column count, then pairwise
-re-mixing on an angle grid and a zoom around its best point. Because Hdet
-is a quartic form, a pair's tangle sum on a whole grid follows from five
-coefficients and the pair's Gram matrix, so each grid costs two small
-matmuls. The search is heuristic, so the value is never a certificate of
-separability, only of how much tangle a decomposition can avoid.
+Gaussian draw and scored in one batch, then conjugate-gradient descent over
+the unitaries that re-mix all columns of the best one. Hdet is a quartic,
+so the gradient of the tangle sum is in closed form. The search is
+heuristic, so the value is never a certificate of separability, only of
+how much tangle a decomposition can avoid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -91,163 +88,90 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real)[..., np.newaxis, :]
 
 
-def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Score the restart candidates m_root @ V_k^dag, k = 0 .. restarts - 1.
 
     One draw from ``default_rng(seed)`` gives a (2r, r) complex Gaussian
-    block per restart, and restart k takes a Haar isometry V_k from the
-    first r + k % (r + 1) rows of block k. So V_k depends only on (seed, k),
-    not on the restart count or the batching. Restarts with the same column
-    count share one batch, so group j holds k = j, j + r + 1, ... Returns
-    the values in k order and the candidate batches by group.
+    block per restart, and V_k is the Haar isometry of block k. So V_k
+    depends only on (seed, k), not on the restart count or the batching.
+    Returns the values in k order and the (restarts, 8, 2r) candidates.
     """
     r = m_root.shape[1]
     g = np.random.default_rng(seed).standard_normal((restarts, 2 * r, r, 2)).view(complex)[..., 0]
-    values = np.empty(restarts)
-    groups = []
-    for j in range(min(restarts, r + 1)):
-        w = m_root @ np.swapaxes(_haar_isometries(g[j :: r + 1, : r + j]).conj(), -1, -2)
-        values[j :: r + 1] = _column_tangle_sum(w)
-        groups.append(w)
-    return values, groups
+    candidates = m_root @ np.swapaxes(_haar_isometries(g).conj(), -1, -2)
+    return _column_tangle_sum(candidates), candidates
 
 
-# Refine grid: theta in [0, pi/2) (larger theta only swaps the two columns up
-# to phase), phi in [0, 2 pi); the zoom spans one coarse step either side of
-# the best point at half the step.
-_GRID_THETA = np.arange(12) * (np.pi / 24.0)
-_GRID_PHI = np.arange(16) * (np.pi / 8.0)
-_ZOOM_THETA = np.arange(-2, 3) * (np.pi / 48.0)
-_ZOOM_PHI = np.arange(-2, 3) * (np.pi / 16.0)
+# d(a0 a7 - a1 a6 - a2 a5 + a3 a4)/da_i is _SIGNS[i] a[7 - i]; on the first
+# four amplitudes d(a0 a3 - a1 a2)/da_i is _SIGNS[i] a[3 - i], and on the last
+# four d(a4 a7 - a5 a6)/da_i is _SIGNS[i] a[11 - i].
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])[:, np.newaxis]
+_HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 
-# Hdet(alpha x + beta y) = sum_j C_j alpha^(4-j) beta^j. Sampling it at
-# alpha = 1, beta = omega^k (omega = e^(2 pi i / 5)) is a 5-point DFT of the
-# C_j, which the constant inverse-DFT matrix undoes.
-_DEGREES = np.arange(5)
-_FIFTHS = np.outer(_DEGREES, _DEGREES) * (2.0 * np.pi / 5.0)
-_PAIR_SAMPLES = np.exp(1j * _FIFTHS[:2])
-_QUARTIC_FROM_SAMPLES = np.exp(-1j * _FIFTHS) / 5.0
+# Most accepted steps of the refine's conjugate-gradient descent.
+_REFINE_STEPS = 30
 
 
-def _theta_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Theta parts of both mixed columns' Hdet and norm, rows stacked.
+def _tangle_gradient(w: np.ndarray) -> np.ndarray:
+    """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW).
 
-    With c = cos(theta), s = sin(theta) and e = e^(i phi), ``_mix_pair``
-    makes the columns c x + e s y and -e^* s x + c y. Their Hdet is
-    sum_j C_j T_j e^(i j phi), times the unit factor e^(-4 i phi) for the
-    second column, with T_j = c^(4-j) s^j and (-s)^(4-j) c^j. Their norms are
-    the real parts of (c^2, s^2, 2cs) and (s^2, c^2, -2cs) dotted with
-    (|x|^2, |y|^2, e x^dag y). ``theta`` has shape (..., n); the tables have
-    shapes (..., 2n, 5) and (..., 2n, 3), first column's rows first, and are
-    complex so that the per-pair matmuls convert nothing.
+    With Hdet = A^2 - 4 B C (``_hyperdeterminant``), dHdet is the cubic
+    2 A dA - 4 (C dB + B dC). Column k of G is
+    4 (H_k / |H_k| conj(dH_k) / p_k - 2 |H_k| w_k / p_k^2) with p_k = |w_k|^2;
+    a column with H_k = 0 keeps only the (zero) norm term, and columns with
+    p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``.
     """
-    c = np.cos(theta)[..., np.newaxis]
-    s = np.sin(theta)[..., np.newaxis]
-    j = _DEGREES
-    quartic = np.concatenate([c ** (4 - j) * s**j, (-s) ** (4 - j) * c**j], axis=-2)
-    first = np.concatenate([c * c, s * s, 2.0 * c * s], axis=-1)
-    second = np.concatenate([s * s, c * c, -2.0 * c * s], axis=-1)
-    return quartic.astype(complex), np.concatenate([first, second], axis=-2).astype(complex)
+    a0, a1, a2, a3, a4, a5, a6, a7 = w
+    big = a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4
+    b = a0 * a3 - a1 * a2
+    c = a4 * a7 - a5 * a6
+    hdet = big**2 - 4.0 * b * c
+    d_hdet = _SIGNS * (2.0 * big * w[::-1] - 4.0 * np.repeat([c, b], 4, axis=0) * w[_HALF_REVERSED])
+    p = np.sum(w.real**2 + w.imag**2, axis=0)
+    keep = p > 1e-14
+    p = np.where(keep, p, 1.0)
+    size = np.abs(hdet)
+    phase = np.divide(hdet, size, out=np.zeros_like(hdet), where=size > 0.0)
+    return np.where(keep, 4.0 * (phase * d_hdet.conj() / p - 2.0 * (size / p**2) * w), 0.0)
 
 
-def _phase_table(phi: np.ndarray) -> np.ndarray:
-    """Phi parts, shape (..., 8, n) for ``phi`` (..., n), matching ``_pair_forms``.
+def _refine(w: np.ndarray) -> np.ndarray:
+    """Conjugate-gradient descent of the tangle sum over W -> W U, U in U(m).
 
-    Rows e^(i j phi) for j = 0 .. 4 go with the C_j, and rows 1, 1, e^(i phi)
-    with |x|^2, |y|^2 and x^dag y.
+    Every W U with U unitary is an exact decomposition of the same state
+    (Hughston-Jozsa-Wootters), so the descent runs on U(m), as in
+    Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009). With
+    A = W^dag G the Riemannian gradient is D = A - A^dag; the direction is
+    Polak-Ribiere+ and resets to D when it stops descending. The trial
+    W (I + X)^-1 (I - X), X = step/4 * direction, is a Cayley transform, so
+    W W^dag is kept. A trial that lowers the sum by more than 1e-12 is
+    accepted and grows the step by 1.5; otherwise the step halves and the
+    same direction is tried again. Stops after ``_REFINE_STEPS`` accepted
+    steps or once the step is below 1e-9.
     """
-    powers = np.array([0, 1, 2, 3, 4, 0, 0, 1])[:, np.newaxis]
-    return np.exp(1j * powers * phi[..., np.newaxis, :])
-
-
-_GRID_QUARTIC, _GRID_NORM = _theta_tables(_GRID_THETA)
-_GRID_PHASES = _phase_table(_GRID_PHI)
-_ZOOM_QUARTIC, _ZOOM_NORM = _theta_tables(_GRID_THETA[:, np.newaxis] + _ZOOM_THETA)
-_ZOOM_PHASES = _phase_table(_GRID_PHI[:, np.newaxis] + _ZOOM_PHI)
-
-
-def _mix_pair(pair: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Re-mix two columns by the 2x2 special unitary with angles (theta, phi).
-
-    ``pair`` is (8, 2); ``theta`` and ``phi`` are equal-shaped angle arrays
-    and the result is (*angles.shape, 8, 2). Each result spans the same
-    decomposition as ``pair``: the mix is unitary.
-    """
-    c = np.cos(theta)[..., np.newaxis]
-    s = np.sin(theta)[..., np.newaxis]
-    e = np.exp(1j * phi)[..., np.newaxis]
-    wk, wl = pair[:, 0], pair[:, 1]
-    return np.stack([c * wk + e * s * wl, -np.conj(e) * s * wk + c * wl], axis=-1)
-
-
-def _pair_forms(pair: np.ndarray) -> np.ndarray:
-    """(C_0, .., C_4, |x|^2, |y|^2, x^dag y) for the columns x, y of ``pair``.
-
-    The C_j are the coefficients of Hdet(alpha x + beta y), from one batch
-    of five hyperdeterminants. The columns are sampled at unit norm (a zero
-    column stays zero), so each C_j carries the rounding of its own scale
-    |x|^(4-j) |y|^j rather than that of the larger column.
-    """
-    gram = pair.conj().T @ pair
-    gxx, gyy = float(gram[0, 0].real), float(gram[1, 1].real)
-    nx, ny = math.sqrt(gxx) or 1.0, math.sqrt(gyy) or 1.0
-    samples = _hyperdeterminant((pair @ (_PAIR_SAMPLES / np.array([[nx], [ny]]))).T)
-    forms = np.empty(8, dtype=complex)
-    forms[:5] = (_QUARTIC_FROM_SAMPLES @ samples) * (nx**4 * (ny / nx) ** _DEGREES)
-    forms[5:] = gxx, gyy, gram[0, 1]
-    return forms
-
-
-def _pair_grid(forms: np.ndarray, quartic: np.ndarray, norm: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Tangle sum of ``_mix_pair`` on a theta x phi grid: two small matmuls.
-
-    ``forms`` come from ``_pair_forms``, ``quartic`` and ``norm`` from
-    ``_theta_tables`` and ``phases`` from ``_phase_table``. Entry (a, b)
-    equals ``_column_tangle_sum(_mix_pair(pair, theta[a], phi[b]))``.
-    """
-    terms = forms[:, np.newaxis] * phases
-    hdet = quartic @ terms[:5]
-    p = (norm @ terms[5:]).real
-    tau = np.divide(np.abs(hdet), p, out=np.zeros_like(p), where=p > 1e-14)
-    n = tau.shape[0] // 2
-    return 4.0 * (tau[:n] + tau[n:])
-
-
-def _refine_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Coordinate descent over two-column mixing angles.
-
-    Each selected column pair (x, y) is re-mixed by the 2x2 special unitary
-    that minimizes the pair's tangle sum over a theta x phi grid and then
-    over one finer grid around the grid's best point. Both grids are scored
-    in closed form: Hdet is a quartic, so five hyperdeterminants of
-    x + omega^k y give its coefficients in (alpha, beta), and the Gram
-    matrix gives the column norms (``_pair_forms``); each grid is then one
-    small matmul for Hdet and one for the norms against constant angle
-    tables (``_pair_grid``). The unmixed pair is grid point (0, 0). The mix
-    is kept only when it lowers the pair's sum by more than 1e-12, and it
-    is applied with ``_mix_pair``, so the decomposition stays exact.
-    """
-    m = w.shape[1]
-    all_pairs = list(combinations(range(m), 2))
-    max_sweeps = 6 if m <= 6 else 2
-    for _ in range(max_sweeps):
-        if len(all_pairs) > 30:
-            chosen = [all_pairs[i] for i in rng.choice(len(all_pairs), size=30, replace=False)]
-        else:
-            chosen = all_pairs
-        improved = False
-        for k, l in chosen:
-            pair = w[:, [k, l]]
-            forms = _pair_forms(pair)
-            coarse = _pair_grid(forms, _GRID_QUARTIC, _GRID_NORM, _GRID_PHASES)
-            i, j = divmod(int(np.argmin(coarse)), coarse.shape[1])
-            zoom = _pair_grid(forms, _ZOOM_QUARTIC[i], _ZOOM_NORM[i], _ZOOM_PHASES[j])
-            a, b = divmod(int(np.argmin(zoom)), zoom.shape[1])
-            if zoom[a, b] < coarse[0, 0] - 1e-12:
-                w[:, [k, l]] = _mix_pair(pair, _GRID_THETA[i] + _ZOOM_THETA[a], _GRID_PHI[j] + _ZOOM_PHI[b])
-                improved = True
-        if not improved:
-            break
+    eye = np.eye(w.shape[1])
+    value = float(_column_tangle_sum(w))
+    step = 0.5
+    d_prev = direction = None
+    for _ in range(_REFINE_STEPS):
+        a = w.conj().T @ _tangle_gradient(w)
+        d = a - a.conj().T
+        if direction is not None:
+            direction = d + max(0.0, np.vdot(d, d - d_prev).real / np.vdot(d_prev, d_prev).real) * direction
+        if direction is None or np.vdot(direction, d).real <= 0.0:
+            direction = d
+        d_prev = d
+        while True:
+            x = (step / 4.0) * direction
+            trial = w @ np.linalg.solve(eye + x, eye - x)
+            trial_value = float(_column_tangle_sum(trial))
+            if trial_value < value - 1e-12:
+                break
+            step *= 0.5
+            if step < 1e-9:
+                return w
+        w, value = trial, trial_value
+        step *= 1.5
     return w
 
 
@@ -255,11 +179,12 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     """Upper bound on the convex-roof three-tangle of a mixed state.
 
     Pure-state decompositions are generated by mixing the eigendecomposition
-    through random isometries with up to twice the rank many components
-    (the unmixed eigendecomposition itself is the first candidate), and the
-    best candidate is locally refined by coordinate descent on pairwise
-    mixing angles. Deterministic for a given seed; the result is always a
-    valid upper bound because every candidate is an exact decomposition.
+    through random isometries with twice the rank many components (the
+    unmixed eigendecomposition itself is the first candidate), and the best
+    candidate is refined by conjugate-gradient descent over unitaries that
+    re-mix all its columns at once. Deterministic for a given seed; the
+    result is always a valid upper bound because every candidate is an
+    exact decomposition.
     """
     if rho.num_qubits != 3:
         raise ValueError("expected a three-qubit state")
@@ -275,16 +200,14 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     best_val = float(_column_tangle_sum(m_root))
     if r == 1 or best_val < 1e-9:
         return best_val
-    seed_norm = int(seed) % (2**63)
-    values, groups = _restart_values(m_root, restarts, seed_norm)
+    values, candidates = _restart_values(m_root, restarts, int(seed) % (2**63))
     k = int(np.argmin(values))
     best_w = m_root
     if values[k] < best_val:
         best_val = float(values[k])
-        best_w = groups[k % (r + 1)][k // (r + 1)]
+        best_w = candidates[k]
     if best_val >= 1e-9:
-        refined = _refine_pairs(np.array(best_w), np.random.default_rng([seed_norm, restarts]))
-        best_val = min(best_val, float(_column_tangle_sum(refined)))
+        best_val = min(best_val, float(_column_tangle_sum(_refine(best_w))))
     return best_val
 
 

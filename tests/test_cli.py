@@ -179,6 +179,23 @@ def test_state_zero_input_has_no_witness_block(tmp_path):
     assert "three_tangle_upper" not in result
 
 
+@pytest.mark.parametrize("fmt", ["csv", "both"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_state_rejects_formats_other_than_json(fmt, source, tmp_path, capsys):
+    out = tmp_path / "out"
+    if source == "flag":
+        args = ["state", "plus", "--format", fmt, "--out", str(out)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"format": fmt}))
+        args = ["state", "plus", "--config", str(config), "--out", str(out)]
+    code = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "json" in err
+    assert not out.exists()
+
+
 def test_state_unknown_label_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["state", "ghz"])

@@ -3,24 +3,12 @@ import pytest
 
 from oracles import hyperdet_tangle, monogamy_tangle, random_density, random_ket, random_unitary
 from telebench.entanglement import (
-    _GRID_NORM,
-    _GRID_PHASES,
-    _GRID_PHI,
-    _GRID_QUARTIC,
-    _GRID_THETA,
-    _ZOOM_NORM,
-    _ZOOM_PHASES,
-    _ZOOM_PHI,
-    _ZOOM_QUARTIC,
-    _ZOOM_THETA,
     WitnessResult,
     _column_tangle_sum,
     _haar_isometries,
-    _mix_pair,
-    _pair_forms,
-    _pair_grid,
-    _refine_pairs,
+    _refine,
     _restart_values,
+    _tangle_gradient,
     biseparable_alpha,
     concurrence,
     three_tangle_mixed_upper,
@@ -184,12 +172,11 @@ def test_mixed_tangle_is_deterministic_given_seed():
     assert a == b
 
 
-def test_mixed_tangle_ghz_zero_mixture_against_scan_oracle():
+@pytest.fixture(scope="module")
+def ghz_zero_mixture_scan():
     # Equal mixture of |GHZ><GHZ| and |000><000|: scan all two-component
     # rank-2 decompositions (one complex mixing angle) with the
-    # hyperdeterminant as the tangle, and require the search to do at least
-    # as well. The dominant-eigenvector tangle is a weaker surrogate that
-    # the bound must also beat.
+    # hyperdeterminant as the tangle.
     zero = computational_ket(0, 8)
     rho = DensityMatrix(0.5 * np.outer(GHZ, GHZ.conj()) + 0.5 * np.outer(zero, zero.conj()))
     vals, vecs = np.linalg.eigh(rho.matrix)
@@ -210,8 +197,16 @@ def test_mixed_tangle_ghz_zero_mixture_against_scan_oracle():
                 if p > 1e-14:
                     total += p * hyperdet_tangle(w / np.sqrt(p))
             best_scan = min(best_scan, total)
-    value = three_tangle_mixed_upper(rho, restarts=60, seed=3)
-    dominant = three_tangle_pure(vecs[:, -1])
+    return rho, best_scan, three_tangle_pure(vecs[:, -1])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mixed_tangle_ghz_zero_mixture_against_scan_oracle(ghz_zero_mixture_scan, seed):
+    # The search must do at least as well as the scan on every seed. The
+    # dominant-eigenvector tangle is a weaker surrogate that the bound must
+    # also beat.
+    rho, best_scan, dominant = ghz_zero_mixture_scan
+    value = three_tangle_mixed_upper(rho, restarts=60, seed=seed)
     assert value <= best_scan + 1e-3
     assert value <= dominant + 1e-9
 
@@ -225,32 +220,26 @@ def eigen_average_tangle(rho):
 def test_restart_candidates_depend_only_on_seed_and_index(rank):
     # Restart k is block k of one Gaussian draw, so the first 50 restarts of
     # a 200-restart search are those of a 50-restart search, bit for bit.
-    # Every candidate is an exact decomposition, and together they cover
-    # every column count from r to 2r.
+    # Every candidate is an exact decomposition with 2r columns.
     rho = random_density(np.random.default_rng(16), 8, rank)
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > 1e-12
     assert np.count_nonzero(keep) == rank
     root = vecs[:, keep] * np.sqrt(vals[keep])
-    few_values, few_groups = _restart_values(root, 50, 9)
-    values, groups = _restart_values(root, 200, 9)
+    few_values, few_candidates = _restart_values(root, 50, 9)
+    values, candidates = _restart_values(root, 200, 9)
     np.testing.assert_array_equal(few_values, values[:50])
-    columns = set()
-    for k in range(200):
-        j, i = k % (rank + 1), k // (rank + 1)
-        w = groups[j][i]
-        assert w.shape == (8, rank + j)
+    assert candidates.shape == (200, 8, 2 * rank)
+    for k, w in enumerate(candidates):
         assert np.max(np.abs(w @ w.conj().T - rho)) <= 1e-12
         assert values[k] == _column_tangle_sum(w)
         if k < 50:
-            np.testing.assert_array_equal(few_groups[j][i], w)
-        columns.add(w.shape[1])
-    assert columns == set(range(rank, 2 * rank + 1))
+            np.testing.assert_array_equal(few_candidates[k], w)
 
 
-def test_mixed_tangle_builds_one_generator_per_phase(monkeypatch):
-    # One stream serves all restarts and one the refine. Building a
-    # generator per restart cost more than a third of the restart phase.
+def test_mixed_tangle_builds_one_generator_per_call(monkeypatch):
+    # One stream serves all restarts and the refine draws nothing. Building
+    # a generator per restart cost more than a third of the restart phase.
     built = []
     default_rng = np.random.default_rng
 
@@ -261,13 +250,11 @@ def test_mixed_tangle_builds_one_generator_per_phase(monkeypatch):
     rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     assert three_tangle_mixed_upper(rho, restarts=200, seed=4) > 1e-9
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 8, 9, 10])
 def test_mixed_tangle_rank_eight_few_restarts(restarts):
-    # Rank 8 draws r + k % (r + 1) = 8..16 columns per restart, so fewer than
-    # nine restarts leave some column counts without a candidate.
     rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
     value = three_tangle_mixed_upper(rho, restarts=restarts, seed=4)
     assert 0.0 <= value <= eigen_average_tangle(rho) + 1e-12
@@ -323,49 +310,49 @@ def test_mixed_tangle_ghz_w_bound_is_valid(p):
         assert three_tangle_mixed_upper(rho, seed=seed) >= ghz_w_roof(p) - 1e-9
 
 
-@pytest.mark.parametrize("p", [0.7, 0.8, 0.9])
+@pytest.mark.parametrize("p", [0.65, 0.7, 0.8, 0.9])
 def test_mixed_tangle_ghz_w_bound_is_tight_above_p0(p):
     rho = ghz_w_mixture(p)
-    best = min(three_tangle_mixed_upper(rho, seed=seed) for seed in range(3))
-    assert best <= ghz_w_roof(p) + 0.02
+    for seed in range(3):
+        assert three_tangle_mixed_upper(rho, seed=seed) <= ghz_w_roof(p) + 0.02
 
 
-def random_pairs():
+def gradient_columns():
     # Column pairs (8, 2): generic ones, a zero column, parallel columns, a
-    # pair of total weight 1e-3 and columns 1e4 apart in norm.
+    # pair of total weight 1e-3 and columns 1e4 apart in norm; then a generic
+    # column beside a product state, whose Hdet is exactly 0.
     rng = np.random.default_rng(14)
-    pairs = [rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)) for _ in range(7)]
+    pairs = [rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)) for _ in range(8)]
     pairs[3][:, 1] = 0.0
     pairs[4][:, 1] = (0.6 - 0.3j) * pairs[4][:, 0]
     pairs[5] *= np.sqrt(1e-3 / np.sum(np.abs(pairs[5]) ** 2))
     pairs[6][:, 0] *= 1e-4
+    pairs[7][:, 1] = np.kron(pairs[7][:4, 1], [1.0, 0.0])
     return pairs
 
 
-@pytest.mark.parametrize("index", range(7))
-def test_pair_grid_matches_mixed_column_oracle(index):
-    # The closed-form grid must score every point as the direct tangle sum of
-    # the mixed pair does: on the coarse grid and on the zoom around each of
-    # the 12 x 16 coarse points, including the negative angles zoomed at
-    # theta index 0. Grid point (0, 0) is the unmixed pair.
-    pair = random_pairs()[index]
-    forms = _pair_forms(pair)
-    theta, phi = np.meshgrid(_GRID_THETA, _GRID_PHI, indexing="ij")
-    coarse = _pair_grid(forms, _GRID_QUARTIC, _GRID_NORM, _GRID_PHASES)
-    np.testing.assert_allclose(coarse, _column_tangle_sum(_mix_pair(pair, theta, phi)), rtol=1e-12, atol=0.0)
-    assert coarse[0, 0] == pytest.approx(_column_tangle_sum(pair), rel=1e-12)
-    assert np.min(_GRID_THETA[0] + _ZOOM_THETA) < 0.0
-    for i in range(_GRID_THETA.size):
-        for j in range(_GRID_PHI.size):
-            theta, phi = np.meshgrid(_GRID_THETA[i] + _ZOOM_THETA, _GRID_PHI[j] + _ZOOM_PHI, indexing="ij")
-            zoom = _pair_grid(forms, _ZOOM_QUARTIC[i], _ZOOM_NORM[i], _ZOOM_PHASES[j])
-            oracle = _column_tangle_sum(_mix_pair(pair, theta, phi))
-            np.testing.assert_allclose(zoom, oracle, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("index", range(8))
+def test_tangle_gradient_matches_central_differences(index):
+    # Each column adds to _column_tangle_sum on its own, so each is
+    # differenced alone, with a step relative to its norm; G is the
+    # gradient in the sense df = Re tr(G^dag dW).
+    w = gradient_columns()[index]
+    gradient = _tangle_gradient(w)
+    assert np.all(np.isfinite(gradient))
+    for k in range(w.shape[1]):
+        column = w[:, [k]]
+        norm = float(np.linalg.norm(column))
+        h = 1e-5 * (norm or 0.1)
+        numeric = np.zeros(8, dtype=complex)
+        for unit in (1.0, 1.0j):
+            steps = h * unit * np.eye(8)[:, :, np.newaxis]
+            numeric += unit * (_column_tangle_sum(column + steps) - _column_tangle_sum(column - steps)) / (2.0 * h)
+        np.testing.assert_allclose(gradient[:, k], numeric, rtol=1e-6, atol=1e-9 * norm)
 
 
 @pytest.mark.parametrize("state", ["rank3", "rank8", "ghz_w"])
 def test_refine_pairs_keeps_the_decomposition_and_never_raises_the_tangle(state):
-    # Every accepted move is a unitary mix of two columns, so W W^dag must stay
+    # Every accepted move is a unitary mix of all columns, so W W^dag must stay
     # the input's to 1e-12, and the direct tangle sum may only fall.
     rng = np.random.default_rng(15)
     rho = {
@@ -378,11 +365,11 @@ def test_refine_pairs_keeps_the_decomposition_and_never_raises_the_tangle(state)
     root = vecs[:, keep] * np.sqrt(vals[keep])
     r = root.shape[1]
     lowered = []
-    for seed, m in enumerate((r, r + 2, 2 * r)):
+    for m in (r, r + 2, 2 * r):
         g = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
         w = root @ _haar_isometries(g).conj().T
         before = _column_tangle_sum(w)
-        refined = _refine_pairs(w.copy(), np.random.default_rng([seed, 1]))
+        refined = _refine(w)
         assert np.max(np.abs(refined @ refined.conj().T - w @ w.conj().T)) <= 1e-12
         after = _column_tangle_sum(refined)
         assert after <= before
