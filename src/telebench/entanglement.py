@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityMatrix, PAULI_Y, require_normalized, state_fidelity_pure
+from .qops import DensityMatrix, PAULI_Y, require_count, require_normalized, state_fidelity_pure
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -69,6 +69,26 @@ def three_tangle_pure(psi) -> float:
     return min(4.0 * abs(complex(_hyperdeterminant(v))), 1.0)
 
 
+def _tangle_terms(w: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``_column_tangle_sum`` at w together with the terms its gradient reuses.
+
+    With Hdet = A^2 - 4 B C (``_hyperdeterminant``), the terms are
+    (A, B, C, Hdet, |Hdet|, p, keep): the factors per column, the column
+    norms p (1 where dropped) and the mask of kept columns.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = (w[..., i, :] for i in range(8))
+    big = a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4
+    b = a0 * a3 - a1 * a2
+    c = a4 * a7 - a5 * a6
+    hdet = big**2 - 4.0 * b * c
+    p = np.sum(w.real**2 + w.imag**2, axis=-2)
+    keep = p > 1e-14
+    p = np.where(keep, p, 1.0)
+    size = np.abs(hdet)
+    value = np.sum(np.where(keep, 4.0 * size / p, 0.0), axis=-1)
+    return value, (big, b, c, hdet, size, p, keep)
+
+
 def _column_tangle_sum(w: np.ndarray) -> np.ndarray:
     """Average tangle sum(p_k * tau(w_k/|w_k|)) of unnormalized columns.
 
@@ -76,10 +96,7 @@ def _column_tangle_sum(w: np.ndarray) -> np.ndarray:
     homogeneous of degree 4, column k contributes 4|Hdet(w_k)| / p_k with
     p_k = |w_k|^2; columns with p_k <= 1e-14 contribute nothing.
     """
-    p = np.sum(w.real**2 + w.imag**2, axis=-2)
-    keep = p > 1e-14
-    tau = 4.0 * np.abs(_hyperdeterminant(np.swapaxes(w, -1, -2)))
-    return np.sum(np.where(keep, tau / np.where(keep, p, 1.0), 0.0), axis=-1)
+    return _tangle_terms(w)[0]
 
 
 def _haar_isometries(g: np.ndarray) -> np.ndarray:
@@ -112,25 +129,17 @@ _HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 _REFINE_STEPS = 30
 
 
-def _tangle_gradient(w: np.ndarray) -> np.ndarray:
+def _tangle_gradient(w: np.ndarray, terms: tuple | None = None) -> np.ndarray:
     """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW).
 
-    With Hdet = A^2 - 4 B C (``_hyperdeterminant``), dHdet is the cubic
-    2 A dA - 4 (C dB + B dC). Column k of G is
+    dHdet is the cubic 2 A dA - 4 (C dB + B dC). Column k of G is
     4 (H_k / |H_k| conj(dH_k) / p_k - 2 |H_k| w_k / p_k^2) with p_k = |w_k|^2;
     a column with H_k = 0 keeps only the (zero) norm term, and columns with
-    p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``.
+    p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``. ``terms``
+    are ``_tangle_terms(w)[1]`` when the caller has them already.
     """
-    a0, a1, a2, a3, a4, a5, a6, a7 = w
-    big = a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4
-    b = a0 * a3 - a1 * a2
-    c = a4 * a7 - a5 * a6
-    hdet = big**2 - 4.0 * b * c
+    big, b, c, hdet, size, p, keep = _tangle_terms(w)[1] if terms is None else terms
     d_hdet = _SIGNS * (2.0 * big * w[::-1] - 4.0 * np.repeat([c, b], 4, axis=0) * w[_HALF_REVERSED])
-    p = np.sum(w.real**2 + w.imag**2, axis=0)
-    keep = p > 1e-14
-    p = np.where(keep, p, 1.0)
-    size = np.abs(hdet)
     phase = np.divide(hdet, size, out=np.zeros_like(hdet), where=size > 0.0)
     return np.where(keep, 4.0 * (phase * d_hdet.conj() / p - 2.0 * (size / p**2) * w), 0.0)
 
@@ -150,11 +159,12 @@ def _refine(w: np.ndarray) -> np.ndarray:
     steps or once the step is below 1e-9.
     """
     eye = np.eye(w.shape[1])
-    value = float(_column_tangle_sum(w))
+    value, terms = _tangle_terms(w)
+    value = float(value)
     step = 0.5
     d_prev = direction = None
     for _ in range(_REFINE_STEPS):
-        a = w.conj().T @ _tangle_gradient(w)
+        a = w.conj().T @ _tangle_gradient(w, terms)
         d = a - a.conj().T
         if direction is not None:
             direction = d + max(0.0, np.vdot(d, d - d_prev).real / np.vdot(d_prev, d_prev).real) * direction
@@ -164,13 +174,14 @@ def _refine(w: np.ndarray) -> np.ndarray:
         while True:
             x = (step / 4.0) * direction
             trial = w @ np.linalg.solve(eye + x, eye - x)
-            trial_value = float(_column_tangle_sum(trial))
+            trial_value, trial_terms = _tangle_terms(trial)
+            trial_value = float(trial_value)
             if trial_value < value - 1e-12:
                 break
             step *= 0.5
             if step < 1e-9:
                 return w
-        w, value = trial, trial_value
+        w, value, terms = trial, trial_value, trial_terms
         step *= 1.5
     return w
 
@@ -188,8 +199,7 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     """
     if rho.num_qubits != 3:
         raise ValueError("expected a three-qubit state")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    restarts = require_count("restarts", restarts, 1)
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-12
     lam = vals[keep]

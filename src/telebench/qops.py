@@ -8,6 +8,8 @@ basis index decomposes as ``4a + 2b + c``.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Structural invariants (values we construct) are enforced at 1e-9;
@@ -92,6 +94,20 @@ def require_normalized(psi, tol: float = INPUT_TOL) -> np.ndarray:
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"ket is not normalized (norm {nrm:.9f})")
     return v
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """Return ``value`` as an int, raising unless it is an integer >= ``minimum``.
+
+    numpy integers are accepted. Floats are rejected even when integral
+    (numpy's sampler would truncate 2.5 to 2), and so are booleans, which
+    are ints to Python but would read as one shot or one restart.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def computational_ket(index: int, dim: int) -> np.ndarray:

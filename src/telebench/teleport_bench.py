@@ -36,6 +36,7 @@ from .qops import (
     PAULI_Z,
     computational_ket,
     nearest_physical,
+    require_count,
     state_fidelity_pure,
 )
 from .tomography import PAULI_LABELS, mle_reconstruct, pauli_set, simulate_readout
@@ -221,8 +222,8 @@ def run_benchmark(
     Deterministic for a given seed; per-input substreams keep the four
     pipelines independent.
     """
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    shots = require_count("shots", shots, 0)
+    restarts = require_count("restarts", restarts, 1)
     circuit = build_teleport_circuit("compiled_fig1b")
 
     states_block: dict[str, dict] = {}
@@ -298,6 +299,8 @@ def run_state(
     """
     if label not in INPUT_LABELS:
         raise ValueError(f"input label must be one of {INPUT_LABELS}, got {label!r}")
+    shots = require_count("shots", shots, 0)
+    restarts = require_count("restarts", restarts, 1)
     circuit = build_teleport_circuit("compiled_fig1b")
     entry, rho_m = _run_input(circuit, device, label, shots, seed, noise, restarts)
     return {

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .qops import STRUCTURAL_TOL, DensityMatrix, nearest_physical, pauli_operator
+from .qops import STRUCTURAL_TOL, DensityMatrix, nearest_physical, pauli_operator, require_count
 
 # All 63 nontrivial Pauli strings in lexicographic order with I < X < Y < Z,
 # leftmost character acting on qubit A.
@@ -30,22 +30,22 @@ def simulate_readout(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
     """Sample Pauli expectation values of a three-qubit state.
 
     Returns the 63 estimates in :data:`PAULI_LABELS` order. With
-    ``shots == 0`` they are the exact expectations Tr(rho P). Otherwise each
-    Pauli setting draws ``shots`` eigenvalue outcomes from the Born
-    distribution and records the sample mean. Every setting uses an
-    independent substream derived from (seed, setting index), so the
-    estimates are deterministic for a given seed and settings could be
-    sampled concurrently without changing the result.
+    ``shots == 0`` they are the exact expectations Tr(rho P) and nothing is
+    drawn. Otherwise each Pauli setting draws ``shots`` eigenvalue outcomes
+    from the Born distribution and records the sample mean: the counts of
+    +1 outcomes are one ``binomial`` draw over the 63 settings from
+    ``default_rng(seed)``. The estimates are deterministic for a given seed
+    and state. All settings share that stream, and the binomial sampler
+    uses a varying number of uniforms per setting, so setting i depends on
+    the seed and on the probabilities of settings 0 .. i, not on (seed, i)
+    alone. Raises ``ValueError`` unless ``shots`` is a non-negative integer.
     """
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    shots = require_count("shots", shots, 0)
     exact = pauli_set(rho)
     if shots == 0:
         return exact
     p_plus = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
-    n_plus = np.array(
-        [np.random.default_rng([seed, index]).binomial(shots, p) for index, p in enumerate(p_plus.tolist())]
-    )
+    n_plus = np.random.default_rng(seed).binomial(shots, p_plus)
     return (2.0 * n_plus - shots) / shots
 
 

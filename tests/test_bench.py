@@ -187,6 +187,26 @@ def sampled_noisy_report():
     return run_benchmark(DeviceParams.reference(), shots=300, seed=21, noise=True, restarts=5)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(shots=2.5), dict(shots=True), dict(shots=-1), dict(restarts=True), dict(restarts=2.5), dict(restarts=0)],
+    ids=["shots_float", "shots_bool", "shots_negative", "restarts_bool", "restarts_float", "restarts_zero"],
+)
+def test_runs_reject_non_integer_shots_and_restarts(kwargs):
+    # Unchecked, shots=2.5 draws 2 shots, divides by 2.5 and records "shots": 2.
+    with pytest.raises(ValueError, match="shots|restarts"):
+        run_benchmark(DeviceParams.reference(), **kwargs)
+    with pytest.raises(ValueError, match="shots|restarts"):
+        run_state(DeviceParams.reference(), "0", **kwargs)
+
+
+def test_runs_accept_numpy_integer_shots_and_restarts():
+    kwargs = dict(seed=21, noise=True)
+    numpy_counts = run_state(DeviceParams.reference(), "minus", shots=np.int64(300), restarts=np.int32(5), **kwargs)
+    assert numpy_counts == run_state(DeviceParams.reference(), "minus", shots=300, restarts=5, **kwargs)
+    assert numpy_counts["metadata"]["shots"] == 300
+
+
 @pytest.mark.parametrize("label", INPUT_LABELS)
 def test_run_state_equals_benchmark_entry(label, sampled_noisy_report):
     state = run_state(DeviceParams.reference(), label, shots=300, seed=21, noise=True, restarts=5)

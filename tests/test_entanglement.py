@@ -384,6 +384,22 @@ def test_mixed_tangle_validates_inputs():
         three_tangle_mixed_upper(DensityMatrix(np.eye(8) / 8.0), restarts=0)
 
 
+@pytest.mark.parametrize("restarts", [True, 2.5, 200.0, "200", None])
+def test_mixed_tangle_rejects_non_integer_restarts(restarts):
+    # Unchecked, restarts=True fails inside numpy with a TypeError, and a
+    # float is no restart count.
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        three_tangle_mixed_upper(rho, restarts=restarts, seed=4)
+
+
+def test_mixed_tangle_accepts_numpy_integer_restarts():
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    assert three_tangle_mixed_upper(rho, restarts=np.int64(20), seed=4) == three_tangle_mixed_upper(
+        rho, restarts=20, seed=4
+    )
+
+
 # --- witness -------------------------------------------------------------------
 
 

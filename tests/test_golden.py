@@ -11,8 +11,13 @@ root::
 
 Regeneration rewrites only the configurations whose reports differ beyond
 the timestamp line, so its diff names exactly the goldens whose values moved.
+For each rewritten golden it prints how many numbers in its JSON reports
+changed and the old -> new figures of merit (:data:`MERIT_KEYS`).
 """
 
+import contextlib
+import io
+import json
 import shutil
 import sys
 import tempfile
@@ -47,6 +52,64 @@ def differing_files(golden: Path, actual: Path) -> list[str]:
     return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
 
 
+# Report keys whose old -> new values regeneration prints: state fidelities,
+# mean fidelities, the mean average output fidelity and the tangle bound.
+MERIT_KEYS = (
+    "state_fidelity",
+    "mean_state_fidelity",
+    "mean_process_fidelity",
+    "mean_average_output_fidelity",
+    "three_tangle_upper",
+)
+
+
+def report_numbers(directory: Path) -> dict[tuple, float]:
+    """(file name, key path) -> value for every number in the JSON reports of ``directory``."""
+    numbers = {}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, key + (k,))
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(v, key + (i,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            numbers[key] = value
+
+    if directory.is_dir():
+        for path in sorted(directory.glob("*.json")):
+            walk(json.loads(path.read_text()), (path.name,))
+    return numbers
+
+
+def change_summary(golden: Path, actual: Path) -> list[str]:
+    """The count of changed numbers, then one line per changed figure of merit."""
+    old, new = report_numbers(golden), report_numbers(actual)
+    changed = sorted((k for k in old.keys() | new.keys() if old.get(k) != new.get(k)), key=str)
+    lines = [f"{len(changed)} of {len(new)} numbers changed"]
+    for key in changed:
+        if key[-1] in MERIT_KEYS:
+            lines.append(f"{'/'.join(map(str, key))}: {old.get(key)} -> {new.get(key)}")
+    return lines
+
+
+def test_change_summary_counts_numbers_and_names_figures_of_merit(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    report = {"states": {"0": {"state_fidelity": 0.9, "pauli_set": {"values": [0.5, 1.0]}}}, "noise": True}
+    (old / "report.json").write_text(json.dumps(report))
+    report["states"]["0"]["state_fidelity"] = 0.8
+    report["states"]["0"]["pauli_set"]["values"][1] = 0.75
+    (new / "report.json").write_text(json.dumps(report))
+    assert change_summary(old, new) == [
+        "2 of 3 numbers changed",
+        "report.json/states/0/state_fidelity: 0.9 -> 0.8",
+    ]
+    assert change_summary(old, old) == ["0 of 3 numbers changed"]
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cli_reports_match_golden(name, tmp_path):
     assert cli_main(CONFIGS[name] + ["--out", str(tmp_path)]) == 0
@@ -57,12 +120,17 @@ def regenerate() -> None:
     for name, args in CONFIGS.items():
         out = GOLDEN_DIR / name
         with tempfile.TemporaryDirectory() as tmp:
-            if cli_main(args + ["--out", tmp]) != 0:
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli_main(args + ["--out", tmp])
+            if status != 0:
                 sys.exit(f"golden config {name} failed")
             if differing_files(out, Path(tmp)):
+                summary = change_summary(out, Path(tmp))
                 shutil.rmtree(out, ignore_errors=True)
                 shutil.copytree(tmp, out)
-                print(f"rewrote {out}")
+                print(f"rewrote {out}: {summary[0]}")
+                for line in summary[1:]:
+                    print(f"  {line}")
 
 
 if __name__ == "__main__":

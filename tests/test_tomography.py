@@ -55,21 +55,70 @@ def test_sampled_readout_deterministic_given_seed():
 
 @pytest.mark.parametrize("shots", [0, 500])
 @pytest.mark.parametrize("seed", [17, 2024])
-def test_sampled_readout_matches_per_setting_streams(seed, shots):
-    # Setting i draws from its own stream default_rng([seed, i]), whatever
-    # the other settings do.
+def test_sampled_readout_is_one_binomial_draw(seed, shots):
+    # The +1 counts of all 63 settings are one binomial draw from
+    # default_rng(seed); shots 0 returns the exact values.
     rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
     exact = pauli_set(rho)
     expected = exact
     if shots:
-        expected = []
-        for i, e in enumerate(exact):
-            n_plus = np.random.default_rng([seed, i]).binomial(shots, np.clip(0.5 * (1.0 + e), 0.0, 1.0))
-            expected.append((2.0 * n_plus - shots) / shots)
+        n_plus = np.random.default_rng(seed).binomial(shots, np.clip(0.5 * (1.0 + exact), 0.0, 1.0))
+        expected = (2.0 * n_plus - shots) / shots
     values = simulate_readout(rho, shots=shots, seed=seed)
     assert values.shape == (63,)
     assert values.dtype == np.float64
     assert np.array_equal(values, expected)
+
+
+def test_sampled_readout_builds_one_generator_per_call(monkeypatch):
+    # Building a generator per setting cost most of a 10k-shot call.
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    simulate_readout(rho, shots=500, seed=17)
+    assert len(built) == 1
+    simulate_readout(rho, shots=0, seed=17)
+    assert len(built) == 1
+
+
+def test_sampled_readout_settings_are_unbiased_with_binomial_variance_and_uncorrelated():
+    # One stream must still give each setting the binomial statistics of
+    # its own Born probability, with no coupling between settings: setting
+    # i's mean is <P_i>, its variance (1 - <P_i>^2) / shots, and the
+    # sample correlation of two settings is near 0 (one generator re-seeded
+    # per setting would read 1).
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    exact = pauli_set(rho)
+    shots, seeds = 400, 300
+    samples = np.array([simulate_readout(rho, shots=shots, seed=seed) for seed in range(seeds)])
+    variance = (1.0 - exact**2) / shots
+    z = (samples.mean(axis=0) - exact) / np.sqrt(variance / seeds)
+    assert np.max(np.abs(z)) < 5.0
+    ratio = samples.var(axis=0, ddof=1) / variance
+    assert 0.7 < ratio.min() and ratio.max() < 1.3
+    r = np.corrcoef(samples, rowvar=False)
+    assert np.max(np.abs(r - np.eye(63))) < 0.3
+
+
+@pytest.mark.parametrize("shots", [2.5, 2.0, True, False, "10", None, -1])
+def test_simulate_readout_rejects_invalid_shots(shots):
+    # Unchecked, numpy would truncate 2.5 to 2 draws while the mean divides
+    # by 2.5, and True would run one shot.
+    rho = DensityMatrix.from_ket(computational_ket(0, 8))
+    with pytest.raises(ValueError, match="shots must be"):
+        simulate_readout(rho, shots=shots, seed=0)
+
+
+def test_simulate_readout_accepts_numpy_integer_shots():
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    assert np.array_equal(simulate_readout(rho, shots=np.int64(500), seed=17), simulate_readout(rho, shots=500, seed=17))
+    assert np.array_equal(simulate_readout(rho, shots=np.uint16(0), seed=17), pauli_set(rho))
 
 
 def test_sampled_readout_standard_error_scales_as_inverse_sqrt_shots():
