@@ -242,10 +242,12 @@ def _axes_first(axes, ndim: int) -> list[int]:
 
 
 def _on_axes(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
-    """Apply ``op`` to ``axes`` of a (2,)*m tensor, first listed axis most significant."""
+    """Apply ``op`` to ``axes`` of a tensor whose listed axes have length 2,
+    first listed axis most significant. Other axes may have any length."""
     order = _axes_first(axes, t.ndim)
-    out = op @ t.transpose(order).reshape(len(op), -1)
-    return out.reshape(t.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    moved = t.transpose(order)
+    out = op @ moved.reshape(len(op), -1)
+    return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
@@ -337,21 +339,29 @@ def _gate_duration(gate: Gate, device: DeviceParams) -> float:
 
 
 def _conjugate(t: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
-    """op rho op^dag with ``op`` acting on ``qubits`` of the (2,)*2n tensor."""
-    return _on_axes(op.conj(), _on_axes(op, t, qubits), [t.ndim // 2 + q for q in qubits])
+    """op rho op^dag with ``op`` acting on ``qubits`` of every state in a (B,) + (2,)*2n stack."""
+    n = (t.ndim - 1) // 2
+    return _on_axes(op.conj(), _on_axes(op, t, [1 + q for q in qubits]), [1 + n + q for q in qubits])
+
+
+def _qubit_blocks(t: np.ndarray, q: int) -> np.ndarray:
+    """View of a (B,) + (2,)*2n stack with qubit ``q``'s (ket, bra) axes first."""
+    n = (t.ndim - 1) // 2
+    return t.transpose(_axes_first((1 + q, 1 + n + q), t.ndim))
 
 
 def _decohere(t: np.ndarray, duration: float, device: DeviceParams, q: int) -> None:
     """Amplitude damping plus pure dephasing of qubit ``q`` for ``duration``, in place.
 
-    gamma = 1 - exp(-duration/T1) and p = (1 - exp(-duration/Tphi))/2, with the
-    pure-dephasing rate 1/Tphi = 1/T2* - 1/(2*T1) >= 0. On the (ket q, bra q)
-    blocks: b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10 *= sqrt(1 - gamma)*(1 - 2p).
+    ``t`` is a (B,) + (2,)*2n stack of states. gamma = 1 - exp(-duration/T1)
+    and p = (1 - exp(-duration/Tphi))/2, with the pure-dephasing rate
+    1/Tphi = 1/T2* - 1/(2*T1) >= 0. On the (ket q, bra q) blocks:
+    b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10 *= sqrt(1 - gamma)*(1 - 2p).
     """
     t1, t2_star = device.t1[q], device.t2_star[q]
     gamma = 1.0 - math.exp(-duration / t1)
     p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
-    b = t.transpose(_axes_first((q, t.ndim // 2 + q), t.ndim))
+    b = _qubit_blocks(t, q)
     b[0, 0] += gamma * b[1, 1]
     b[1, 1] *= 1.0 - gamma
     b[0, 1] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
@@ -359,30 +369,42 @@ def _decohere(t: np.ndarray, duration: float, device: DeviceParams, q: int) -> N
 
 
 def _depolarize(t: np.ndarray, p: float, q: int) -> None:
-    """Depolarizing channel (1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q``, in place."""
-    b = t.transpose(_axes_first((q, t.ndim // 2 + q), t.ndim))
+    """Depolarizing channel (1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q`` of
+    every state in a (B,) + (2,)*2n stack, in place."""
+    b = _qubit_blocks(t, q)
     mixed = 0.5 * p * (b[0, 0] + b[1, 1])
     t *= 1.0 - p
     b[0, 0] += mixed
     b[1, 1] += mixed
 
 
-def apply_circuit(circuit: Circuit, rho: DensityMatrix, device: DeviceParams | None = None) -> DensityMatrix:
-    """Evolve a state through a circuit, with decoherence when given a device.
+def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
+    """Evolve a state, or a stack of states, through a circuit, with
+    decoherence when given a device.
 
-    Gates act as ideal unitary conjugations contracted on their own qubits'
-    axes of the (2,)*2n state tensor. With a device, every gate is followed
-    by amplitude damping and pure dephasing of all qubits for that gate's
-    duration (idle qubits decohere too), plus an optional depolarizing
-    channel on the target of single-qubit gates when the device's
-    ``single_qubit_error`` is nonzero; both channels update each qubit's
-    2x2 (ket, bra) blocks in closed form. Without a device, the evolution is
-    noiseless.
+    ``rho`` is one :class:`DensityMatrix` or a sequence of them; the result
+    is of the same kind (a list for a sequence). A sequence is evolved as one
+    (B,) + (2,)*2n stack, so every gate and channel is one update over all B
+    states, and each output equals the single-state evolution of its input
+    bit for bit. Gates act as ideal unitary conjugations contracted on their
+    own qubits' axes. With a device, every gate is followed by amplitude
+    damping and pure dephasing of all qubits for that gate's duration (idle
+    qubits decohere too), plus an optional depolarizing channel on the target
+    of single-qubit gates when the device's ``single_qubit_error`` is
+    nonzero; both channels update each qubit's 2x2 (ket, bra) blocks in
+    closed form. Without a device, the evolution is noiseless.
     """
+    single = isinstance(rho, DensityMatrix)
+    states = [rho] if single else list(rho)
     n = circuit.num_qubits
-    if rho.dim != 2**n:
-        raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
-    t = np.array(rho.matrix).reshape((2,) * (2 * n))
+    if not states:
+        raise ValueError("apply_circuit needs at least one state")
+    for state in states:
+        if not isinstance(state, DensityMatrix):
+            raise TypeError(f"apply_circuit evolves DensityMatrix values, got {type(state).__name__}")
+        if state.dim != 2**n:
+            raise ValueError(f"state dimension {state.dim} does not match {n}-qubit circuit")
+    t = np.array([state.matrix for state in states]).reshape((len(states),) + (2,) * (2 * n))
     for gate in circuit.gates:
         t = _conjugate(t, gate_operator(gate), gate.qubits)
         if device is None:
@@ -393,4 +415,5 @@ def apply_circuit(circuit: Circuit, rho: DensityMatrix, device: DeviceParams | N
                 _decohere(t, duration, device, q)
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
             _depolarize(t, device.single_qubit_error, gate.qubits[0])
-    return DensityMatrix(t.reshape(rho.matrix.shape))
+    out = [DensityMatrix(m) for m in t.reshape(len(states), 2**n, 2**n)]
+    return out[0] if single else out

@@ -96,18 +96,25 @@ def require_normalized(psi, tol: float = INPUT_TOL) -> np.ndarray:
     return v
 
 
-def require_count(name: str, value, minimum: int) -> int:
-    """Return ``value`` as an int, raising unless it is an integer >= ``minimum``.
+def require_integer(name: str, value) -> int:
+    """Return ``value`` as an int, raising unless it is an integer.
 
     numpy integers are accepted. Floats are rejected even when integral
-    (numpy's sampler would truncate 2.5 to 2), and so are booleans, which
-    are ints to Python but would read as one shot or one restart.
+    (``int`` would truncate 2.5 to 2), and so are booleans, which are ints
+    to Python but would read as 1 or 0.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """Return ``value`` as an int, raising unless it is an integer >= ``minimum``
+    (see :func:`require_integer`; numpy's sampler would truncate 2.5 shots to 2)."""
+    value = require_integer(name, value)
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+    return value
 
 
 def computational_ket(index: int, dim: int) -> np.ndarray:

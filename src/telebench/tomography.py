@@ -71,7 +71,14 @@ def linear_inversion(values) -> np.ndarray:
 
 def mle_reconstruct(values) -> DensityMatrix:
     """Physical state estimate: linear inversion projected onto the
-    positive-semidefinite unit-trace set."""
+    positive-semidefinite unit-trace set.
+
+    The Frobenius-norm projection of the linear-inversion estimate is the
+    maximum-likelihood state only under equal-variance Gaussian noise on
+    the expectation values (Smolin, Gambetta & Smith, PRL 108, 070502
+    (2012)). Under binomial shot noise it is not the full maximum-likelihood
+    estimate that the experiment used.
+    """
     return nearest_physical(linear_inversion(values))
 
 

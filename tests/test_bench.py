@@ -136,8 +136,22 @@ def test_process_tomography_round_trip_against_kraus_expansion():
 def test_process_tomography_rejects_degenerate_inputs():
     kets = [INPUT_KETS["0"]] * 4
     outputs = [DensityMatrix.from_ket(INPUT_KETS["0"])] * 4
-    with pytest.raises(ValueError, match="singular design matrix"):
-        process_tomography(kets, outputs)
+    for _ in range(2):  # the design is cached per input set; a rejected set is not
+        with pytest.raises(ValueError, match="singular design matrix"):
+            process_tomography(kets, outputs)
+
+
+def test_process_tomography_reuses_the_design_of_an_input_set(monkeypatch):
+    outputs = [DensityMatrix.from_ket(k) for k in canonical_inputs()]
+    first = process_tomography(canonical_inputs(), outputs)
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: calls.append(1) or rank(*a, **k))
+    again = process_tomography([np.array(k) for k in canonical_inputs()], outputs)
+    assert np.array_equal(again, first) and calls == []
+    rephased = [np.exp(0.123j) * canonical_inputs()[0], *canonical_inputs()[1:]]
+    assert np.allclose(process_tomography(rephased, outputs), first, atol=1e-12)
+    assert len(calls) == 1  # a distinct input set builds and checks its own design
 
 
 def test_ideal_chi_entries():
@@ -198,6 +212,63 @@ def test_runs_reject_non_integer_shots_and_restarts(kwargs):
         run_benchmark(DeviceParams.reference(), **kwargs)
     with pytest.raises(ValueError, match="shots|restarts"):
         run_state(DeviceParams.reference(), "0", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "seed", [2.7, 2.0, True, False, "3", None], ids=["float", "integral_float", "true", "false", "str", "none"]
+)
+def test_runs_reject_non_integer_seed(seed):
+    # Unchecked, seed=2.7 ran with seed 2 and seed=True with seed 1, and the report recorded them.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_benchmark(DeviceParams.reference(), shots=100, seed=seed, noise=True, restarts=5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_state(DeviceParams.reference(), "0", shots=100, seed=seed, noise=True, restarts=5)
+
+
+@pytest.mark.parametrize("seed", [np.int64(-3), np.uint32(7), -3], ids=["numpy_negative", "numpy_unsigned", "negative"])
+def test_runs_accept_numpy_and_negative_integer_seeds(seed):
+    kwargs = dict(shots=100, noise=True, restarts=5)
+    state = run_state(DeviceParams.reference(), "plus", seed=seed, **kwargs)
+    assert state == run_state(DeviceParams.reference(), "plus", seed=int(seed), **kwargs)
+    assert state["metadata"]["seed"] == int(seed) and type(state["metadata"]["seed"]) is int
+    bench = run_benchmark(DeviceParams.reference(), seed=seed, **kwargs)
+    assert bench == run_benchmark(DeviceParams.reference(), seed=int(seed), **kwargs)
+
+
+def test_run_benchmark_evolves_the_four_inputs_in_one_call(monkeypatch):
+    import telebench.teleport_bench as tb
+
+    calls = []
+    evolve = tb.apply_circuit
+    monkeypatch.setattr(tb, "apply_circuit", lambda *a, **k: calls.append(a[1]) or evolve(*a, **k))
+    run_benchmark(DeviceParams.reference(), noise=True, restarts=5)
+    assert len(calls) == 1 and len(calls[0]) == len(INPUT_LABELS)
+    run_state(DeviceParams.reference(), "minus", noise=True, restarts=5)
+    assert len(calls) == 2 and len(calls[1]) == 1
+
+
+def test_second_run_builds_no_process_design(monkeypatch):
+    run_benchmark(DeviceParams.reference())
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: calls.append(1) or rank(*a, **k))
+    report = run_benchmark(DeviceParams.reference())
+    assert not any(report["processes"][o]["skipped"] for o in OUTCOMES)
+    assert calls == []
+
+
+def test_reports_do_not_share_the_run_constants():
+    device = DeviceParams.reference()
+    bench_text = json.dumps(run_benchmark(device, restarts=5))
+    state_text = json.dumps(run_state(device, "plus", restarts=5))
+    for report in (run_benchmark(device, restarts=5), run_state(device, "plus", restarts=5)):
+        entries = report["states"].values() if "states" in report else [report]
+        for entry in entries:
+            ideal = entry["pauli_set_ideal"]
+            ideal["values"][:] = [9.0] * len(ideal["values"])
+            ideal["labels"].clear()
+    assert json.dumps(run_benchmark(device, restarts=5)) == bench_text
+    assert json.dumps(run_state(device, "plus", restarts=5)) == state_text
 
 
 def test_runs_accept_numpy_integer_shots_and_restarts():

@@ -19,6 +19,7 @@ from telebench.circuit import (
     _conjugate,
     _decohere,
     _depolarize,
+    _on_axes,
     Circuit,
     DeviceParams,
     Gate,
@@ -58,7 +59,7 @@ def embed_input(psi):
 
 def decohered(rho, duration, device, q):
     """The in-place block update applied to a copy of an 8x8 matrix."""
-    t = np.array(rho, dtype=complex).reshape((2,) * 6)
+    t = np.array(rho, dtype=complex).reshape((1,) + (2,) * 6)
     _decohere(t, duration, device, q)
     return t.reshape(8, 8)
 
@@ -281,6 +282,53 @@ def test_apply_circuit_dimension_mismatch():
         apply_circuit(build_teleport_circuit(), DensityMatrix(np.eye(4) / 4.0))
 
 
+def test_on_axes_matches_einsum_with_a_leading_axis_of_length_three():
+    # The product is reshaped to the transposed tensor's shape; reshaping to
+    # the input's shape is only right while every axis has length 2.
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+    op2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    op4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert np.allclose(_on_axes(op2, t, [2]), np.einsum("ij,bajc->baic", op2, t), atol=1e-13)
+    expected = np.einsum("ijkl,bakcl->baicj", op4.reshape(2, 2, 2, 2), t.reshape(3, 1, 2, 2, 2)).reshape(3, 2, 2, 2)
+    assert np.allclose(_on_axes(op4, t, [1, 3]), expected, atol=1e-13)
+    expected = np.einsum("ijkl,bclk->bcji", op4.reshape(2, 2, 2, 2), t)
+    assert np.allclose(_on_axes(op4, t, [3, 2]), expected, atol=1e-13)
+
+
+STACK_DEVICES = {
+    "none": None,
+    "reference": reference_device(),
+    "scaled_coherence_0.3": reference_device().scaled_coherence(0.3),
+    "single_qubit_error_0.01": dataclasses.replace(reference_device(), single_qubit_error=0.01),
+}
+
+
+@pytest.mark.parametrize("device", STACK_DEVICES.values(), ids=STACK_DEVICES.keys())
+@pytest.mark.parametrize("variant", ["compiled_fig1b", "standard_fig1a"])
+def test_stacked_evolution_equals_single_evolutions_bit_for_bit(device, variant):
+    circuit = build_teleport_circuit(variant)
+    inputs = [DensityMatrix.from_ket(embed_input(INPUT_KETS[label])) for label in INPUT_KETS]
+    stacked = apply_circuit(circuit, inputs, device)
+    assert isinstance(stacked, list) and len(stacked) == len(inputs)
+    for rho_in, out in zip(inputs, stacked):
+        single = apply_circuit(circuit, rho_in, device)
+        assert isinstance(single, DensityMatrix)
+        assert np.array_equal(out.matrix, single.matrix)
+    assert np.array_equal(apply_circuit(circuit, inputs[2:3], device)[0].matrix, stacked[2].matrix)
+
+
+def test_stacked_evolution_rejects_a_wrong_dimension_member():
+    circuit = build_teleport_circuit()
+    good = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
+    with pytest.raises(ValueError, match="does not match"):
+        apply_circuit(circuit, [good, DensityMatrix(np.eye(4) / 4.0), good])
+    with pytest.raises(TypeError, match="DensityMatrix"):
+        apply_circuit(circuit, [good, good.matrix])
+    with pytest.raises(ValueError, match="at least one state"):
+        apply_circuit(circuit, [])
+
+
 def test_depolarizing_knob_reduces_fidelity():
     base = reference_device()
     knobbed = DeviceParams(
@@ -309,13 +357,13 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
     for q in range(3):
         expected = dense_kraus(rho, damping_channels(duration, device, q), (q,), 3)
         assert np.max(np.abs(decohered(rho, duration, device, q) - expected)) < 1e-13
-        t = rho.astype(complex).reshape((2,) * 6)
+        t = rho.astype(complex).reshape((1,) + (2,) * 6)
         _depolarize(t, p, q)
         assert np.max(np.abs(t.reshape(8, 8) - dense_kraus(rho, depolarizing_kraus(p), (q,), 3))) < 1e-13
     for qubits in ((0,), (2,), (0, 1), (1, 2), (0, 2), (2, 1)):
         d = 2 ** len(qubits)
         op = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-        contracted = _conjugate(rho.reshape((2,) * 6), op, qubits).reshape(8, 8)
+        contracted = _conjugate(rho.reshape((1,) + (2,) * 6), op, qubits).reshape(8, 8)
         assert np.max(np.abs(contracted - dense_kraus(rho, [op], qubits, 3))) < 1e-12
 
 

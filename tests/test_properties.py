@@ -59,6 +59,23 @@ def test_noisy_evolution_matches_per_gate_kraus_oracle(device, seed, rank, varia
 
 
 @settings(max_examples=20, deadline=None)
+@given(
+    device=devices(),
+    seed=seeds,
+    size=st.integers(2, 4),
+    variant=st.sampled_from(["compiled_fig1b", "standard_fig1a"]),
+)
+def test_stacked_evolution_matches_per_gate_kraus_oracle(device, seed, size, variant):
+    circuit = build_teleport_circuit(variant)
+    rng = np.random.default_rng(seed)
+    rhos = [random_density(rng, 8, int(rng.integers(1, 9))) for _ in range(size)]
+    outs = apply_circuit(circuit, [DensityMatrix(rho) for rho in rhos], device)
+    assert len(outs) == size
+    for rho, out in zip(rhos, outs):
+        assert np.max(np.abs(out.matrix - kraus_apply_circuit(circuit, rho, device))) < 1e-13
+
+
+@settings(max_examples=20, deadline=None)
 @given(seed=seeds)
 def test_nearest_physical_is_idempotent(seed):
     rng = np.random.default_rng(seed)
