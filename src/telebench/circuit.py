@@ -10,6 +10,7 @@ blocks of the state tensor.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -219,21 +220,23 @@ def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, fl
     return effective, leakage
 
 
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-
-
+@functools.lru_cache(maxsize=64)
 def gate_operator(gate: Gate) -> np.ndarray:
     """The 2x2 or 4x4 operator of a gate on ``gate.qubits``, first listed
-    qubit most significant."""
+    qubit most significant. Built once per distinct gate and read-only, so
+    every caller can share it."""
     if gate.kind == "rotation":
-        return rotation_unitary(gate.axis, gate.angle)
-    if gate.kind == "hadamard":
-        return HADAMARD
-    if gate.kind == "cphase":
-        return cphase_ideal()
-    if gate.kind == "cnot":
-        return _CNOT
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+        op = rotation_unitary(gate.axis, gate.angle)
+    elif gate.kind == "hadamard":
+        op = HADAMARD.copy()
+    elif gate.kind == "cphase":
+        op = cphase_ideal()
+    elif gate.kind == "cnot":
+        op = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    op.setflags(write=False)
+    return op
 
 
 def _axes_first(axes, ndim: int) -> list[int]:

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import io
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -353,20 +354,59 @@ def run_state(
     }
 
 
-def _round_sig(value, digits: int = 12):
-    """Round floats to a fixed significant-digit budget, recursively."""
-    if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
-    if isinstance(value, dict):
-        return {k: _round_sig(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_sig(v, digits) for v in value]
-    return value
+# JSON spellings of the constants and of the float reprs "nan", "inf" and "-inf".
+_JSON_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values, words: dict) -> list[str]:
+    """``repr`` of each value rounded to 12 significant digits, nan and infinities respelled by ``words``.
+    A ``.12g`` text without an exponent is that ``repr`` already, bar the ``.0`` of integers: a decimal
+    of at most 15 significant digits is the shortest text of its double, and both print it fixed."""
+    texts = [format(v, ".12g") for v in values]
+    return [
+        words.get(r := float.__repr__(float(s)), r) if "e" in s or "n" in s else s if "." in s else s + ".0"
+        for s in texts
+    ]
+
+
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, indented two spaces per level after ``pad``, to ``out``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_WORDS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out += _float_texts((value,), _JSON_WORDS)
+    elif isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out += (",\n" if i else "{\n", pad, "  ", encode_basestring_ascii(key), ": ")
+            _write_json(value[key], pad + "  ", out)
+        out += ("\n", pad, "}") if value else ("{}",)
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {float} or kinds == {str}:
+            items = _float_texts(value, _JSON_WORDS) if float in kinds else map(encode_basestring_ascii, value)
+            out += ("[\n", pad, "  ", (",\n  " + pad).join(items))
+        else:
+            for i, item in enumerate(value):
+                out += (",\n" if i else "[\n", pad, "  ")
+                _write_json(item, pad + "  ", out)
+        out += ("\n", pad, "]") if value else ("[]",)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_json_text(report: dict) -> str:
-    """Serialize a report deterministically (12 significant digits)."""
-    return json.dumps(_round_sig(report), sort_keys=True, indent=2) + "\n"
+    """Serialize a report deterministically: ``json.dumps(sort_keys=True, indent=2)`` of the report
+    with floats rounded to 12 significant digits, plus a newline. Raises ``TypeError`` where
+    ``json.dumps`` would (arrays, NumPy integers, sets, other objects) and on non-``str`` keys."""
+    out: list[str] = []
+    _write_json(report, "", out)
+    return "".join(out) + "\n"
 
 
 def report_csv_rows(report: dict) -> list[tuple[str, str, str, float]]:
@@ -400,6 +440,7 @@ def report_csv_text(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["input", "outcome", "metric", "value"])
-    for label, outcome, metric, value in report_csv_rows(report):
-        writer.writerow([label, outcome, metric, repr(_round_sig(float(value)))])
+    rows = report_csv_rows(report)
+    texts = _float_texts([float(row[3]) for row in rows], {})
+    writer.writerows((*row[:3], text) for row, text in zip(rows, texts))
     return buf.getvalue()

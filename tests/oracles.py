@@ -5,9 +5,11 @@ projections go through sorted simplex projection, tangles through the
 Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
 matrices through direct Kraus-operator basis expansion, and gates, channels
 and conditional states through dense full-register matrices. Noisy
-evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``).
+evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``), and
+report text the standard-library JSON encoder (``json_report_text``).
 """
 
+import json
 import math
 
 import numpy as np
@@ -287,3 +289,20 @@ def kraus_apply_circuit(circuit, rho, device):
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
             arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
     return arr
+
+
+def round_sig(value, digits: int = 12):
+    """Round floats to a fixed significant-digit budget, recursively."""
+    if isinstance(value, float):
+        return float(f"{value:.{digits}g}")
+    if isinstance(value, dict):
+        return {k: round_sig(v, digits) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round_sig(v, digits) for v in value]
+    return value
+
+
+def json_report_text(report) -> str:
+    """A report's text as ``json.dumps`` writes it after rounding every float
+    to 12 significant digits (the reference for ``report_json_text``)."""
+    return json.dumps(round_sig(report), sort_keys=True, indent=2) + "\n"

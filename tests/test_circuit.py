@@ -15,6 +15,7 @@ from oracles import (
     random_density,
     random_ket,
 )
+import telebench.circuit as circuit_module
 from telebench.circuit import (
     _conjugate,
     _decohere,
@@ -29,11 +30,12 @@ from telebench.circuit import (
     circuit_unitary,
     cphase_avoided_crossing,
     cphase_ideal,
+    gate_operator,
     gate_unitary,
     ideal_phi,
     rotation_unitary,
 )
-from telebench.qops import DensityMatrix, PAULI_X, computational_ket, state_fidelity_pure
+from telebench.qops import DensityMatrix, HADAMARD, PAULI_X, computational_ket, state_fidelity_pure
 
 
 INPUT_KETS = {
@@ -521,3 +523,40 @@ def test_gate_constructors_validate():
         Gate.cnot(1, 1)
     with pytest.raises(ValueError):
         Circuit(num_qubits=3, gates=(Gate.hadamard(5),))
+
+
+def test_gate_operators_are_read_only_and_alias_no_constant():
+    gates = (Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=0), Gate.hadamard(0), Gate.cphase("AB"), Gate.cnot(0, 1))
+    for gate in gates:
+        op = gate_operator(gate)
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 2.0
+        assert gate_operator(gate) is op
+    assert gate_operator(Gate.hadamard(1)) is not HADAMARD
+    assert np.array_equal(gate_operator(Gate.cnot(0, 1)), np.eye(4)[[0, 1, 3, 2]])
+
+
+def test_second_apply_circuit_builds_no_rotation(monkeypatch):
+    calls = []
+    build = circuit_module.rotation_unitary
+    monkeypatch.setattr(circuit_module, "rotation_unitary", lambda *a: calls.append(a) or build(*a))
+    gate_operator.cache_clear()
+    circuit = build_teleport_circuit("compiled_fig1b")
+    rho = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
+    first = apply_circuit(circuit, rho, reference_device())
+    assert len(calls) == len({g for g in circuit.gates if g.kind == "rotation"}) == 5
+    calls.clear()
+    second = apply_circuit(circuit, rho, reference_device())
+    assert calls == []
+    assert np.array_equal(first.matrix, second.matrix)
+
+
+@pytest.mark.parametrize("variant", ["compiled_fig1b", "standard_fig1a"])
+def test_cached_gate_operators_evolve_bit_for_bit_as_fresh_ones(variant, monkeypatch):
+    circuit = build_teleport_circuit(variant)
+    rhos = [DensityMatrix.from_ket(embed_input(psi)) for psi in INPUT_KETS.values()]
+    cached = [apply_circuit(circuit, rhos, device) for device in (None, reference_device())]
+    monkeypatch.setattr(circuit_module, "gate_operator", gate_operator.__wrapped__)
+    fresh = [apply_circuit(circuit, rhos, device) for device in (None, reference_device())]
+    for a, b in zip(cached, fresh):
+        assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
