@@ -28,6 +28,7 @@ from .qops import (
     PAULI_Z,
     STRUCTURAL_TOL,
     require_normalized,
+    state_stack,
 )
 
 CPHASE_PAIRS = {"AB": (0, 1), "BC": (1, 2)}
@@ -397,17 +398,11 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     nonzero; both channels update each qubit's 2x2 (ket, bra) blocks in
     closed form. Without a device, the evolution is noiseless.
     """
-    single = isinstance(rho, DensityMatrix)
-    states = [rho] if single else list(rho)
+    m, single = state_stack(rho)
     n = circuit.num_qubits
-    if not states:
-        raise ValueError("apply_circuit needs at least one state")
-    for state in states:
-        if not isinstance(state, DensityMatrix):
-            raise TypeError(f"apply_circuit evolves DensityMatrix values, got {type(state).__name__}")
-        if state.dim != 2**n:
-            raise ValueError(f"state dimension {state.dim} does not match {n}-qubit circuit")
-    t = np.array([state.matrix for state in states]).reshape((len(states),) + (2,) * (2 * n))
+    if m.shape[1] != 2**n:
+        raise ValueError(f"state dimension {m.shape[1]} does not match {n}-qubit circuit")
+    t = m.reshape((len(m),) + (2,) * (2 * n))
     for gate in circuit.gates:
         t = _conjugate(t, gate_operator(gate), gate.qubits)
         if device is None:
@@ -418,5 +413,5 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
                 _decohere(t, duration, device, q)
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
             _depolarize(t, device.single_qubit_error, gate.qubits[0])
-    out = [DensityMatrix(m) for m in t.reshape(len(states), 2**n, 2**n)]
+    out = DensityMatrix.stack(t.reshape(len(m), 2**n, 2**n))
     return out[0] if single else out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityMatrix, PAULI_Y, require_count, require_normalized, state_fidelity_pure
+from .qops import DensityMatrix, PAULI_Y, require_count, require_integer, require_normalized, state_fidelity_pure
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -195,11 +195,14 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     candidate is refined by conjugate-gradient descent over unitaries that
     re-mix all its columns at once. Deterministic for a given seed; the
     result is always a valid upper bound because every candidate is an
-    exact decomposition.
+    exact decomposition. Raises ``ValueError`` unless ``restarts`` is an
+    integer >= 1 and ``seed`` an integer (numpy integers are accepted;
+    floats and booleans are not).
     """
     if rho.num_qubits != 3:
         raise ValueError("expected a three-qubit state")
     restarts = require_count("restarts", restarts, 1)
+    seed = require_integer("seed", seed)
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-12
     lam = vals[keep]
@@ -210,7 +213,7 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     best_val = float(_column_tangle_sum(m_root))
     if r == 1 or best_val < 1e-9:
         return best_val
-    values, candidates = _restart_values(m_root, restarts, int(seed) % (2**63))
+    values, candidates = _restart_values(m_root, restarts, seed % (2**63))
     k = int(np.argmin(values))
     best_w = m_root
     if values[k] < best_val:

@@ -4,6 +4,12 @@ Everything operates on small dense numpy arrays; the largest matrix in the
 package is 8x8 (three qubits) so clarity always wins over scalability.
 Qubit A is the most significant tensor factor throughout: a three-qubit
 basis index decomposes as ``4a + 2b + c``.
+
+Functions that take states take one state or a stack of them: one
+:class:`DensityMatrix` in gives one result out, and a sequence of B states
+gives a list or a (B, ...) array, computed in one batched pass.
+:meth:`DensityMatrix.stack` validates a (B, d, d) stack member by member
+with one batched ``eigvalsh``, and errors from a stack name the member.
 """
 
 from __future__ import annotations
@@ -48,26 +54,34 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        dim = m.shape[0]
-        if dim < 2:
-            raise ValueError(f"dimension {dim} is too small for a state")
-        n = int(round(np.log2(dim)))
-        if 2**n != dim:
-            n = None
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("density matrix contains non-finite entries")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > STRUCTURAL_TOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        trace_dev = abs(np.trace(m) - 1.0)
-        if trace_dev > STRUCTURAL_TOL:
-            raise ValueError(f"trace differs from 1 by {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if min_eig < -STRUCTURAL_TOL:
-            raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        n = _qubit_count(m.shape[0])
+        _require_physical(m[np.newaxis], single=True)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "num_qubits", n)
+
+    @classmethod
+    def stack(cls, matrices) -> list["DensityMatrix"]:
+        """Validate a (B, d, d) stack as B density matrices.
+
+        Every member is checked for the same invariants at the same
+        tolerance as the constructor, with one batched ``eigvalsh``; an
+        error names the first member that fails. The members are read-only
+        views of one copy of the stack.
+        """
+        m = np.array(matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] < 1:
+            raise ValueError(f"a density-matrix stack must have shape (B, d, d) with B >= 1, got {m.shape}")
+        n = _qubit_count(m.shape[1])
+        _require_physical(m, single=False)
+        m.setflags(write=False)
+        states = []
+        for member in m:
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", member)
+            object.__setattr__(state, "num_qubits", n)
+            states.append(state)
+        return states
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -85,6 +99,66 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
+
+
+def stack_error(message: str, index: int, single: bool) -> ValueError:
+    """``ValueError(message)``, naming member ``index`` unless one value was given."""
+    return ValueError(message if single else f"member {index}: {message}")
+
+
+def check_members(values: np.ndarray, is_bad, describe, single: bool) -> None:
+    """Raise :func:`stack_error` with ``describe(value)`` for the first
+    member value that ``is_bad``. A stack holds a handful of members, so a
+    loop over Python floats is cheaper than numpy reductions."""
+    for index, value in enumerate(values.tolist()):
+        if is_bad(value):
+            raise stack_error(describe(value), index, single)
+
+
+def _qubit_count(dim: int) -> int | None:
+    """Qubits n of a dimension d = 2**n, None for other dimensions; raises below 2."""
+    if dim < 2:
+        raise ValueError(f"dimension {dim} is too small for a state")
+    n = dim.bit_length() - 1
+    return n if 1 << n == dim else None
+
+
+def _require_physical(m: np.ndarray, single: bool) -> None:
+    """Raise unless every member of the (B, d, d) stack ``m`` is finite,
+    Hermitian, of unit trace and positive semidefinite to ``STRUCTURAL_TOL``."""
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m).all(axis=(1, 2))
+        raise stack_error("density matrix contains non-finite entries", int(np.argmax(bad)), single)
+    adjoint = m.conj().swapaxes(1, 2)
+    herm_dev = np.abs(m - adjoint).reshape(len(m), -1).max(axis=1)
+    trace_dev = np.abs(m.diagonal(0, 1, 2).sum(axis=1) - 1.0)
+    min_eig = np.linalg.eigvalsh((m + adjoint) / 2.0)[:, 0]
+    check_members(herm_dev, lambda v: v > STRUCTURAL_TOL, "matrix is not Hermitian (deviation {:.3e})".format, single)
+    check_members(trace_dev, lambda v: v > STRUCTURAL_TOL, "trace differs from 1 by {:.3e}".format, single)
+    check_members(min_eig, lambda v: v < -STRUCTURAL_TOL, "matrix has negative eigenvalue {:.3e}".format, single)
+
+
+def state_stack(rho) -> tuple[np.ndarray, bool]:
+    """The matrices of one :class:`DensityMatrix`, or of a non-empty sequence
+    of them, as a complex (B, d, d) array, and whether one state was given.
+    The array is read-only: for one state it is a view of its matrix.
+
+    Raises ``TypeError`` for anything but DensityMatrix values and
+    ``ValueError`` for an empty sequence or members of different dimensions.
+    """
+    if isinstance(rho, DensityMatrix):
+        return rho.matrix[np.newaxis], True
+    states = list(rho)
+    if not states:
+        raise ValueError("needs at least one state")
+    for index, state in enumerate(states):
+        if not isinstance(state, DensityMatrix):
+            raise TypeError(f"expected DensityMatrix values, got {type(state).__name__}")
+        if state.matrix.shape != states[0].matrix.shape:
+            raise ValueError(f"state dimension {state.dim} of member {index} does not match {states[0].dim}")
+    m = np.array([state.matrix for state in states])
+    m.setflags(write=False)
+    return m, False
 
 
 def require_normalized(psi, tol: float = INPUT_TOL) -> np.ndarray:
@@ -181,22 +255,31 @@ def expectation(rho: DensityMatrix, op) -> float:
     return float(val.real)
 
 
-def state_fidelity_pure(rho: DensityMatrix, target) -> float:
+def state_fidelity_pure(rho, target):
     """Fidelity <target|rho|target> of a state against a pure target ket.
 
-    Clamped to [0, 1]; values outside [0, 1 + 1e-9] indicate a bug and raise.
+    One :class:`DensityMatrix` and one ket give a float. A sequence of B
+    states and a (B, d) array of kets give an array of B fidelities, from
+    one batched ``matmul`` whose members equal the single-state values bit
+    for bit. Clamped to [0, 1]; values outside [0, 1 + 1e-9] indicate a bug
+    and raise.
     """
-    t = require_normalized(target)
-    if t.shape[0] != rho.dim:
-        raise ValueError(f"target dimension {t.shape[0]} does not match state {rho.dim}")
-    val = complex(t.conj() @ (rho.matrix @ t))
-    f = float(val.real)
-    if f < -STRUCTURAL_TOL or f > 1.0 + STRUCTURAL_TOL:
-        raise ValueError(f"fidelity {f} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, f))
+    m, single = state_stack(rho)
+    t = np.asarray(target, dtype=complex)
+    t = t.reshape(1, -1) if single else t
+    if t.shape != m.shape[:2]:
+        raise ValueError(f"target shape {t.shape} does not match states {m.shape[:2]}")
+    bras, kets = t.conj()[:, np.newaxis, :], t[:, :, np.newaxis]
+    norms = np.sqrt((bras @ kets)[:, 0, 0].real)
+    check_members(norms, lambda v: abs(v - 1.0) > INPUT_TOL, "ket is not normalized (norm {:.9f})".format, single)
+    f = (bras @ (m @ kets))[:, 0, 0].real
+    outside = "fidelity {} outside [0, 1] beyond tolerance".format
+    check_members(f, lambda v: v < -STRUCTURAL_TOL or v > 1.0 + STRUCTURAL_TOL, outside, single)
+    clamped = [min(1.0, max(0.0, v)) for v in f.tolist()]
+    return clamped[0] if single else np.array(clamped)
 
 
-def nearest_physical(h) -> DensityMatrix:
+def nearest_physical(h):
     """Closest positive-semidefinite unit-trace matrix in Frobenius norm.
 
     The input is hermitized and trace-rescaled, then projected in its
@@ -204,27 +287,36 @@ def nearest_physical(h) -> DensityMatrix:
     value uniformly over the eigenvalues not yet zeroed, and repeat until
     none are negative. This reproduces the exact Frobenius-norm projection
     onto the physical set and is idempotent on physical inputs.
+
+    One matrix (a :class:`DensityMatrix` or a 2-D array) gives a
+    DensityMatrix. A stack (a sequence of them or a (B, d, d) array) gives
+    a list, projected with one batched ``eigh``; each member's truncation
+    runs on its own, and each result equals the single-matrix projection
+    bit for bit.
     """
+    if isinstance(h, (list, tuple)):
+        h = [getattr(x, "matrix", x) for x in h]
     m = np.asarray(getattr(h, "matrix", h), dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    m = (m + m.conj().T) / 2.0
-    tr = float(np.trace(m).real)
-    if abs(tr) < 1e-9:
-        raise ValueError("matrix trace is too close to zero to rescale")
-    m = m / tr
-    vals, vecs = np.linalg.eigh(m)
-    vals = vals.copy()
-    active = np.ones(vals.shape[0], dtype=bool)
-    while True:
-        negative = active & (vals < 0.0)
-        if not negative.any():
-            break
-        masked = np.where(active, vals, np.inf)
-        idx = int(np.argmin(masked))
-        deficit = vals[idx]
-        vals[idx] = 0.0
-        active[idx] = False
-        vals[active] += deficit / active.sum()
-    out = (vecs * vals) @ vecs.conj().T
-    return DensityMatrix(out)
+    single = m.ndim == 2
+    if single:
+        m = m[np.newaxis]
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    m = (m + m.conj().swapaxes(1, 2)) / 2.0
+    tr = m.trace(axis1=1, axis2=2).real
+    check_members(tr, lambda v: abs(v) < 1e-9, lambda v: "matrix trace is too close to zero to rescale", single)
+    vals, vecs = np.linalg.eigh(m / tr[:, np.newaxis, np.newaxis])
+    for v in vals:
+        active = np.ones(v.shape[0], dtype=bool)
+        while True:
+            negative = active & (v < 0.0)
+            if not negative.any():
+                break
+            masked = np.where(active, v, np.inf)
+            idx = int(np.argmin(masked))
+            deficit = v[idx]
+            v[idx] = 0.0
+            active[idx] = False
+            v[active] += deficit / active.sum()
+    states = DensityMatrix.stack((vecs * vals[:, np.newaxis, :]) @ vecs.conj().swapaxes(1, 2))
+    return states[0] if single else states

@@ -5,9 +5,12 @@ The pipeline runs the compiled circuit for the four canonical input states,
 reconstructs each output state from (simulated) joint readout, projects
 onto the four two-qubit outcomes, and characterizes the conditional
 transfer to qubit C as a process matrix in the operator basis
-{I, X, Y~ = -i*sigma_y, Z}. Published reference values for the modeled
-device are embedded in every report for side-by-side display; they are
-annotations, not targets.
+{I, X, Y~ = -i*sigma_y, Z}. The four states of a run travel as one stack:
+evolution, readout, reconstruction, Pauli sets and fidelities are one call
+each, the conditional projection one call per outcome, and :func:`run_state`
+takes the same path with a stack of one. Published reference values for the
+modeled device are embedded in every report for side-by-side display; they
+are annotations, not targets.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from .qops import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    check_members,
     computational_ket,
     nearest_physical,
     require_count,
     require_integer,
     state_fidelity_pure,
+    state_stack,
 )
 from .tomography import PAULI_LABELS, mle_reconstruct, pauli_set, simulate_readout
 
@@ -92,38 +97,42 @@ PAPER_REFERENCE = {
 
 # The run's fixed inputs, built once at import: the compiled circuit; per
 # input, the start state |psi>|00>, the ideal output ket and its exact Pauli
-# set; per (input, outcome), the ideal branch ket of qubit C. All are
-# immutable, and reports copy their values, so no report aliases them.
+# set; per outcome, the four inputs' ideal branch kets of qubit C as one
+# (4, 2) stack. All are immutable, and reports copy their values, so no
+# report aliases them.
 _CIRCUIT = build_teleport_circuit("compiled_fig1b")
 _KET00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
 _INPUT_STATES = {label: DensityMatrix.from_ket(np.kron(psi, _KET00)) for label, psi in INPUT_KETS.items()}
 _IDEAL_KETS = {label: _read_only(ideal_phi(psi)) for label, psi in INPUT_KETS.items()}
-_IDEAL_PAULI_SETS = {
-    label: _read_only(pauli_set(DensityMatrix.from_ket(phi))) for label, phi in _IDEAL_KETS.items()
-}
+_IDEAL_PAULI_SETS = dict(
+    zip(_IDEAL_KETS, _read_only(pauli_set([DensityMatrix.from_ket(phi) for phi in _IDEAL_KETS.values()])))
+)
 _BRANCH_KETS = {
-    (label, outcome): _read_only(op @ psi)
-    for label, psi in INPUT_KETS.items()
+    outcome: _read_only(np.array([op @ INPUT_KETS[label] for label in INPUT_LABELS]))
     for outcome, op in TELEPORT_BRANCH_OPS.items()
 }
 
 
-def conditional_output_state(rho_m: DensityMatrix, outcome: str) -> tuple[DensityMatrix, float]:
+def conditional_output_state(rho_m, outcome: str):
     """Project qubits A, B onto a computational outcome and reduce to C.
 
-    Returns the renormalized single-qubit state of qubit C and the outcome
-    probability. Raises when the outcome probability vanishes.
+    For one three-qubit :class:`DensityMatrix`, returns the renormalized
+    single-qubit state of qubit C and the outcome probability. For a
+    sequence of them, returns the list of states and an array of the
+    probabilities. Raises when an outcome probability vanishes, naming the
+    member of a sequence.
     """
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    if rho_m.num_qubits != 3:
+    m, single = state_stack(rho_m)
+    if m.shape[1] != 8:
         raise ValueError("conditional projection expects a three-qubit state")
     i, j = int(outcome[0]), int(outcome[1])
-    block = rho_m.matrix.reshape((2,) * 6)[i, j, :, i, j, :]
-    probability = float(np.trace(block).real)
-    if probability < 1e-12:
-        raise ValueError("outcome has vanishing probability")
-    return DensityMatrix(block / probability), probability
+    blocks = m.reshape((len(m),) + (2,) * 6)[:, i, j, :, i, j, :]
+    probabilities = blocks.trace(axis1=1, axis2=2).real
+    check_members(probabilities, lambda p: p < 1e-12, lambda p: "outcome has vanishing probability", single)
+    states = DensityMatrix.stack(blocks / probabilities[:, np.newaxis, np.newaxis])
+    return (states[0], float(probabilities[0])) if single else (states, probabilities)
 
 
 def process_tomography(input_kets, output_states) -> np.ndarray:
@@ -199,20 +208,16 @@ def _pack_pauli_set(values: np.ndarray) -> dict:
     return {"labels": list(PAULI_LABELS), "values": [float(v) for v in values]}
 
 
-def device_hash(device: DeviceParams) -> str:
-    """Stable hash of the device parameters, for the report metadata."""
-    text = json.dumps(device.to_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts: int) -> dict:
+    """The run settings and the device parameters, with a stable hash of the latter."""
+    params = device.to_dict()
     return {
         "seed": int(seed),
         "shots": int(shots),
         "noise": bool(noise),
         "restarts": int(restarts),
-        "device": device.to_dict(),
-        "device_hash": device_hash(device),
+        "device": params,
+        "device_hash": hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest(),
     }
 
 
@@ -221,29 +226,31 @@ def _evolve(device: DeviceParams, labels, noise: bool) -> list[DensityMatrix]:
     return apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
 
 
-def _run_input(
-    rho_out: DensityMatrix, label: str, shots: int, seed: int, restarts: int
-) -> tuple[dict, DensityMatrix]:
-    """Per-input stage shared by :func:`run_benchmark` and :func:`run_state`.
+def _run_inputs(rhos_out: list[DensityMatrix], labels, shots: int, seed: int, restarts: int):
+    """The state stage shared by :func:`run_benchmark` and :func:`run_state`.
 
-    Readout of the evolved state -> physical reconstruction -> state
-    fidelity and Pauli sets, plus witness and tangle bound for the entangled
-    inputs. Returns the figures of merit and the reconstructed state.
+    Readout of the evolved states -> physical reconstruction -> state
+    fidelities and Pauli sets, each one call on the whole stack, plus
+    witness and tangle bound for each entangled input. Returns the figures
+    of merit per input and the reconstructed states.
     """
-    index = INPUT_LABELS.index(label)
-    rho_m = mle_reconstruct(simulate_readout(rho_out, shots, _derived_seed(seed, 0, index)))
-    phi = _IDEAL_KETS[label]
-    entry: dict = {
-        "state_fidelity": state_fidelity_pure(rho_m, phi),
-        "pauli_set": _pack_pauli_set(pauli_set(rho_m)),
-        "pauli_set_ideal": _pack_pauli_set(_IDEAL_PAULI_SETS[label]),
-    }
-    if label in ENTANGLED_INPUT_LABELS:
-        entry["witness"] = witness_evaluate(rho_m, phi, WITNESS_ALPHA).to_dict()
-        entry["three_tangle_upper"] = three_tangle_mixed_upper(
-            rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
-        )
-    return entry, rho_m
+    indices = [INPUT_LABELS.index(label) for label in labels]
+    rhos_m = mle_reconstruct(simulate_readout(rhos_out, shots, [_derived_seed(seed, 0, k) for k in indices]))
+    fidelities = state_fidelity_pure(rhos_m, np.array([_IDEAL_KETS[label] for label in labels]))
+    entries = []
+    for label, index, rho_m, fidelity, values in zip(labels, indices, rhos_m, fidelities, pauli_set(rhos_m)):
+        entry: dict = {
+            "state_fidelity": float(fidelity),
+            "pauli_set": _pack_pauli_set(values),
+            "pauli_set_ideal": _pack_pauli_set(_IDEAL_PAULI_SETS[label]),
+        }
+        if label in ENTANGLED_INPUT_LABELS:
+            entry["witness"] = witness_evaluate(rho_m, _IDEAL_KETS[label], WITNESS_ALPHA).to_dict()
+            entry["three_tangle_upper"] = three_tangle_mixed_upper(
+                rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
+            )
+        entries.append(entry)
+    return entries, rhos_m
 
 
 def run_benchmark(
@@ -255,11 +262,11 @@ def run_benchmark(
 ) -> dict:
     """Run the full benchmark and return the report as a plain dict.
 
-    The four canonical inputs are evolved as one stack, then each goes
-    through the per-input stage (:func:`_run_input`). Then, per measurement
-    outcome: conditional states for all inputs -> process tomography ->
-    process and average output fidelities. Deterministic for a given seed;
-    per-input substreams keep the four pipelines independent. Raises
+    The four canonical inputs are evolved as one stack and go through the
+    state stage (:func:`_run_inputs`) as one stack. Then, per measurement
+    outcome: one conditional projection of the stack -> process tomography
+    -> process and average output fidelities. Deterministic for a given
+    seed; per-input substreams keep the four pipelines independent. Raises
     ``ValueError`` unless ``shots``, ``seed`` and ``restarts`` are integers
     (``shots`` >= 0, ``restarts`` >= 1).
     """
@@ -267,25 +274,17 @@ def run_benchmark(
     restarts = require_count("restarts", restarts, 1)
     seed = require_integer("seed", seed)
 
-    states_block: dict[str, dict] = {}
-    conditionals: dict[str, dict[str, DensityMatrix]] = {o: {} for o in OUTCOMES}
-    for label, rho_out in zip(INPUT_LABELS, _evolve(device, INPUT_LABELS, noise)):
-        entry, rho_m = _run_input(rho_out, label, shots, seed, restarts)
+    entries, rhos_m = _run_inputs(_evolve(device, INPUT_LABELS, noise), INPUT_LABELS, shots, seed, restarts)
+    for entry in entries:
         entry["outcomes"] = {}
-        for outcome in OUTCOMES:
-            rho_c, probability = conditional_output_state(rho_m, outcome)
-            entry["outcomes"][outcome] = {
-                "probability": probability,
-                "conditional_fidelity": state_fidelity_pure(rho_c, _BRANCH_KETS[label, outcome]),
-            }
-            conditionals[outcome][label] = rho_c
-        states_block[label] = entry
-
     processes_block: dict[str, dict] = {}
     fps = []
     fbars = []
     for outcome in OUTCOMES:
-        probabilities = [states_block[label]["outcomes"][outcome]["probability"] for label in INPUT_LABELS]
+        rhos_c, probabilities = conditional_output_state(rhos_m, outcome)
+        fidelities = state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome])
+        for entry, probability, fidelity in zip(entries, probabilities, fidelities):
+            entry["outcomes"][outcome] = {"probability": float(probability), "conditional_fidelity": float(fidelity)}
         floor_hit = any(
             (p < ANALYTIC_PROBABILITY_FLOOR) if shots == 0 else (p * shots < SAMPLED_MIN_COUNTS)
             for p in probabilities
@@ -293,10 +292,7 @@ def run_benchmark(
         if floor_hit:
             processes_block[outcome] = {"skipped": True}
             continue
-        chi = process_tomography(
-            [INPUT_KETS[label] for label in INPUT_LABELS],
-            [conditionals[outcome][label] for label in INPUT_LABELS],
-        )
+        chi = process_tomography([INPUT_KETS[label] for label in INPUT_LABELS], rhos_c)
         fp = process_fidelity(chi, ideal_chi(outcome))
         fbar = average_output_fidelity(fp)
         processes_block[outcome] = {
@@ -308,6 +304,7 @@ def run_benchmark(
         fps.append(fp)
         fbars.append(fbar)
 
+    states_block = dict(zip(INPUT_LABELS, entries))
     report = {
         "schema": SCHEMA_VERSION,
         "metadata": _metadata(device, shots, seed, noise, restarts),
@@ -333,18 +330,17 @@ def run_state(
 ) -> dict:
     """Single-input drill-down: the reconstructed state and its figures of merit.
 
-    Runs the same per-input stage as :func:`run_benchmark`, so its entries
-    equal that report's ``states[label]`` apart from ``outcomes``, and
-    additionally emits the reconstructed density matrix as real/imag arrays.
-    The input is evolved as a stack of one, on the same path.
+    Runs the same state stage as :func:`run_benchmark` with a stack of one,
+    so its entries equal that report's ``states[label]`` apart from
+    ``outcomes``, and additionally emits the reconstructed density matrix as
+    real/imag arrays.
     """
     if label not in INPUT_LABELS:
         raise ValueError(f"input label must be one of {INPUT_LABELS}, got {label!r}")
     shots = require_count("shots", shots, 0)
     restarts = require_count("restarts", restarts, 1)
     seed = require_integer("seed", seed)
-    (rho_out,) = _evolve(device, (label,), noise)
-    entry, rho_m = _run_input(rho_out, label, shots, seed, restarts)
+    (entry,), (rho_m,) = _run_inputs(_evolve(device, (label,), noise), (label,), shots, seed, restarts)
     return {
         "schema": SCHEMA_VERSION,
         "input": label,

@@ -5,6 +5,11 @@ nontrivial three-qubit Pauli strings with binomial shot noise; the
 dispersive transfer function of the physical joint readout is out of scope.
 Reconstruction is linear inversion over the Pauli basis followed by
 projection onto the physical set.
+
+Every stage takes one state (or one 63-value record) or a stack of them,
+as :func:`telebench.circuit.apply_circuit` does: one in gives one result,
+a sequence of B states or a (B, 63) array gives a list or a (B, ...) array.
+Each member of a stacked result equals the single-state result bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,19 @@ import itertools
 
 import numpy as np
 
-from .qops import STRUCTURAL_TOL, DensityMatrix, nearest_physical, pauli_operator, require_count
+from .qops import (
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    STRUCTURAL_TOL,
+    check_members,
+    nearest_physical,
+    require_count,
+    require_integer,
+    stack_error,
+    state_stack,
+)
 
 # All 63 nontrivial Pauli strings in lexicographic order with I < X < Y < Z,
 # leftmost character acting on qubit A.
@@ -21,57 +38,89 @@ PAULI_LABELS: tuple[str, ...] = tuple(
     "".join(p) for p in itertools.product("IXYZ", repeat=3) if p != ("I", "I", "I")
 )
 
-# The 63 operators in PAULI_LABELS order, built once: shape (63, 8, 8).
-PAULI_STACK = np.array([pauli_operator(label) for label in PAULI_LABELS])
-PAULI_STACK.setflags(write=False)
+# All 64 three-qubit Pauli operators as one broadcast product of the four
+# single-qubit ones: entry [abc, ikm, jln] = ((1 P_a[i, j]) P_b[k, l]) P_c[m, n],
+# the Kronecker product with qubit A leftmost. Every entry is a product of
+# 0, +-1 and +-i, so the values are exact, and multiplying in kron's order
+# from a leading 1 gives its signs of zero too. _INVERSION_OPERATORS keeps the
+# identity in row 0; PAULI_STACK drops it: shape (63, 8, 8), PAULI_LABELS order.
+_PAULI_1Q = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+_INVERSION_OPERATORS = (
+    (1.0 + 0.0j)
+    * _PAULI_1Q[:, None, None, :, None, None, :, None, None]
+    * _PAULI_1Q[None, :, None, None, :, None, None, :, None]
+    * _PAULI_1Q[None, None, :, None, None, :, None, None, :]
+).reshape(64, 8, 8)
+_INVERSION_OPERATORS.setflags(write=False)
+PAULI_STACK = _INVERSION_OPERATORS[1:]
 
 
-def simulate_readout(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
-    """Sample Pauli expectation values of a three-qubit state.
+def simulate_readout(rho, shots: int, seed):
+    """Sample Pauli expectation values of a three-qubit state, or of a stack.
 
-    Returns the 63 estimates in :data:`PAULI_LABELS` order. With
-    ``shots == 0`` they are the exact expectations Tr(rho P) and nothing is
-    drawn. Otherwise each Pauli setting draws ``shots`` eigenvalue outcomes
-    from the Born distribution and records the sample mean: the counts of
-    +1 outcomes are one ``binomial`` draw over the 63 settings from
-    ``default_rng(seed)``. The estimates are deterministic for a given seed
-    and state. All settings share that stream, and the binomial sampler
-    uses a varying number of uniforms per setting, so setting i depends on
-    the seed and on the probabilities of settings 0 .. i, not on (seed, i)
-    alone. Raises ``ValueError`` unless ``shots`` is a non-negative integer.
+    Returns the 63 estimates in :data:`PAULI_LABELS` order: shape (63,) for
+    one :class:`DensityMatrix` and one ``seed``, (B, 63) for a sequence of
+    B states and B seeds. With ``shots == 0`` they are the exact
+    expectations Tr(rho P) and nothing is drawn. Otherwise each Pauli
+    setting draws ``shots`` eigenvalue outcomes from the Born distribution
+    and records the sample mean: the counts of +1 outcomes of a state are
+    one ``binomial`` draw over the 63 settings from ``default_rng`` of that
+    state's seed, so each member is drawn as if it were read out alone.
+    The estimates are deterministic for a given seed and state. All settings
+    of a state share that stream, and the binomial sampler uses a varying
+    number of uniforms per setting, so setting i depends on the seed and on
+    the probabilities of settings 0 .. i, not on (seed, i) alone. Raises
+    ``ValueError`` unless ``shots`` is a non-negative integer and every seed
+    an integer (numpy integers are accepted; floats and booleans are not).
     """
     shots = require_count("shots", shots, 0)
     exact = pauli_set(rho)
+    single = exact.ndim == 1
+    if single:
+        seeds = [require_integer("seed", seed)]
+    elif np.ndim(seed) != 1 or len(seed) != len(exact):
+        raise ValueError(f"a stack of {len(exact)} states needs one seed per state, got {seed!r}")
+    else:
+        seeds = [require_integer("seed", s) for s in seed]
     if shots == 0:
         return exact
-    p_plus = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
-    n_plus = np.random.default_rng(seed).binomial(shots, p_plus)
-    return (2.0 * n_plus - shots) / shots
+    values = [
+        (2.0 * np.random.default_rng(s).binomial(shots, np.clip(0.5 * (1.0 + e), 0.0, 1.0)) - shots) / shots
+        for s, e in zip(seeds, exact.reshape(len(seeds), -1))
+    ]
+    return values[0] if single else np.array(values)
 
 
 def linear_inversion(values) -> np.ndarray:
     """Pauli-basis inversion (1/8)(I + sum <P> P) of 63 expectation values
-    in :data:`PAULI_LABELS` order.
+    in :data:`PAULI_LABELS` order, or of a (B, 63) stack of them.
 
-    Raises ``ValueError`` unless there are exactly 63 finite values of
-    magnitude at most 1. The output is Hermitian with unit trace by
-    construction but may have negative eigenvalues when the values are noisy.
+    Raises ``ValueError`` unless every record holds exactly 63 finite values
+    of magnitude at most 1. The output, (8, 8) or (B, 8, 8), is Hermitian
+    with unit trace by construction but may have negative eigenvalues when
+    the values are noisy.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(PAULI_LABELS),):
-        raise ValueError(f"expected {len(PAULI_LABELS)} Pauli expectations, got shape {values.shape}")
-    bad = ~(np.abs(values) <= 1.0 + 1e-12)
+    single = values.ndim == 1
+    stack = values[np.newaxis] if single else values
+    if stack.ndim != 2 or stack.shape[1] != len(PAULI_LABELS) or not len(stack):
+        raise ValueError(f"expected {len(PAULI_LABELS)} Pauli expectations per state, got shape {values.shape}")
+    bad = ~(np.abs(stack) <= 1.0 + 1e-12)
     if bad.any():
-        index = int(np.argmax(bad))
-        raise ValueError(f"expectation for {PAULI_LABELS[index]} not finite or out of range: {values[index]}")
-    coeffs = np.concatenate(([1.0], values))
-    operators = np.concatenate((np.eye(8, dtype=complex)[np.newaxis], PAULI_STACK))
-    return np.sum(coeffs[:, np.newaxis, np.newaxis] * operators, axis=0) / 8.0
+        k, index = np.unravel_index(np.argmax(bad), bad.shape)
+        message = f"expectation for {PAULI_LABELS[index]} not finite or out of range: {stack[k, index]}"
+        raise stack_error(message, int(k), single)
+    coeffs = np.concatenate((np.ones((len(stack), 1)), stack), axis=1)
+    mu = (coeffs[:, :, np.newaxis, np.newaxis] * _INVERSION_OPERATORS).sum(axis=1) / 8.0
+    return mu[0] if single else mu
 
 
-def mle_reconstruct(values) -> DensityMatrix:
+def mle_reconstruct(values):
     """Physical state estimate: linear inversion projected onto the
     positive-semidefinite unit-trace set.
+
+    One 63-value record gives a :class:`DensityMatrix`; a (B, 63) stack
+    gives a list, projected with one batched eigendecomposition.
 
     The Frobenius-norm projection of the linear-inversion estimate is the
     maximum-likelihood state only under equal-variance Gaussian noise on
@@ -82,13 +131,15 @@ def mle_reconstruct(values) -> DensityMatrix:
     return nearest_physical(linear_inversion(values))
 
 
-def pauli_set(rho: DensityMatrix) -> np.ndarray:
+def pauli_set(rho) -> np.ndarray:
     """Exact expectation values of all 63 nontrivial Pauli strings,
-    ordered as :data:`PAULI_LABELS`."""
-    if rho.num_qubits != 3:
+    ordered as :data:`PAULI_LABELS`: shape (63,) for one state, (B, 63) for
+    a sequence of B states."""
+    m, single = state_stack(rho)
+    if m.shape[1] != 8:
         raise ValueError("Pauli sets are defined for three-qubit states")
-    values = np.trace(rho.matrix @ PAULI_STACK, axis1=1, axis2=2)
-    worst = float(np.max(np.abs(values.imag)))
-    if worst >= STRUCTURAL_TOL:
-        raise ValueError(f"expectation has non-negligible imaginary part {worst:.3e}")
-    return values.real
+    values = (m[:, np.newaxis] @ PAULI_STACK).trace(axis1=2, axis2=3)
+    worst = np.abs(values.imag).max(axis=1)
+    describe = "expectation has non-negligible imaginary part {:.3e}".format
+    check_members(worst, lambda v: v >= STRUCTURAL_TOL, describe, single)
+    return values.real[0] if single else values.real

@@ -5,8 +5,10 @@ projections go through sorted simplex projection, tangles through the
 Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
 matrices through direct Kraus-operator basis expansion, and gates, channels
 and conditional states through dense full-register matrices. Noisy
-evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``), and
-report text the standard-library JSON encoder (``json_report_text``).
+evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``),
+report text the standard-library JSON encoder (``json_report_text``), and
+the stacked benchmark pipeline a run of one state at a time
+(``per_state_benchmark``).
 """
 
 import json
@@ -15,6 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+import telebench.teleport_bench as tb
 from telebench.circuit import _gate_duration, gate_operator
 from telebench.qops import DensityMatrix, partial_trace
 
@@ -306,3 +309,78 @@ def json_report_text(report) -> str:
     """A report's text as ``json.dumps`` writes it after rounding every float
     to 12 significant digits (the reference for ``report_json_text``)."""
     return json.dumps(round_sig(report), sort_keys=True, indent=2) + "\n"
+
+
+def per_state_entry(rho_out, label, shots, seed, restarts):
+    """One input's state stage run on its own: readout of the evolved
+    state, reconstruction, state fidelity and Pauli sets, plus witness and
+    tangle bound for the entangled inputs (the reference for the stacked
+    state stage). Returns the figures of merit and the reconstructed state."""
+    index = tb.INPUT_LABELS.index(label)
+    rho_m = tb.mle_reconstruct(tb.simulate_readout(rho_out, shots, tb._derived_seed(seed, 0, index)))
+    phi = tb._IDEAL_KETS[label]
+    entry = {
+        "state_fidelity": tb.state_fidelity_pure(rho_m, phi),
+        "pauli_set": tb._pack_pauli_set(tb.pauli_set(rho_m)),
+        "pauli_set_ideal": tb._pack_pauli_set(tb._IDEAL_PAULI_SETS[label]),
+    }
+    if label in tb.ENTANGLED_INPUT_LABELS:
+        entry["witness"] = tb.witness_evaluate(rho_m, phi, tb.WITNESS_ALPHA).to_dict()
+        entry["three_tangle_upper"] = tb.three_tangle_mixed_upper(
+            rho_m, restarts=restarts, seed=tb._derived_seed(seed, 1, index)
+        )
+    return entry, rho_m
+
+
+def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
+    """``run_benchmark`` one state at a time: each input is evolved, read
+    out, reconstructed and projected onto each outcome on its own, then the
+    four conditional states of an outcome go to process tomography."""
+    states = {}
+    conditionals = {outcome: [] for outcome in tb.OUTCOMES}
+    for label in tb.INPUT_LABELS:
+        rho_out = tb.apply_circuit(tb._CIRCUIT, tb._INPUT_STATES[label], device if noise else None)
+        entry, rho_m = per_state_entry(rho_out, label, shots, seed, restarts)
+        entry["outcomes"] = {}
+        for outcome in tb.OUTCOMES:
+            rho_c, probability = tb.conditional_output_state(rho_m, outcome)
+            branch = tb.TELEPORT_BRANCH_OPS[outcome] @ tb.INPUT_KETS[label]
+            entry["outcomes"][outcome] = {
+                "probability": probability,
+                "conditional_fidelity": tb.state_fidelity_pure(rho_c, branch),
+            }
+            conditionals[outcome].append(rho_c)
+        states[label] = entry
+
+    processes, fps, fbars = {}, [], []
+    for outcome in tb.OUTCOMES:
+        probabilities = [states[label]["outcomes"][outcome]["probability"] for label in tb.INPUT_LABELS]
+        if any(
+            (p < tb.ANALYTIC_PROBABILITY_FLOOR) if shots == 0 else (p * shots < tb.SAMPLED_MIN_COUNTS)
+            for p in probabilities
+        ):
+            processes[outcome] = {"skipped": True}
+            continue
+        chi = tb.process_tomography([tb.INPUT_KETS[label] for label in tb.INPUT_LABELS], conditionals[outcome])
+        fp = tb.process_fidelity(chi, tb.ideal_chi(outcome))
+        fbar = tb.average_output_fidelity(fp)
+        processes[outcome] = {
+            "skipped": False,
+            "chi": tb._pack_matrix(chi),
+            "process_fidelity": fp,
+            "average_output_fidelity": fbar,
+        }
+        fps.append(fp)
+        fbars.append(fbar)
+    return {
+        "schema": tb.SCHEMA_VERSION,
+        "metadata": tb._metadata(device, shots, seed, noise, restarts),
+        "states": states,
+        "processes": processes,
+        "averages": {
+            "mean_state_fidelity": float(np.mean([states[label]["state_fidelity"] for label in tb.INPUT_LABELS])),
+            "mean_process_fidelity": float(np.mean(fps)) if fps else None,
+            "mean_average_output_fidelity": float(np.mean(fbars)) if fbars else None,
+        },
+        "paper_reference": tb.PAPER_REFERENCE,
+    }

@@ -247,6 +247,38 @@ def test_run_benchmark_evolves_the_four_inputs_in_one_call(monkeypatch):
     assert len(calls) == 2 and len(calls[1]) == 1
 
 
+def test_run_makes_one_call_per_stage_on_the_whole_stack(monkeypatch):
+    import telebench.teleport_bench as tb
+
+    calls = []
+
+    def spy(name):
+        original = getattr(tb, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tb, name, wrapper)
+
+    for name in ("simulate_readout", "mle_reconstruct", "pauli_set", "conditional_output_state"):
+        spy(name)
+    run_benchmark(DeviceParams.reference(), shots=1000, seed=1, noise=True, restarts=5)
+    names = [name for name, _ in calls]
+    assert names.count("simulate_readout") == 1
+    assert names.count("mle_reconstruct") == 1
+    assert names.count("pauli_set") == 1
+    assert names.count("conditional_output_state") == len(OUTCOMES)
+    for name, stack in calls:
+        assert len(stack) == len(INPUT_LABELS), name
+    assert [a for name, a in calls if name == "mle_reconstruct"][0].shape == (len(INPUT_LABELS), 63)
+
+    calls.clear()
+    run_state(DeviceParams.reference(), "plus", shots=1000, seed=1, noise=True, restarts=5)
+    assert sorted(name for name, _ in calls) == ["mle_reconstruct", "pauli_set", "simulate_readout"]
+    assert all(len(stack) == 1 for _, stack in calls)
+
+
 def test_second_run_builds_no_process_design(monkeypatch):
     run_benchmark(DeviceParams.reference())
     calls = []
