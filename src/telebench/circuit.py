@@ -5,7 +5,11 @@ Two-qubit C-Phase gates exist only between the adjacent pairs AB and BC,
 matching the modeled device. Gate unitaries are ideal. With a device, each
 gate is followed by amplitude damping plus pure dephasing of every qubit for
 the gate's duration, applied in closed form to that qubit's 2x2 (ket, bra)
-blocks of the state tensor.
+blocks of the state tensor. One noise pass per gate gathers the stack of
+states into qubit A's block layout, scales and shifts contiguous slabs of
+rows, and gathers on to B's and C's layouts and back; the arithmetic per
+entry is that of one block update per qubit, so results do not depend on the
+layout.
 """
 
 from __future__ import annotations
@@ -27,11 +31,15 @@ from .qops import (
     PAULI_Y,
     PAULI_Z,
     STRUCTURAL_TOL,
+    require_count,
+    require_integer,
     require_normalized,
     state_stack,
 )
 
 CPHASE_PAIRS = {"AB": (0, 1), "BC": (1, 2)}
+# Number of qubits each gate kind acts on.
+_GATE_ARITY = {"rotation": 1, "hadamard": 1, "cphase": 2, "cnot": 2}
 
 # Correction operators attached to the four two-qubit measurement outcomes:
 # the branch of the ideal output state labeled by outcome ij carries this
@@ -51,7 +59,9 @@ class Gate:
     ``duration`` of ``None`` means "resolve from DeviceParams when applied"
     (single-qubit gate time for rotations and Hadamards, the pair's C-Phase
     time for two-qubit gates). A duration of 0.0 marks a virtual gate that
-    adds no decoherence.
+    adds no decoherence. ``qubits`` must hold as many distinct integers
+    (numpy integers included) as the kind acts on: one for a rotation or a
+    Hadamard, two for a C-Phase or a CNOT.
     """
 
     kind: str
@@ -66,13 +76,22 @@ class Gate:
         d = self.duration
         if d is not None and (isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 <= d < math.inf):
             raise ValueError(f"gate duration must be None or a finite number >= 0, got {d!r}")
+        if self.kind not in _GATE_ARITY:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        # int() would turn qubit 1.7 into 1 and True into 1.
+        qubits = tuple(require_integer("gate qubit", q) for q in self.qubits)
+        if len(qubits) != _GATE_ARITY[self.kind]:
+            raise ValueError(f"a {self.kind} gate acts on {_GATE_ARITY[self.kind]} qubit(s), got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"gate qubits must be distinct, got {qubits}")
+        object.__setattr__(self, "qubits", qubits)
 
     @classmethod
     def rotation(cls, axis, angle: float, qubit: int, duration: float | None = None) -> "Gate":
         ax = tuple(float(a) for a in axis)
         if len(ax) != 3 or abs(math.sqrt(sum(a * a for a in ax)) - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"rotation axis must be a unit 3-vector, got {axis}")
-        return cls(kind="rotation", qubits=(int(qubit),), axis=ax, angle=float(angle), duration=duration)
+        return cls(kind="rotation", qubits=(qubit,), axis=ax, angle=float(angle), duration=duration)
 
     @classmethod
     def cphase(cls, pair: str, duration: float | None = None) -> "Gate":
@@ -82,13 +101,11 @@ class Gate:
 
     @classmethod
     def hadamard(cls, qubit: int, duration: float | None = None) -> "Gate":
-        return cls(kind="hadamard", qubits=(int(qubit),), duration=duration)
+        return cls(kind="hadamard", qubits=(qubit,), duration=duration)
 
     @classmethod
     def cnot(cls, control: int, target: int, duration: float | None = None) -> "Gate":
-        if control == target:
-            raise ValueError("CNOT control and target must differ")
-        return cls(kind="cnot", qubits=(int(control), int(target)), duration=duration)
+        return cls(kind="cnot", qubits=(control, target), duration=duration)
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", require_count("num_qubits", self.num_qubits, 1))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g.kind} touches qubit outside register of {self.num_qubits}")
@@ -232,10 +250,8 @@ def gate_operator(gate: Gate) -> np.ndarray:
         op = HADAMARD.copy()
     elif gate.kind == "cphase":
         op = cphase_ideal()
-    elif gate.kind == "cnot":
+    else:  # cnot; Gate rejects any other kind
         op = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
     op.setflags(write=False)
     return op
 
@@ -245,13 +261,20 @@ def _axes_first(axes, ndim: int) -> list[int]:
     return [*axes, *(a for a in range(ndim) if a not in axes)]
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_orders(axes: tuple[int, ...], ndim: int) -> tuple[list[int], list[int]]:
+    """:func:`_axes_first` of ``axes`` and the order that undoes it."""
+    order = _axes_first(axes, ndim)
+    return order, sorted(range(ndim), key=order.__getitem__)
+
+
 def _on_axes(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
     """Apply ``op`` to ``axes`` of a tensor whose listed axes have length 2,
     first listed axis most significant. Other axes may have any length."""
-    order = _axes_first(axes, t.ndim)
+    order, back = _axis_orders(tuple(axes), t.ndim)
     moved = t.transpose(order)
     out = op @ moved.reshape(len(op), -1)
-    return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    return out.reshape(moved.shape).transpose(back)
 
 
 def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
@@ -334,12 +357,10 @@ def _gate_duration(gate: Gate, device: DeviceParams) -> float:
         return device.single_qubit_gate_time
     if gate.kind == "cphase":
         return device.cphase_time(gate.pair)
-    if gate.kind == "cnot":
-        pair = {(0, 1): "AB", (1, 0): "AB", (1, 2): "BC", (2, 1): "BC"}.get(gate.qubits)
-        if pair is None:
-            raise ValueError(f"no native duration for CNOT on qubits {gate.qubits}")
-        return device.cphase_time(pair)
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    pair = {(0, 1): "AB", (1, 0): "AB", (1, 2): "BC", (2, 1): "BC"}.get(gate.qubits)  # cnot
+    if pair is None:
+        raise ValueError(f"no native duration for CNOT on qubits {gate.qubits}")
+    return device.cphase_time(pair)
 
 
 def _conjugate(t: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
@@ -354,22 +375,65 @@ def _qubit_blocks(t: np.ndarray, q: int) -> np.ndarray:
     return t.transpose(_axes_first((1 + q, 1 + n + q), t.ndim))
 
 
-def _decohere(t: np.ndarray, duration: float, device: DeviceParams, q: int) -> None:
-    """Amplitude damping plus pure dephasing of qubit ``q`` for ``duration``, in place.
+@functools.lru_cache(maxsize=8)
+def _block_gathers(n: int) -> tuple[np.ndarray, ...]:
+    """The n + 1 row gathers of the noise pass on an n-qubit register.
 
-    ``t`` is a (B,) + (2,)*2n stack of states. gamma = 1 - exp(-duration/T1)
-    and p = (1 - exp(-duration/Tphi))/2, with the pure-dephasing rate
-    1/Tphi = 1/T2* - 1/(2*T1) >= 0. On the (ket q, bra q) blocks:
-    b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10 *= sqrt(1 - gamma)*(1 - 2p).
+    Qubit q's block layout orders the 4**n matrix elements as four blocks of
+    k = 4**(n-1) rows, by (ket q, bra q) = (0, 0), (1, 1), (0, 1), (1, 0),
+    with the other indices row-major within a block. Gather 0 takes
+    row-major order to qubit 0's layout, gather q takes qubit q-1's layout
+    to qubit q's, and gather n takes qubit n-1's layout back to row-major.
     """
-    t1, t2_star = device.t1[q], device.t2_star[q]
-    gamma = 1.0 - math.exp(-duration / t1)
-    p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
-    b = _qubit_blocks(t, q)
-    b[0, 0] += gamma * b[1, 1]
-    b[1, 1] *= 1.0 - gamma
-    b[0, 1] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
-    b[1, 0] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
+    elements = np.arange(4**n)
+    position = elements  # row of each element in the current layout
+    gathers = []
+    for q in range(n):
+        layout = elements.reshape((2,) * (2 * n)).transpose(_axes_first((q, n + q), 2 * n))
+        layout = layout.reshape(4, -1)[[0, 3, 1, 2]].ravel()
+        gathers.append(position[layout])
+        position = np.empty_like(layout)  # the inverse permutation; argsort would page in its sort kernels
+        position[layout] = elements
+    gathers.append(position)
+    for g in gathers:
+        g.setflags(write=False)
+    return tuple(gathers)
+
+
+def _decay_factors(device: DeviceParams, duration: float) -> list[tuple[float, float, float]]:
+    """(gamma, 1 - gamma, s) per qubit for amplitude damping plus pure dephasing over ``duration``.
+
+    gamma = 1 - exp(-duration/T1), p = (1 - exp(-duration/Tphi))/2 with the
+    pure-dephasing rate 1/Tphi = 1/T2* - 1/(2*T1) >= 0, and
+    s = sqrt(1 - gamma)*(1 - 2p) scales the off-diagonal blocks.
+    """
+    factors = []
+    for t1, t2_star in zip(device.t1, device.t2_star):
+        gamma = 1.0 - math.exp(-duration / t1)
+        p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
+        factors.append((gamma, 1.0 - gamma, math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)))
+    return factors
+
+
+def _decohere(t: np.ndarray, factors) -> np.ndarray:
+    """Damp and dephase every qubit of a (B,) + (2,)*2n stack, qubit 0 first.
+
+    ``factors`` holds (gamma, 1 - gamma, s) per qubit. On qubit q's
+    (ket q, bra q) blocks: b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10
+    *= s. Each qubit's update is three slab updates of the stack gathered
+    into that qubit's block layout (:func:`_block_gathers`); gathers copy
+    exactly, so every entry gets the same multiplies and adds as a block
+    update on the tensor. Returns a new stack of the same shape.
+    """
+    gathers = _block_gathers(len(factors))
+    y = t.reshape(len(t), -1).T.take(gathers[0], axis=0)
+    k = len(y) // 4
+    for (gamma, keep, s), gather in zip(factors, gathers[1:]):
+        y[:k] += gamma * y[k : 2 * k]
+        y[k : 2 * k] *= keep
+        y[2 * k :] *= s  # b01 and b10; b00 is left unscaled, as scaling by 1.0 can flip a zero's sign
+        y = y.take(gather, axis=0)
+    return y.T.reshape(t.shape)
 
 
 def _depolarize(t: np.ndarray, p: float, q: int) -> None:
@@ -396,21 +460,29 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     qubits decohere too), plus an optional depolarizing channel on the target
     of single-qubit gates when the device's ``single_qubit_error`` is
     nonzero; both channels update each qubit's 2x2 (ket, bra) blocks in
-    closed form. Without a device, the evolution is noiseless.
+    closed form. Damping and dephasing take one pass per gate over the stack
+    gathered into each qubit's block layout in turn (:func:`_decohere`), with
+    coefficients computed once per distinct gate duration. Without a device,
+    the evolution is noiseless. A device models qubits A, B and C, so with a
+    device the circuit must have three qubits.
     """
     m, single = state_stack(rho)
     n = circuit.num_qubits
     if m.shape[1] != 2**n:
         raise ValueError(f"state dimension {m.shape[1]} does not match {n}-qubit circuit")
+    if device is not None and n != len(device.t1):
+        raise ValueError(f"the device models qubits A, B and C; it cannot decohere a {n}-qubit circuit")
     t = m.reshape((len(m),) + (2,) * (2 * n))
+    decay = {}  # gate duration -> per-qubit factors
     for gate in circuit.gates:
         t = _conjugate(t, gate_operator(gate), gate.qubits)
         if device is None:
             continue
         duration = _gate_duration(gate, device)
         if duration > 0.0:
-            for q in range(n):
-                _decohere(t, duration, device, q)
+            if duration not in decay:
+                decay[duration] = _decay_factors(device, duration)
+            t = _decohere(t, decay[duration])
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
             _depolarize(t, device.single_qubit_error, gate.qubits[0])
     out = DensityMatrix.stack(t.reshape(len(m), 2**n, 2**n))

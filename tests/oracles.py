@@ -5,8 +5,9 @@ projections go through sorted simplex projection, tangles through the
 Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
 matrices through direct Kraus-operator basis expansion, and gates, channels
 and conditional states through dense full-register matrices. Noisy
-evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``),
-report text the standard-library JSON encoder (``json_report_text``), and
+evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``)
+and a per-qubit block-update reference (``block_apply_circuit``, bit for
+bit), report text the standard-library JSON encoder (``json_report_text``), and
 the stacked benchmark pipeline a run of one state at a time
 (``per_state_benchmark``).
 """
@@ -18,8 +19,8 @@ import numpy as np
 from scipy.linalg import expm
 
 import telebench.teleport_bench as tb
-from telebench.circuit import _gate_duration, gate_operator
-from telebench.qops import DensityMatrix, partial_trace
+from telebench.circuit import _conjugate, _depolarize, _gate_duration, _qubit_blocks, gate_operator
+from telebench.qops import DensityMatrix, partial_trace, state_stack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -292,6 +293,46 @@ def kraus_apply_circuit(circuit, rho, device):
         if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
             arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
     return arr
+
+
+def decohere_qubit(t, duration, device, q):
+    """Amplitude damping plus pure dephasing of qubit ``q`` for ``duration``, in place.
+
+    ``t`` is a (B,) + (2,)*2n stack of states. gamma = 1 - exp(-duration/T1)
+    and p = (1 - exp(-duration/Tphi))/2, with the pure-dephasing rate
+    1/Tphi = 1/T2* - 1/(2*T1) >= 0. On the (ket q, bra q) blocks:
+    b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10 *= sqrt(1 - gamma)*(1 - 2p).
+    """
+    t1, t2_star = device.t1[q], device.t2_star[q]
+    gamma = 1.0 - math.exp(-duration / t1)
+    p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
+    b = _qubit_blocks(t, q)
+    b[0, 0] += gamma * b[1, 1]
+    b[1, 1] *= 1.0 - gamma
+    b[0, 1] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
+    b[1, 0] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
+
+
+def block_apply_circuit(circuit, rho, device=None):
+    """Noisy evolution of a state or a sequence of states as one block update
+    per qubit per gate, on strided views of the (B,) + (2,)*2n stack: the
+    gate's conjugation, then ``decohere_qubit`` on every qubit in order, then
+    depolarizing on the target of single-qubit gates. Returns the (B, d, d)
+    array (the bit-for-bit reference for ``apply_circuit``'s noise pass)."""
+    m, _ = state_stack(rho)
+    n = circuit.num_qubits
+    t = m.reshape((len(m),) + (2,) * (2 * n))
+    for gate in circuit.gates:
+        t = _conjugate(t, gate_operator(gate), gate.qubits)
+        if device is None:
+            continue
+        duration = _gate_duration(gate, device)
+        if duration > 0.0:
+            for q in range(n):
+                decohere_qubit(t, duration, device, q)
+        if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
+            _depolarize(t, device.single_qubit_error, gate.qubits[0])
+    return t.reshape(len(m), 2**n, 2**n)
 
 
 def round_sig(value, digits: int = 12):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     damping_channels,
+    decohere_qubit,
     dense_kraus,
     depolarizing_kraus,
     kron_gate_unitary,
@@ -18,6 +19,7 @@ from oracles import (
 import telebench.circuit as circuit_module
 from telebench.circuit import (
     _conjugate,
+    _decay_factors,
     _decohere,
     _depolarize,
     _on_axes,
@@ -62,7 +64,7 @@ def embed_input(psi):
 def decohered(rho, duration, device, q):
     """The in-place block update applied to a copy of an 8x8 matrix."""
     t = np.array(rho, dtype=complex).reshape((1,) + (2,) * 6)
-    _decohere(t, duration, device, q)
+    decohere_qubit(t, duration, device, q)
     return t.reshape(8, 8)
 
 
@@ -372,6 +374,39 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
 # --- noise channels --------------------------------------------------------
 
 
+def signed_zero_stacks(size):
+    """Stacks of +-0, +-0.5 and +-1 entries whose zeros carry signs.
+
+    In the last one every imaginary part is -0 and every real part is
+    negative, except at |000><000|, which therefore stays in every qubit's
+    (0, 0) block with imaginary part -0. Scaling that block by 1.0 would make
+    it +0 there.
+    """
+    shape = (size,) + (2,) * 6
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        t = np.empty(shape, dtype=complex)
+        t.real = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], size=shape)
+        t.imag = rng.choice([0.0, -0.0, -0.0, 0.5], size=shape)
+        yield t
+    t = np.full(shape, complex(-0.5, -0.0))
+    t.reshape(size, -1)[:, 0] = complex(0.5, -0.0)
+    yield t
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_noise_pass_equals_per_qubit_block_updates_with_signed_zeros(size):
+    device = reference_device()
+    for t in signed_zero_stacks(size):
+        for duration in (12e-9, 1e-6):
+            expected = t.copy()
+            for q in range(3):
+                decohere_qubit(expected, duration, device, q)
+            out = _decohere(t.copy(), _decay_factors(device, duration))
+            assert out.shape == t.shape
+            assert out.tobytes() == expected.tobytes()
+
+
 def test_damping_channels_identity_limit():
     rho = random_density(np.random.default_rng(3), 8)
     for q in range(3):
@@ -523,6 +558,86 @@ def test_gate_constructors_validate():
         Gate.cnot(1, 1)
     with pytest.raises(ValueError):
         Circuit(num_qubits=3, gates=(Gate.hadamard(5),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gate.hadamard(1.7),
+        lambda: Gate.hadamard(True),
+        lambda: Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=True),
+        lambda: Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=np.float64(1.0)),
+        lambda: Gate.cnot(0.2, 0.9),
+        lambda: Gate.cnot(0, "1"),
+        lambda: Gate(kind="hadamard", qubits=(None,)),
+    ],
+)
+def test_gate_rejects_non_integer_qubits(build):
+    # int() used to turn 1.7 and True into qubit 1, and CNOT(0.2, 0.9) into CNOT(0, 0).
+    with pytest.raises(ValueError, match="gate qubit must be an integer"):
+        build()
+
+
+def test_gate_accepts_numpy_integer_qubits_as_ints():
+    gates = (
+        Gate.hadamard(np.int64(2)),
+        Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=np.int32(1)),
+        Gate.cnot(np.int64(1), np.uint8(2)),
+        Gate(kind="cphase", qubits=np.array([0, 1]), pair="AB"),
+    )
+    assert [g.qubits for g in gates] == [(2,), (1,), (1, 2), (0, 1)]
+    assert all(type(q) is int for g in gates for q in g.qubits)
+    assert gates[2] == Gate.cnot(1, 2)
+    assert np.array_equal(gate_operator(gates[0]), HADAMARD)
+
+
+@pytest.mark.parametrize(
+    "kind, qubits",
+    [
+        ("rotation", (0, 1)),
+        ("hadamard", ()),
+        ("hadamard", (0, 2)),
+        ("cphase", (1,)),
+        ("cnot", (0,)),
+        ("cnot", (0, 1, 2)),
+    ],
+)
+def test_gate_rejects_qubit_count_other_than_its_kind(kind, qubits):
+    # A rotation on (0, 1) used to rotate qubit 0 alone and pass for a valid state.
+    with pytest.raises(ValueError, match=f"a {kind} gate acts on"):
+        Gate(kind=kind, qubits=qubits, axis=(0.0, 1.0, 0.0), angle=0.3, pair="AB")
+
+
+def test_gate_rejects_repeated_qubits_and_unknown_kinds():
+    for build in (lambda: Gate.cnot(1, 1), lambda: Gate.cnot(np.int64(2), 2), lambda: Gate(kind="cphase", qubits=(1, 1))):
+        with pytest.raises(ValueError, match="distinct"):
+            build()
+    with pytest.raises(ValueError, match="unknown gate kind 'toffoli'"):
+        Gate(kind="toffoli", qubits=(0, 1, 2))
+
+
+@pytest.mark.parametrize("num_qubits", [2.5, 3.0, True, 0, -1, "3", None])
+def test_circuit_requires_a_positive_integer_register(num_qubits):
+    with pytest.raises(ValueError, match="num_qubits"):
+        Circuit(num_qubits=num_qubits, gates=())
+
+
+def test_circuit_accepts_a_numpy_integer_register():
+    circuit = Circuit(num_qubits=np.int64(3), gates=(Gate.hadamard(2),))
+    assert circuit.num_qubits == 3 and type(circuit.num_qubits) is int
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 4])
+def test_device_evolution_needs_the_three_device_qubits(num_qubits):
+    # A 4-qubit register used to raise IndexError, and a 2-qubit one was
+    # silently decohered with A's and B's T1 and T2*.
+    circuit = Circuit(num_qubits=num_qubits, gates=(Gate.hadamard(0, duration=0.0),))
+    rho = DensityMatrix.from_ket(computational_ket(0, 2**num_qubits))
+    with pytest.raises(ValueError, match="device models qubits A, B and C"):
+        apply_circuit(circuit, rho, reference_device())
+    noiseless = apply_circuit(circuit, rho)
+    plus = np.kron(np.ones(2) / np.sqrt(2.0), computational_ket(0, 2 ** (num_qubits - 1)))
+    assert np.allclose(noiseless.matrix, np.outer(plus, plus), atol=1e-15)
 
 
 def test_gate_operators_are_read_only_and_alias_no_constant():

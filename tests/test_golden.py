@@ -13,8 +13,16 @@ Regeneration rewrites only the configurations whose reports differ beyond
 the timestamp line, so its diff names exactly the goldens whose values moved.
 For each rewritten golden it prints how many numbers in its JSON reports
 changed and the old -> new figures of merit (:data:`MERIT_KEYS`).
+
+To compare without writing, for example as proof that a refactor kept every
+report byte-identical::
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+prints every golden's change summary and exits 1 if any golden differs.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -116,22 +124,82 @@ def test_cli_reports_match_golden(name, tmp_path):
     assert differing_files(GOLDEN_DIR / name, tmp_path) == [], f"{name} differs from its golden copy"
 
 
-def regenerate() -> None:
-    for name, args in CONFIGS.items():
-        out = GOLDEN_DIR / name
+def sync_goldens(golden_dir: Path = GOLDEN_DIR, configs: dict = CONFIGS, check: bool = False) -> int:
+    """Run every config and compare its reports with ``golden_dir/<config>``.
+
+    Prints a change summary per golden. With ``check``, nothing is written
+    (the summary line of every golden is printed) and the result is 1 if any
+    golden differs; without, each differing golden is rewritten and the
+    result is 0.
+    """
+    differs = False
+    for name, args in configs.items():
+        out = golden_dir / name
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(io.StringIO()):
                 status = cli_main(args + ["--out", tmp])
             if status != 0:
                 sys.exit(f"golden config {name} failed")
-            if differing_files(out, Path(tmp)):
-                summary = change_summary(out, Path(tmp))
+            files = differing_files(out, Path(tmp))
+            if not files and not check:
+                continue
+            summary = change_summary(out, Path(tmp))
+            differs = differs or bool(files)
+            if check:
+                print(f"{name}: {summary[0]}" + (f"; differing files: {', '.join(files)}" if files else ""))
+            else:
                 shutil.rmtree(out, ignore_errors=True)
                 shutil.copytree(tmp, out)
                 print(f"rewrote {out}: {summary[0]}")
-                for line in summary[1:]:
-                    print(f"  {line}")
+            for line in summary[1:]:
+                print(f"  {line}")
+    return int(check and differs)
+
+
+def test_check_reports_a_changed_golden_and_writes_nothing(tmp_path, capsys):
+    configs = {"state_0": CONFIGS["state_0"]}
+    golden = tmp_path / "state_0"
+    shutil.copytree(GOLDEN_DIR / "state_0", golden)
+    count = len(report_numbers(golden))
+    assert sync_goldens(tmp_path, configs, check=True) == 0
+    assert capsys.readouterr().out == f"state_0: 0 of {count} numbers changed\n"
+
+    report = golden / "state_0.json"
+    text = report.read_text()
+    edited = text.replace('"state_fidelity": 0.', '"state_fidelity": 1.', 1)
+    assert edited != text
+    report.write_text(edited)
+    before = {p.name: p.read_bytes() for p in golden.iterdir()}
+    assert sync_goldens(tmp_path, configs, check=True) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"state_0: 1 of {count} numbers changed; differing files: state_0.json"
+    assert out[1].startswith("  state_0.json/state_fidelity: 1.")
+    assert {p.name: p.read_bytes() for p in golden.iterdir()} == before
+
+    missing = tmp_path / "missing"
+    assert sync_goldens(missing, {"missing": CONFIGS["state_0"]}, check=True) == 1
+    assert not missing.exists()
+
+
+def test_regeneration_rewrites_only_differing_goldens(tmp_path, capsys):
+    configs = {"state_0": CONFIGS["state_0"], "state_1": CONFIGS["state_1"]}
+    for name in configs:
+        shutil.copytree(GOLDEN_DIR / name, tmp_path / name)
+    (tmp_path / "state_1" / "state_1.json").write_text("{}\n")
+    untouched = (tmp_path / "state_0" / "state_0.json").stat().st_mtime_ns
+    count = len(report_numbers(GOLDEN_DIR / "state_1"))
+    assert sync_goldens(tmp_path, configs) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"rewrote {tmp_path / 'state_1'}: {count} of {count} numbers changed"
+    assert differing_files(GOLDEN_DIR / "state_1", tmp_path / "state_1") == []
+    assert (tmp_path / "state_0" / "state_0.json").stat().st_mtime_ns == untouched
+    assert sync_goldens(tmp_path, configs, check=True) == 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden reports, or compare them with --check.")
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 if any golden differs")
+    return sync_goldens(check=parser.parse_args(argv).check)
 
 
 if __name__ == "__main__":
-    regenerate()
+    sys.exit(main())

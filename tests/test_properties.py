@@ -1,5 +1,6 @@
 """Hypothesis property tests over random valid devices and random states."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import kraus_apply_circuit, random_density, random_ket, random_unitary
-from telebench.circuit import DeviceParams, apply_circuit, build_teleport_circuit
+from oracles import block_apply_circuit, kraus_apply_circuit, random_density, random_ket, random_unitary
+from telebench.circuit import Circuit, DeviceParams, Gate, apply_circuit, build_teleport_circuit
 from telebench.entanglement import three_tangle_pure
 from telebench.qops import DensityMatrix, computational_ket, nearest_physical
 from telebench.teleport_bench import INPUT_KETS, INPUT_LABELS, OUTCOMES, conditional_output_state
@@ -73,6 +74,52 @@ def test_stacked_evolution_matches_per_gate_kraus_oracle(device, seed, size, var
     assert len(outs) == size
     for rho, out in zip(rhos, outs):
         assert np.max(np.abs(out.matrix - kraus_apply_circuit(circuit, rho, device))) < 1e-13
+
+
+@st.composite
+def gates(draw):
+    """Rotations, Hadamards, CNOTs and C-Phases on a three-qubit register,
+    with the device's duration, a virtual (zero) one or an explicit one."""
+    duration = draw(st.one_of(st.none(), st.just(0.0), st.floats(1e-9, 100e-9)))
+    kind = draw(st.sampled_from(["rotation", "hadamard", "cnot", "cphase"]))
+    if kind == "rotation":
+        v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(a * a for a in v) > 0.01))
+        norm = math.sqrt(sum(a * a for a in v))
+        axis = tuple(a / norm for a in v)
+        return Gate.rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
+    if kind == "hadamard":
+        return Gate.hadamard(draw(st.integers(0, 2)), duration)
+    if kind == "cphase":
+        return Gate.cphase(draw(st.sampled_from(["AB", "BC"])), duration)
+    control, target = draw(st.permutations(range(3)))[:2]
+    if duration is None and {control, target} == {0, 2}:
+        duration = 30e-9  # A and C share no coupler, so this CNOT has no native time
+    return Gate.cnot(control, target, duration)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gate_list=st.lists(gates(), max_size=10),
+    device=st.one_of(st.none(), devices()),
+    seed=seeds,
+    size=st.integers(1, 5),
+)
+def test_evolution_equals_per_qubit_block_updates_bit_for_bit(gate_list, device, seed, size):
+    circuit = Circuit(num_qubits=3, gates=tuple(gate_list))
+    rng = np.random.default_rng(seed)
+    ket00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
+    rhos = []
+    for _ in range(size):
+        rank = int(rng.integers(0, 9))  # 0: a benchmark input, whose exact zeros carry signs
+        if rank == 0:
+            rhos.append(DensityMatrix.from_ket(np.kron(INPUT_KETS[INPUT_LABELS[rng.integers(4)]], ket00)))
+        else:
+            rhos.append(DensityMatrix(random_density(rng, 8, rank)))
+    outs = apply_circuit(circuit, rhos, device)
+    expected = block_apply_circuit(circuit, rhos, device)
+    for out, want in zip(outs, expected, strict=True):
+        assert np.array_equal(out.matrix, want)
+        assert out.matrix.tobytes() == want.tobytes()  # the sign of every zero too
 
 
 @settings(max_examples=20, deadline=None)
