@@ -1,7 +1,7 @@
 """Density-matrix simulator and benchmarking toolkit for a three-qubit
-superconducting teleportation circuit: circuit synthesis, noisy evolution,
-state and process tomography, entanglement quantification, and
-machine-readable benchmark reports."""
+superconducting teleportation circuit: the compiled circuit and its noisy
+evolution, state and process tomography, three-tangle and witness bounds,
+and machine-readable benchmark reports."""
 
 from .qops import DensityMatrix, nearest_physical
 from .circuit import (
@@ -15,8 +15,6 @@ from .circuit import (
 from .tomography import mle_reconstruct, pauli_set, simulate_readout
 from .entanglement import (
     WitnessResult,
-    biseparable_alpha,
-    concurrence,
     three_tangle_mixed_upper,
     three_tangle_pure,
     witness_evaluate,
@@ -32,9 +30,7 @@ __all__ = [
     "Gate",
     "WitnessResult",
     "apply_circuit",
-    "biseparable_alpha",
     "build_teleport_circuit",
-    "concurrence",
     "ideal_phi",
     "mle_reconstruct",
     "nearest_physical",

@@ -25,7 +25,6 @@ import numpy as np
 
 from .qops import (
     DensityMatrix,
-    HADAMARD,
     ID2,
     PAULI_X,
     PAULI_Y,
@@ -39,7 +38,7 @@ from .qops import (
 
 CPHASE_PAIRS = {"AB": (0, 1), "BC": (1, 2)}
 # Number of qubits each gate kind acts on.
-_GATE_ARITY = {"rotation": 1, "hadamard": 1, "cphase": 2, "cnot": 2}
+_GATE_ARITY = {"rotation": 1, "cphase": 2}
 
 # Correction operators attached to the four two-qubit measurement outcomes:
 # the branch of the ideal output state labeled by outcome ij carries this
@@ -52,16 +51,43 @@ TELEPORT_BRANCH_OPS = {
 }
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; bool is an int subclass, so it is rejected by name."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _pair_qubits(pair) -> tuple[int, int]:
+    """The qubits of a C-Phase pair, raising unless ``pair`` names one of :data:`CPHASE_PAIRS`."""
+    if not isinstance(pair, str) or pair not in CPHASE_PAIRS:
+        raise ValueError(f"C-Phase pair must be one of {sorted(CPHASE_PAIRS)}, got {pair!r}")
+    return CPHASE_PAIRS[pair]
+
+
+def _unit_axis(axis) -> tuple[float, float, float]:
+    """``axis`` as a tuple of three floats, raising unless it is a real unit 3-vector."""
+    try:
+        ax = tuple(axis)
+    except TypeError:
+        ax = ()
+    # A NaN norm compares false, so the tolerance test is negated rather than flipped.
+    if len(ax) != 3 or not all(map(_is_real, ax)) or not abs(math.hypot(*ax) - 1.0) <= STRUCTURAL_TOL:
+        raise ValueError(f"rotation axis must be a unit 3-vector, got {axis!r}")
+    return tuple(float(a) for a in ax)
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One gate application.
+    """One gate application: a rotation of one qubit by ``angle`` about a
+    unit ``axis``, or a C-Phase on an adjacent ``pair`` of qubits.
 
     ``duration`` of ``None`` means "resolve from DeviceParams when applied"
-    (single-qubit gate time for rotations and Hadamards, the pair's C-Phase
-    time for two-qubit gates). A duration of 0.0 marks a virtual gate that
-    adds no decoherence. ``qubits`` must hold as many distinct integers
-    (numpy integers included) as the kind acts on: one for a rotation or a
-    Hadamard, two for a C-Phase or a CNOT.
+    (single-qubit gate time for rotations, the pair's C-Phase time for
+    C-Phases). A duration of 0.0 marks a virtual gate that adds no
+    decoherence. Every field is checked on construction. ``qubits`` holds
+    integers (numpy integers included): one for a rotation, and for a
+    C-Phase the two of its pair in :data:`CPHASE_PAIRS`. ``axis`` and
+    ``angle`` belong to rotations only, and are stored as a tuple of three
+    floats and a finite float; ``pair`` belongs to C-Phases only.
     """
 
     kind: str
@@ -74,7 +100,7 @@ class Gate:
     def __post_init__(self):
         # A negative or NaN duration would skip decoherence silently; a bool would read as 1 s.
         d = self.duration
-        if d is not None and (isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 <= d < math.inf):
+        if d is not None and not (_is_real(d) and 0.0 <= d < math.inf):
             raise ValueError(f"gate duration must be None or a finite number >= 0, got {d!r}")
         if self.kind not in _GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -85,41 +111,45 @@ class Gate:
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"gate qubits must be distinct, got {qubits}")
         object.__setattr__(self, "qubits", qubits)
+        if self.kind == "cphase":
+            if self.axis is not None or self.angle is not None:
+                raise ValueError("only a rotation takes an axis and an angle")
+            if qubits != _pair_qubits(self.pair):
+                raise ValueError(f"C-Phase pair {self.pair} acts on qubits {CPHASE_PAIRS[self.pair]}, got {qubits}")
+            return
+        if self.pair is not None:
+            raise ValueError(f"only a cphase takes a pair, got {self.pair!r}")
+        # A list axis would make the gate unhashable, and gate_operator caches by gate.
+        object.__setattr__(self, "axis", _unit_axis(self.axis))
+        if not (_is_real(self.angle) and math.isfinite(self.angle)):
+            raise ValueError(f"rotation angle must be a finite number, got {self.angle!r}")
+        object.__setattr__(self, "angle", float(self.angle))
 
     @classmethod
     def rotation(cls, axis, angle: float, qubit: int, duration: float | None = None) -> "Gate":
-        ax = tuple(float(a) for a in axis)
-        if len(ax) != 3 or abs(math.sqrt(sum(a * a for a in ax)) - 1.0) > STRUCTURAL_TOL:
-            raise ValueError(f"rotation axis must be a unit 3-vector, got {axis}")
-        return cls(kind="rotation", qubits=(qubit,), axis=ax, angle=float(angle), duration=duration)
+        return cls(kind="rotation", qubits=(qubit,), axis=axis, angle=angle, duration=duration)
 
     @classmethod
     def cphase(cls, pair: str, duration: float | None = None) -> "Gate":
-        if pair not in CPHASE_PAIRS:
-            raise ValueError(f"C-Phase pair must be one of {sorted(CPHASE_PAIRS)}, got {pair!r}")
-        return cls(kind="cphase", qubits=CPHASE_PAIRS[pair], pair=pair, duration=duration)
-
-    @classmethod
-    def hadamard(cls, qubit: int, duration: float | None = None) -> "Gate":
-        return cls(kind="hadamard", qubits=(qubit,), duration=duration)
-
-    @classmethod
-    def cnot(cls, control: int, target: int, duration: float | None = None) -> "Gate":
-        return cls(kind="cnot", qubits=(control, target), duration=duration)
+        return cls(kind="cphase", qubits=_pair_qubits(pair), pair=pair, duration=duration)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on a fixed register size."""
+    """Ordered gates on a fixed register size, stored as a tuple."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "num_qubits", require_count("num_qubits", self.num_qubits, 1))
-        for g in self.gates:
+        gates = tuple(self.gates)
+        for g in gates:
+            if not isinstance(g, Gate):
+                raise TypeError(f"a circuit holds Gate values, got {type(g).__name__}")
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g.kind} touches qubit outside register of {self.num_qubits}")
+        object.__setattr__(self, "gates", gates)
 
 
 @dataclass(frozen=True)
@@ -145,14 +175,14 @@ class DeviceParams:
             raise ValueError("t1 and t2_star must list exactly three qubits (A, B, C)")
         # Times and couplings must be finite positive reals: a NaN or infinite
         # one makes a gate duration NaN or 0, which silently skips that gate's
-        # decoherence. bool is an int subclass, so it is rejected by name.
+        # decoherence.
         checked = [(f"{name}[{q}]", v) for name in ("t1", "t2_star") for q, v in enumerate(getattr(self, name))]
         checked += [(name, getattr(self, name)) for name in ("j_ab", "j_bc", "single_qubit_gate_time")]
         checked += [
             (name, v) for name in ("cphase_time_ab", "cphase_time_bc") if (v := getattr(self, name)) is not None
         ]
         for name, v in checked:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or v <= 0:
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
         t1 = tuple(float(x) for x in self.t1)
         t2 = tuple(float(x) for x in self.t2_star)
@@ -199,9 +229,7 @@ class DeviceParams:
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:
     """2x2 rotation exp(-i * angle/2 * axis.sigma) about a unit axis."""
-    ax = np.asarray(axis, dtype=float).reshape(-1)
-    if ax.shape[0] != 3 or abs(float(np.linalg.norm(ax)) - 1.0) > STRUCTURAL_TOL:
-        raise ValueError(f"rotation axis must be a unit 3-vector, got {axis}")
+    ax = _unit_axis(axis)
     generator = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
     half = 0.5 * float(angle)
     return math.cos(half) * ID2 - 1j * math.sin(half) * generator
@@ -246,12 +274,8 @@ def gate_operator(gate: Gate) -> np.ndarray:
     every caller can share it."""
     if gate.kind == "rotation":
         op = rotation_unitary(gate.axis, gate.angle)
-    elif gate.kind == "hadamard":
-        op = HADAMARD.copy()
-    elif gate.kind == "cphase":
+    else:  # cphase; Gate rejects any other kind
         op = cphase_ideal()
-    else:  # cnot; Gate rejects any other kind
-        op = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
     op.setflags(write=False)
     return op
 
@@ -277,60 +301,27 @@ def _on_axes(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
     return out.reshape(moved.shape).transpose(back)
 
 
-def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
-    """Full-register unitary for a single gate."""
-    d = 2**num_qubits
-    eye = np.eye(d, dtype=complex).reshape((2,) * (2 * num_qubits))
-    return _on_axes(gate_operator(gate), eye, gate.qubits).reshape(d, d)
+def build_teleport_circuit() -> Circuit:
+    """Construct the compiled teleportation circuit up to the measurement step.
 
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Product of all gate unitaries in time order."""
-    u = np.eye(2**circuit.num_qubits, dtype=complex)
-    for gate in circuit.gates:
-        u = gate_unitary(gate, circuit.num_qubits) @ u
-    return u
-
-
-def build_teleport_circuit(variant: str = "compiled_fig1b") -> Circuit:
-    """Construct the teleportation circuit up to the measurement step.
-
-    ``standard_fig1a`` uses the textbook form: Hadamard on B and CNOT B->C
-    to share the entangled pair, then CNOT A->B and Hadamard on A for the
-    measurement-basis change. Two trailing virtual z rotations (duration 0)
-    put the output into the sign frame of the compiled circuit.
-
-    ``compiled_fig1b`` uses only y rotations and the two native C-Phase
-    gates; frame phases are absorbed into the rotation axes. Both variants
-    produce the same unitary up to global phase, and on |psi>|00> they
-    output the four-branch entangled state returned by :func:`ideal_phi`.
+    It uses only y rotations and the two native C-Phase gates; the frame
+    phases of the textbook Hadamard and CNOT form are absorbed into the
+    rotation axes. On |psi>|00> it outputs the four-branch entangled state
+    returned by :func:`ideal_phi`.
     """
     y = (0.0, 1.0, 0.0)
-    z = (0.0, 0.0, 1.0)
     half = math.pi / 2.0
-    if variant == "compiled_fig1b":
-        gates = (
-            Gate.rotation(y, -half, qubit=1),
-            Gate.rotation(y, -half, qubit=2),
-            Gate.cphase("BC"),
-            Gate.rotation(y, half, qubit=2),
-            Gate.rotation(y, half, qubit=1),
-            Gate.cphase("AB"),
-            Gate.rotation(y, -half, qubit=1),
-            Gate.rotation(y, -half, qubit=0),
-        )
-        return Circuit(num_qubits=3, gates=gates)
-    if variant == "standard_fig1a":
-        gates = (
-            Gate.hadamard(1),
-            Gate.cnot(1, 2),
-            Gate.cnot(0, 1),
-            Gate.hadamard(0),
-            Gate.rotation(z, math.pi, qubit=0, duration=0.0),
-            Gate.rotation(z, math.pi, qubit=1, duration=0.0),
-        )
-        return Circuit(num_qubits=3, gates=gates)
-    raise ValueError(f"unknown circuit variant {variant!r}")
+    gates = (
+        Gate.rotation(y, -half, qubit=1),
+        Gate.rotation(y, -half, qubit=2),
+        Gate.cphase("BC"),
+        Gate.rotation(y, half, qubit=2),
+        Gate.rotation(y, half, qubit=1),
+        Gate.cphase("AB"),
+        Gate.rotation(y, -half, qubit=1),
+        Gate.rotation(y, -half, qubit=0),
+    )
+    return Circuit(num_qubits=3, gates=gates)
 
 
 def ideal_phi(psi_a) -> np.ndarray:
@@ -353,14 +344,9 @@ def ideal_phi(psi_a) -> np.ndarray:
 def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     if gate.duration is not None:
         return gate.duration
-    if gate.kind in ("rotation", "hadamard"):
+    if gate.kind == "rotation":
         return device.single_qubit_gate_time
-    if gate.kind == "cphase":
-        return device.cphase_time(gate.pair)
-    pair = {(0, 1): "AB", (1, 0): "AB", (1, 2): "BC", (2, 1): "BC"}.get(gate.qubits)  # cnot
-    if pair is None:
-        raise ValueError(f"no native duration for CNOT on qubits {gate.qubits}")
-    return device.cphase_time(pair)
+    return device.cphase_time(gate.pair)
 
 
 def _conjugate(t: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
@@ -483,7 +469,7 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
             if duration not in decay:
                 decay[duration] = _decay_factors(device, duration)
             t = _decohere(t, decay[duration])
-        if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
+        if device.single_qubit_error > 0.0 and gate.kind == "rotation":
             _depolarize(t, device.single_qubit_error, gate.qubits[0])
     out = DensityMatrix.stack(t.reshape(len(m), 2**n, 2**n))
     return out[0] if single else out

@@ -108,6 +108,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
     if not isinstance(noise, bool):
         raise ConfigError(f"'noise' must be a boolean, got {noise!r}")
+    if not isinstance(out, str):
+        raise ConfigError(f"'out' must be a directory path string, got {out!r}")
     if fmt not in _FORMATS:
         raise ConfigError(f"'format' must be one of {_FORMATS}, got {fmt!r}")
     if not is_plain_int(restarts) or restarts < 1:

@@ -1,4 +1,4 @@
-"""Entanglement quantification: concurrence, three-tangle, witness.
+"""Entanglement quantification: three-tangle and fidelity witness.
 
 The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
 amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
@@ -17,34 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityMatrix, PAULI_Y, require_count, require_integer, require_normalized, state_fidelity_pure
-
-_YY = np.kron(PAULI_Y, PAULI_Y)
+from .qops import DensityMatrix, require_count, require_integer, require_normalized, state_fidelity_pure
 
 # Tolerance for deciding that a witness expectation is genuinely negative.
 _WITNESS_TOL = 1e-9
-
-
-def _concurrences(rhos: np.ndarray) -> np.ndarray:
-    """Wootters concurrence for a batch of two-qubit density matrices.
-
-    The square-rooted eigenvalues of rho * (YY rho^* YY) equal the singular
-    values of L^T (YY) L with rho = L L^dag, which avoids the sqrt noise
-    amplification near zero eigenvalues of the direct eigenvalue route.
-    """
-    w, v = np.linalg.eigh(rhos)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]
-    sym = np.swapaxes(factor, -1, -2) @ _YY @ factor
-    lam = np.linalg.svd(sym, compute_uv=False)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return np.clip(c, 0.0, 1.0)
-
-
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state, in [0, 1]."""
-    if rho.num_qubits != 2:
-        raise ValueError("concurrence is defined for two-qubit states")
-    return float(_concurrences(rho.matrix[np.newaxis])[0])
 
 
 def _hyperdeterminant(a: np.ndarray) -> np.ndarray:
@@ -260,21 +236,3 @@ def witness_evaluate(rho: DensityMatrix, phi, alpha: float) -> WitnessResult:
         robustness_lower_bound=max(0.0, -exp_value / alpha),
     )
 
-
-def biseparable_alpha(phi) -> float:
-    """Maximal squared overlap of any biseparable state with ``phi``.
-
-    Equals the largest squared Schmidt coefficient over the three one-vs-two
-    qubit cuts, i.e. the largest eigenvalue among the three single-qubit
-    reduced states.
-    """
-    v = require_normalized(phi)
-    if v.shape[0] != 8:
-        raise ValueError("expected a three-qubit ket of dimension 8")
-    t = v.reshape(2, 2, 2)
-    best = 0.0
-    for axis in range(3):
-        flat = np.moveaxis(t, axis, 0).reshape(2, 4)
-        reduced = flat @ flat.conj().T
-        best = max(best, float(np.linalg.eigvalsh(reduced)[-1]))
-    return best

@@ -27,9 +27,6 @@ ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-PAULI_1Q = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 class DensityMatrix:
@@ -196,63 +193,6 @@ def computational_ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all qubits not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : DensityMatrix
-    keep : iterable of int
-        Qubit indices to retain (0 = qubit A, most significant). The kept
-        qubits stay in their original relative order.
-
-    Returns
-    -------
-    DensityMatrix
-        Reduced state on the kept qubits; trace is preserved.
-    """
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise ValueError("keep must name at least one qubit; the full trace is a scalar")
-    n = rho.num_qubits
-    if n is None:
-        raise ValueError("partial_trace requires a qubit register (power-of-two dimension)")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise ValueError(f"keep indices {kept} out of range for {n} qubits")
-    arr = rho.matrix.reshape((2,) * (2 * n))
-    remaining = n
-    for q in sorted((set(range(n)) - set(kept)), reverse=True):
-        arr = np.trace(arr, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    d = 2 ** len(kept)
-    return DensityMatrix(arr.reshape(d, d))
-
-
-def pauli_operator(label: str) -> np.ndarray:
-    """8x8 operator for a three-character Pauli string, qubit A leftmost."""
-    if not isinstance(label, str) or len(label) != 3:
-        raise ValueError(f"Pauli string must have exactly 3 characters, got {label!r}")
-    op = np.array([[1.0 + 0.0j]])
-    for ch in label:
-        if ch not in PAULI_1Q:
-            raise ValueError(f"invalid Pauli character {ch!r} in {label!r}")
-        op = np.kron(op, PAULI_1Q[ch])
-    return op
-
-
-def expectation(rho: DensityMatrix, op) -> float:
-    """Expectation value Tr(rho * op) of a Hermitian operator."""
-    o = np.asarray(op, dtype=complex)
-    if o.shape != rho.matrix.shape:
-        raise ValueError(f"operator shape {o.shape} does not match state {rho.matrix.shape}")
-    if float(np.max(np.abs(o - o.conj().T))) > INPUT_TOL:
-        raise ValueError("operator must be Hermitian")
-    val = complex(np.trace(rho.matrix @ o))
-    if abs(val.imag) >= STRUCTURAL_TOL:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real)
 
 
 def state_fidelity_pure(rho, target):

@@ -100,7 +100,7 @@ PAPER_REFERENCE = {
 # set; per outcome, the four inputs' ideal branch kets of qubit C as one
 # (4, 2) stack. All are immutable, and reports copy their values, so no
 # report aliases them.
-_CIRCUIT = build_teleport_circuit("compiled_fig1b")
+_CIRCUIT = build_teleport_circuit()
 _KET00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
 _INPUT_STATES = {label: DensityMatrix.from_ket(np.kron(psi, _KET00)) for label, psi in INPUT_KETS.items()}
 _IDEAL_KETS = {label: _read_only(ideal_phi(psi)) for label, psi in INPUT_KETS.items()}

@@ -4,7 +4,11 @@ Everything here deliberately avoids the package's own computational paths:
 projections go through sorted simplex projection, tangles through the
 Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
 matrices through direct Kraus-operator basis expansion, and gates, channels
-and conditional states through dense full-register matrices. Noisy
+and conditional states through dense full-register matrices. The textbook
+teleportation circuit (Hadamards and CNOTs) is a Kronecker-built unitary
+(``textbook_teleport_unitary``), Pauli strings are Kronecker products
+(``kron_pauli``), and the witness threshold is the largest one-qubit
+reduced eigenvalue (``biseparable_alpha``). Noisy
 evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``)
 and a per-qubit block-update reference (``block_apply_circuit``, bit for
 bit), report text the standard-library JSON encoder (``json_report_text``), and
@@ -20,11 +24,13 @@ from scipy.linalg import expm
 
 import telebench.teleport_bench as tb
 from telebench.circuit import _conjugate, _depolarize, _gate_duration, _qubit_blocks, gate_operator
-from telebench.qops import DensityMatrix, partial_trace, state_stack
+from telebench.qops import DensityMatrix, state_stack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+ZERO = np.diag([1.0, 0.0]).astype(complex)  # |0><0|
+ONE = np.diag([0.0, 1.0]).astype(complex)  # |1><1|
 CHI_BASIS = (
     np.eye(2, dtype=complex),
     SX,
@@ -113,10 +119,10 @@ def wootters_concurrence(rho):
 def monogamy_tangle(psi):
     """Three-tangle of a pure state as the CKW residual
     C^2_A(BC) - C^2_AB - C^2_AC, with C^2_A(BC) = 4 det(rho_A)."""
-    rho = DensityMatrix.from_ket(psi)
-    c2_a_bc = 4.0 * np.linalg.det(partial_trace(rho, {0}).matrix).real
-    c_ab = wootters_concurrence(partial_trace(rho, {0, 1}).matrix)
-    c_ac = wootters_concurrence(partial_trace(rho, {0, 2}).matrix)
+    rho = DensityMatrix.from_ket(psi).matrix
+    c2_a_bc = 4.0 * np.linalg.det(partial_trace_index_sum(rho, [2, 2, 2], [0])).real
+    c_ab = wootters_concurrence(partial_trace_index_sum(rho, [2, 2, 2], [0, 1]))
+    c_ac = wootters_concurrence(partial_trace_index_sum(rho, [2, 2, 2], [0, 2]))
     return float(c2_a_bc - c_ab**2 - c_ac**2)
 
 
@@ -181,26 +187,50 @@ def embed_1q(op, qubit, num_qubits):
 def kron_gate_unitary(gate, num_qubits):
     """Full-register gate unitary built from Kronecker-embedded factors.
 
-    Rotations come from the matrix exponential of the Pauli generator;
-    C-Phase is I - 2 |11><11| and CNOT is |0><0| (x) I + |1><1| (x) X.
+    Rotations come from the matrix exponential of the Pauli generator, and
+    C-Phase is I - 2 |11><11|.
     """
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    one = np.diag([0.0, 1.0]).astype(complex)
     if gate.kind == "rotation":
         generator = sum(a * p for a, p in zip(gate.axis, (SX, SY, SZ)))
         return embed_1q(expm(-0.5j * gate.angle * generator), gate.qubits[0], num_qubits)
-    if gate.kind == "hadamard":
-        return embed_1q((SX + SZ) / np.sqrt(2.0), gate.qubits[0], num_qubits)
-    if gate.kind == "cphase":
-        a, b = gate.qubits
-        both_one = embed_1q(one, a, num_qubits) @ embed_1q(one, b, num_qubits)
-        return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
-    if gate.kind == "cnot":
-        control, target = gate.qubits
-        return embed_1q(zero, control, num_qubits) + embed_1q(one, control, num_qubits) @ embed_1q(
-            SX, target, num_qubits
-        )
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    a, b = gate.qubits
+    both_one = embed_1q(ONE, a, num_qubits) @ embed_1q(ONE, b, num_qubits)
+    return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
+
+
+def textbook_teleport_unitary():
+    """The textbook teleportation circuit on A, B, C (Fig. 1a): Hadamard on B,
+    CNOT B->C, CNOT A->B, Hadamard on A, then z flips on A and B that put
+    the output into the compiled circuit's sign frame. Each CNOT is
+    |0><0| (x) I + |1><1| (x) X on its control and target."""
+    h = (SX + SZ) / np.sqrt(2.0)
+
+    def cnot(control, target):
+        return embed_1q(ZERO, control, 3) + embed_1q(ONE, control, 3) @ embed_1q(SX, target, 3)
+
+    steps = (embed_1q(h, 1, 3), cnot(1, 2), cnot(0, 1), embed_1q(h, 0, 3), embed_1q(SZ, 0, 3), embed_1q(SZ, 1, 3))
+    u = np.eye(8, dtype=complex)
+    for step in steps:
+        u = step @ u
+    return u
+
+
+def kron_pauli(label):
+    """The operator of a Pauli string such as "XIZ", qubit A leftmost, as a
+    Kronecker product of 2x2 Paulis."""
+    op = np.array([[1.0 + 0.0j]])
+    for ch in label:
+        op = np.kron(op, {"I": np.eye(2, dtype=complex), "X": SX, "Y": SY, "Z": SZ}[ch])
+    return op
+
+
+def biseparable_alpha(phi):
+    """Maximal squared overlap of any biseparable state with the three-qubit
+    ket ``phi``: the largest squared Schmidt coefficient over the three
+    one-vs-two qubit cuts, i.e. the largest eigenvalue among the three
+    single-qubit reduced states."""
+    rho = np.outer(phi, np.conj(phi))
+    return max(float(np.linalg.eigvalsh(partial_trace_index_sum(rho, [2, 2, 2], [q]))[-1]) for q in range(3))
 
 
 def embed_operator(op, qubits, num_qubits):
@@ -290,7 +320,7 @@ def kraus_apply_circuit(circuit, rho, device):
         if duration > 0.0:
             for q in range(n):
                 arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), n)
-        if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
+        if device.single_qubit_error > 0.0 and gate.kind == "rotation":
             arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
     return arr
 
@@ -330,7 +360,7 @@ def block_apply_circuit(circuit, rho, device=None):
         if duration > 0.0:
             for q in range(n):
                 decohere_qubit(t, duration, device, q)
-        if device.single_qubit_error > 0.0 and gate.kind in ("rotation", "hadamard"):
+        if device.single_qubit_error > 0.0 and gate.kind == "rotation":
             _depolarize(t, device.single_qubit_error, gate.qubits[0])
     return t.reshape(len(m), 2**n, 2**n)
 

@@ -46,7 +46,7 @@ def embed_input(psi):
 
 def test_criterion_1_ideal_state_exactness():
     start = time.perf_counter()
-    circuit = build_teleport_circuit("compiled_fig1b")
+    circuit = build_teleport_circuit()
     for label in INPUT_LABELS:
         psi = INPUT_KETS[label]
         rho = apply_circuit(circuit, DensityMatrix.from_ket(embed_input(psi)))

@@ -110,6 +110,18 @@ def test_bench_non_finite_run_setting_exits_2(tmp_path, capsys):
     assert "Infinity" in err
 
 
+@pytest.mark.parametrize("out", [5, None, ["a"]], ids=["number", "null", "list"])
+@pytest.mark.parametrize("command", [["bench"], ["state", "plus"]], ids=["bench", "state"])
+def test_non_string_out_in_config_exits_2(command, out, tmp_path, capsys):
+    # These used to exit 1 with a TypeError from Path().
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"out": out}))
+    code = run_cli([*command, "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "'out'" in err
+
+
 def test_bench_seed_required_with_shots(tmp_path, capsys):
     code = run_cli(["bench", "--shots", "100", "--out", str(tmp_path)])
     err = capsys.readouterr().err

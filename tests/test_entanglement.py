@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import hyperdet_tangle, monogamy_tangle, random_density, random_ket, random_unitary
+from oracles import (
+    biseparable_alpha,
+    hyperdet_tangle,
+    monogamy_tangle,
+    partial_trace_index_sum,
+    random_density,
+    random_ket,
+    random_unitary,
+    wootters_concurrence,
+)
 from telebench.entanglement import (
     WitnessResult,
     _column_tangle_sum,
@@ -9,14 +18,13 @@ from telebench.entanglement import (
     _refine,
     _restart_values,
     _tangle_gradient,
-    biseparable_alpha,
-    concurrence,
     three_tangle_mixed_upper,
     three_tangle_pure,
     witness_evaluate,
 )
 from telebench.circuit import ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
+from telebench.teleport_bench import ENTANGLED_INPUT_LABELS, INPUT_KETS, WITNESS_ALPHA
 
 
 GHZ = np.zeros(8, dtype=complex)
@@ -34,37 +42,31 @@ def local_unitary(rng, parts=3):
     return u
 
 
-# --- concurrence ------------------------------------------------------------
+# --- concurrence (the oracle behind monogamy_tangle) ----------------------------
 
 
 def test_concurrence_bell_state():
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    assert concurrence(DensityMatrix.from_ket(bell)) == pytest.approx(1.0, abs=1e-12)
+    assert wootters_concurrence(np.outer(bell, bell.conj())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_product_state():
-    assert concurrence(DensityMatrix.from_ket(computational_ket(0, 4))) == pytest.approx(0.0, abs=1e-12)
+    assert wootters_concurrence(DensityMatrix.from_ket(computational_ket(0, 4)).matrix) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_maximally_mixed():
-    assert concurrence(DensityMatrix(np.eye(4) / 4.0)) == pytest.approx(0.0, abs=1e-12)
+    assert wootters_concurrence(np.eye(4) / 4.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_range_and_local_unitary_invariance():
     rng = np.random.default_rng(1)
     for _ in range(20):
         psi = random_ket(rng, 4)
-        rho = DensityMatrix.from_ket(psi)
-        c = concurrence(rho)
+        rho = np.outer(psi, psi.conj())
+        c = wootters_concurrence(rho)
         assert 0.0 <= c <= 1.0
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
-        assert concurrence(rotated) == pytest.approx(c, abs=1e-9)
-
-
-def test_concurrence_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        concurrence(DensityMatrix(np.eye(8) / 8.0))
+        assert wootters_concurrence(u @ rho @ u.conj().T) == pytest.approx(c, abs=1e-9)
 
 
 # --- pure-state tangle --------------------------------------------------------
@@ -123,16 +125,13 @@ def test_three_tangle_local_unitary_invariance():
 
 
 def test_ckw_monogamy_never_violated():
-    from telebench.qops import partial_trace
-
     rng = np.random.default_rng(5)
     for _ in range(50):
         psi = random_ket(rng, 8)
-        rho = DensityMatrix.from_ket(psi)
-        rho_a = partial_trace(rho, {0}).matrix
-        c2_a_bc = 4.0 * np.linalg.det(rho_a).real
-        c_ab = concurrence(partial_trace(rho, {0, 1}))
-        c_ac = concurrence(partial_trace(rho, {0, 2}))
+        rho = np.outer(psi, psi.conj())
+        c2_a_bc = 4.0 * np.linalg.det(partial_trace_index_sum(rho, [2, 2, 2], [0])).real
+        c_ab = wootters_concurrence(partial_trace_index_sum(rho, [2, 2, 2], [0, 1]))
+        c_ac = wootters_concurrence(partial_trace_index_sum(rho, [2, 2, 2], [0, 2]))
         assert c_ab**2 + c_ac**2 <= c2_a_bc + 1e-9
 
 
@@ -447,7 +446,13 @@ def test_witness_result_serializes():
     }
 
 
-# --- biseparable overlap ----------------------------------------------------------
+# --- biseparable overlap (the oracle for WITNESS_ALPHA) -----------------------------
+
+
+def test_witness_alpha_is_the_biseparable_bound_of_the_entangled_outputs():
+    # The oracle's largest reduced eigenvalue is 1/2 up to rounding.
+    for label in ENTANGLED_INPUT_LABELS:
+        assert WITNESS_ALPHA == pytest.approx(biseparable_alpha(ideal_phi(INPUT_KETS[label])), abs=1e-15)
 
 
 def test_biseparable_alpha_ghz():

@@ -13,6 +13,7 @@ from telebench.circuit import Circuit, DeviceParams, Gate, apply_circuit, build_
 from telebench.entanglement import three_tangle_pure
 from telebench.qops import DensityMatrix, computational_ket, nearest_physical
 from telebench.teleport_bench import INPUT_KETS, INPUT_LABELS, OUTCOMES, conditional_output_state
+from test_circuit import CIRCUITS
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -36,7 +37,7 @@ def devices(draw):
 @settings(max_examples=10, deadline=None)
 @given(device=devices())
 def test_noisy_outputs_are_states_with_outcome_probabilities_summing_to_one(device):
-    circuit = build_teleport_circuit("compiled_fig1b")
+    circuit = build_teleport_circuit()
     ket00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
     for label in INPUT_LABELS:
         out = apply_circuit(circuit, DensityMatrix.from_ket(np.kron(INPUT_KETS[label], ket00)), device)
@@ -50,10 +51,9 @@ def test_noisy_outputs_are_states_with_outcome_probabilities_summing_to_one(devi
     device=devices(),
     seed=seeds,
     rank=st.sampled_from([1, 3, 8]),
-    variant=st.sampled_from(["compiled_fig1b", "standard_fig1a"]),
+    circuit=st.sampled_from(list(CIRCUITS.values())),
 )
-def test_noisy_evolution_matches_per_gate_kraus_oracle(device, seed, rank, variant):
-    circuit = build_teleport_circuit(variant)
+def test_noisy_evolution_matches_per_gate_kraus_oracle(device, seed, rank, circuit):
     rho = random_density(np.random.default_rng(seed), 8, rank)
     out = apply_circuit(circuit, DensityMatrix(rho), device)
     assert np.max(np.abs(out.matrix - kraus_apply_circuit(circuit, rho, device))) < 1e-13
@@ -64,10 +64,9 @@ def test_noisy_evolution_matches_per_gate_kraus_oracle(device, seed, rank, varia
     device=devices(),
     seed=seeds,
     size=st.integers(2, 4),
-    variant=st.sampled_from(["compiled_fig1b", "standard_fig1a"]),
+    circuit=st.sampled_from(list(CIRCUITS.values())),
 )
-def test_stacked_evolution_matches_per_gate_kraus_oracle(device, seed, size, variant):
-    circuit = build_teleport_circuit(variant)
+def test_stacked_evolution_matches_per_gate_kraus_oracle(device, seed, size, circuit):
     rng = np.random.default_rng(seed)
     rhos = [random_density(rng, 8, int(rng.integers(1, 9))) for _ in range(size)]
     outs = apply_circuit(circuit, [DensityMatrix(rho) for rho in rhos], device)
@@ -78,23 +77,15 @@ def test_stacked_evolution_matches_per_gate_kraus_oracle(device, seed, size, var
 
 @st.composite
 def gates(draw):
-    """Rotations, Hadamards, CNOTs and C-Phases on a three-qubit register,
-    with the device's duration, a virtual (zero) one or an explicit one."""
+    """Rotations and C-Phases on a three-qubit register, with the device's
+    duration, a virtual (zero) one or an explicit one."""
     duration = draw(st.one_of(st.none(), st.just(0.0), st.floats(1e-9, 100e-9)))
-    kind = draw(st.sampled_from(["rotation", "hadamard", "cnot", "cphase"]))
-    if kind == "rotation":
-        v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(a * a for a in v) > 0.01))
-        norm = math.sqrt(sum(a * a for a in v))
-        axis = tuple(a / norm for a in v)
-        return Gate.rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
-    if kind == "hadamard":
-        return Gate.hadamard(draw(st.integers(0, 2)), duration)
-    if kind == "cphase":
+    if draw(st.booleans()):
         return Gate.cphase(draw(st.sampled_from(["AB", "BC"])), duration)
-    control, target = draw(st.permutations(range(3)))[:2]
-    if duration is None and {control, target} == {0, 2}:
-        duration = 30e-9  # A and C share no coupler, so this CNOT has no native time
-    return Gate.cnot(control, target, duration)
+    v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(a * a for a in v) > 0.01))
+    norm = math.sqrt(sum(a * a for a in v))
+    axis = tuple(a / norm for a in v)
+    return Gate.rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
 
 
 @settings(max_examples=80, deadline=None)

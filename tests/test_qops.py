@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import partial_trace_index_sum, random_density, random_ket, simplex_projection_psd
+from oracles import kron_pauli, partial_trace_index_sum, random_density, random_ket, simplex_projection_psd
 from telebench.qops import (
     DensityMatrix,
     ID2,
     PAULI_X,
-    PAULI_Z,
     computational_ket,
-    expectation,
     nearest_physical,
-    partial_trace,
-    pauli_operator,
     state_fidelity_pure,
 )
 from telebench.teleport_bench import conditional_output_state
+from telebench.tomography import PAULI_LABELS, pauli_set
 
 
 def test_density_matrix_validation():
@@ -26,32 +23,27 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
 
 
+# --- partial trace (partial_trace_index_sum, the oracle the tests reduce with) ---
+
+
 def test_partial_trace_product_state():
     rho = DensityMatrix.from_ket(np.kron(computational_ket(0, 2), computational_ket(0, 2)))
-    reduced = partial_trace(rho, {0})
-    assert np.allclose(reduced.matrix, np.diag([1.0, 0.0]))
+    reduced = partial_trace_index_sum(rho.matrix, [2, 2], [0])
+    assert np.allclose(reduced, np.diag([1.0, 0.0]))
 
 
 def test_partial_trace_bell_state():
     bell = (np.kron(computational_ket(0, 2), computational_ket(0, 2))
             + np.kron(computational_ket(1, 2), computational_ket(1, 2))) / np.sqrt(2)
     rho = DensityMatrix.from_ket(bell)
-    reduced = partial_trace(rho, {1})
-    assert np.allclose(reduced.matrix, np.eye(2) / 2.0, atol=1e-12)
-    oracle = partial_trace_index_sum(rho.matrix, [2, 2], [1])
-    assert np.allclose(reduced.matrix, oracle, atol=1e-12)
+    for keep in ([0], [1]):
+        assert np.allclose(partial_trace_index_sum(rho.matrix, [2, 2], keep), np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_partial_trace_keep_all_is_identity_map():
     rng = np.random.default_rng(0)
-    rho = DensityMatrix(random_density(rng, 8))
-    assert np.allclose(partial_trace(rho, {0, 1, 2}).matrix, rho.matrix)
-
-
-def test_partial_trace_empty_keep_errors():
-    rho = DensityMatrix(np.eye(4) / 4.0)
-    with pytest.raises(ValueError):
-        partial_trace(rho, set())
+    rho = random_density(rng, 8)
+    assert np.allclose(partial_trace_index_sum(rho, [2, 2, 2], [0, 1, 2]), rho)
 
 
 def test_partial_trace_recovers_left_factor_of_products():
@@ -59,52 +51,45 @@ def test_partial_trace_recovers_left_factor_of_products():
     for _ in range(20):
         a = random_density(rng, 2)
         b = random_density(rng, 4)
-        rho = DensityMatrix(np.kron(a, b))
-        assert np.allclose(partial_trace(rho, {0}).matrix, a, atol=1e-12)
-        assert np.allclose(partial_trace(rho, {1, 2}).matrix, b, atol=1e-12)
+        rho = np.kron(a, b)
+        assert np.allclose(partial_trace_index_sum(rho, [2, 2, 2], [0]), a, atol=1e-12)
+        assert np.allclose(partial_trace_index_sum(rho, [2, 2, 2], [1, 2]), b, atol=1e-12)
 
 
 def test_partial_trace_matches_index_sum_oracle():
+    # Every cut of a product of three states, the non-adjacent {0, 2} included.
     rng = np.random.default_rng(7)
-    rho = DensityMatrix(random_density(rng, 8))
-    for keep in ({0}, {1}, {2}, {0, 2}, {1, 2}):
-        oracle = partial_trace_index_sum(rho.matrix, [2, 2, 2], sorted(keep))
-        assert np.allclose(partial_trace(rho, keep).matrix, oracle, atol=1e-12)
+    factors = [random_density(rng, 2) for _ in range(3)]
+    rho = np.kron(factors[0], np.kron(factors[1], factors[2]))
+    for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
+        expected = factors[keep[0]] if len(keep) == 1 else np.kron(factors[keep[0]], factors[keep[1]])
+        assert np.allclose(partial_trace_index_sum(rho, [2, 2, 2], keep), expected, atol=1e-12)
+
+
+# --- Pauli expectations (kron-built operators and a trace against pauli_set) ---
 
 
 def test_pauli_operator_examples():
-    assert np.array_equal(pauli_operator("III"), np.eye(8))
-    assert np.array_equal(pauli_operator("ZII"), np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex))
-    assert np.array_equal(pauli_operator("IXI"), np.kron(ID2, np.kron(PAULI_X, ID2)))
-
-
-def test_pauli_operator_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        pauli_operator("ABX")
-    with pytest.raises(ValueError):
-        pauli_operator("XX")
+    assert np.array_equal(kron_pauli("III"), np.eye(8))
+    assert np.array_equal(kron_pauli("ZII"), np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex))
+    assert np.array_equal(kron_pauli("IXI"), np.kron(ID2, np.kron(PAULI_X, ID2)))
 
 
 def test_expectation_examples():
-    rho0 = DensityMatrix.from_ket(computational_ket(0, 2))
-    assert expectation(rho0, np.array(PAULI_Z)) == pytest.approx(1.0)
-    mixed = DensityMatrix(np.eye(2) / 2.0)
-    assert expectation(mixed, np.array(PAULI_X)) == pytest.approx(0.0, abs=1e-12)
-    plus = DensityMatrix.from_ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert expectation(plus, np.array(PAULI_X)) == pytest.approx(1.0)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    ket000, ket_plus00 = computational_ket(0, 8), np.kron(plus, computational_ket(0, 4))
+    for ket, label, value in ((ket000, "ZII", 1.0), (ket000, "XII", 0.0), (ket_plus00, "XII", 1.0)):
+        rho = DensityMatrix.from_ket(ket)
+        assert np.trace(rho.matrix @ kron_pauli(label)).real == pytest.approx(value, abs=1e-12)
+        assert pauli_set(rho)[PAULI_LABELS.index(label)] == pytest.approx(value, abs=1e-12)
+    assert np.all(np.abs(pauli_set(DensityMatrix(np.eye(8) / 8.0))) < 1e-15)
 
 
 def test_expectation_identity_is_one_for_any_state():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rho = DensityMatrix(random_density(rng, 8))
-        assert expectation(rho, np.eye(8)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expectation_rejects_non_hermitian():
-    rho = DensityMatrix(np.eye(2) / 2.0)
-    with pytest.raises(ValueError):
-        expectation(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.trace(rho.matrix @ kron_pauli("III")).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_fidelity_pure_examples():
@@ -139,8 +124,8 @@ def test_project_and_renormalize_maximally_mixed():
     p = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), ID2)
     out, prob = conditional_output_state(rho, "01")
     assert prob == pytest.approx(0.25)
-    dense = partial_trace(DensityMatrix(p @ rho.matrix @ p / prob), {2})
-    assert np.allclose(out.matrix, dense.matrix)
+    dense = partial_trace_index_sum(p @ rho.matrix @ p / prob, [2, 2, 2], [2])
+    assert np.allclose(out.matrix, dense)
     assert np.allclose(out.matrix, ID2 / 2.0)
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import telebench.teleport_bench as tb
-from oracles import per_state_benchmark, per_state_entry, random_density, random_ket
+from oracles import kron_pauli, per_state_benchmark, per_state_entry, random_density, random_ket
 from telebench.circuit import DeviceParams
 from telebench.entanglement import three_tangle_mixed_upper
-from telebench.qops import DensityMatrix, nearest_physical, pauli_operator, state_fidelity_pure
+from telebench.qops import DensityMatrix, nearest_physical, state_fidelity_pure
 from telebench.teleport_bench import (
     INPUT_LABELS,
     OUTCOMES,
@@ -63,7 +63,7 @@ def test_pauli_stack_is_the_kron_built_operators():
     assert not PAULI_STACK.flags.writeable
     for label, op in zip(PAULI_LABELS, PAULI_STACK):
         # Bytes, not values: the signs of the zeros reach the report text.
-        assert op.tobytes() == pauli_operator(label).tobytes(), label
+        assert op.tobytes() == kron_pauli(label).tobytes(), label
 
 
 # -- stacked stages equal single-state calls ---------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import random_density, random_ket
+from oracles import kron_pauli, random_density, random_ket
 from telebench.circuit import ideal_phi
-from telebench.qops import DensityMatrix, computational_ket, expectation, pauli_operator
+from telebench.qops import DensityMatrix, computational_ket
 from telebench.tomography import (
     PAULI_LABELS,
     PAULI_STACK,
@@ -26,7 +26,7 @@ def test_pauli_stack_equals_pauli_operator_for_every_label():
     assert PAULI_STACK.shape == (63, 8, 8)
     assert not PAULI_STACK.flags.writeable
     for k, label in enumerate(PAULI_LABELS):
-        assert np.array_equal(PAULI_STACK[k], pauli_operator(label))
+        assert np.array_equal(PAULI_STACK[k], kron_pauli(label))
 
 
 def test_analytic_readout_matches_exact_expectations():
@@ -34,7 +34,7 @@ def test_analytic_readout_matches_exact_expectations():
     rho = DensityMatrix(random_density(rng, 8))
     values = simulate_readout(rho, shots=0, seed=0)
     for label, value in zip(PAULI_LABELS, values):
-        assert value == pytest.approx(expectation(rho, pauli_operator(label)), abs=1e-12)
+        assert value == pytest.approx(np.trace(rho.matrix @ kron_pauli(label)).real, abs=1e-12)
 
 
 def test_analytic_readout_ground_state():
@@ -235,7 +235,7 @@ def test_pauli_set_consistent_with_expectation():
     rho = DensityMatrix(random_density(rng, 8))
     values = pauli_set(rho)
     for label, value in zip(PAULI_LABELS, values):
-        assert value == pytest.approx(expectation(rho, pauli_operator(label)), abs=1e-12)
+        assert value == pytest.approx(np.trace(rho.matrix @ kron_pauli(label)).real, abs=1e-12)
 
 
 def test_pauli_set_rejects_wrong_dimension():
