@@ -62,7 +62,12 @@ def _load_config_file(path: str) -> dict:
         else:
             raise ConfigError(f"config file not found: {path}")
     else:
-        text = candidate.read_text()
+        try:
+            text = candidate.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
 
     def reject_constant(constant: str):
         raise ConfigError(f"config file {path} contains the non-finite number {constant}")

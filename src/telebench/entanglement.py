@@ -23,32 +23,20 @@ from .qops import DensityMatrix, require_count, require_integer, require_normali
 _WITNESS_TOL = 1e-9
 
 
-def _hyperdeterminant(a: np.ndarray) -> np.ndarray:
-    """Cayley hyperdeterminant of three-qubit amplitudes on the last axis.
-
-    With a_ijk at index 4i + 2j + k,
-    Hdet = (a000 a111 - a001 a110 - a010 a101 + a011 a100)^2
-           - 4 (a000 a011 - a001 a010) (a100 a111 - a101 a110).
-    4|Hdet| is the three-tangle of a normalized ket; the polynomial is
-    homogeneous of degree 4 in the amplitudes.
-    """
-    a0, a1, a2, a3, a4, a5, a6, a7 = (a[..., i] for i in range(8))
-    return (a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4) ** 2 - 4.0 * (a0 * a3 - a1 * a2) * (a4 * a7 - a5 * a6)
-
-
 def three_tangle_pure(psi) -> float:
     """Three-tangle 4|Hdet| of a pure three-qubit state, in [0, 1]."""
     v = require_normalized(psi)
     if v.shape[0] != 8:
         raise ValueError("expected a three-qubit ket of dimension 8")
-    v = v / np.linalg.norm(v)
-    return min(4.0 * abs(complex(_hyperdeterminant(v))), 1.0)
+    return min(float(_column_tangle_sum(v[:, np.newaxis] / np.linalg.norm(v))), 1.0)
 
 
 def _tangle_terms(w: np.ndarray) -> tuple[np.ndarray, tuple]:
     """``_column_tangle_sum`` at w together with the terms its gradient reuses.
 
-    With Hdet = A^2 - 4 B C (``_hyperdeterminant``), the terms are
+    With a_ijk at row 4i + 2j + k of a column, the Cayley hyperdeterminant is
+    Hdet = A^2 - 4 B C with A = a000 a111 - a001 a110 - a010 a101 + a011 a100,
+    B = a000 a011 - a001 a010 and C = a100 a111 - a101 a110. The terms are
     (A, B, C, Hdet, |Hdet|, p, keep): the factors per column, the column
     norms p (1 where dropped) and the mask of kept columns.
     """

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own computational paths:
 projections go through sorted simplex projection, tangles through the
-Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage through a 9x9 matrix exponential, process
-matrices through direct Kraus-operator basis expansion, and gates, channels
-and conditional states through dense full-register matrices. The textbook
+Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage
+through a 9x9 matrix exponential, process matrices through direct
+Kraus-operator basis expansion and through least squares over any complete
+input set (``lstsq_process_tomography``), and gates, channels and
+conditional states through dense full-register matrices. The textbook
 teleportation circuit (Hadamards and CNOTs) is a Kronecker-built unitary
 (``textbook_teleport_unitary``), Pauli strings are Kronecker products
 (``kron_pauli``), and the witness threshold is the largest one-qubit
@@ -147,6 +149,24 @@ def chi_from_kraus(kraus_ops):
         c = np.array([np.trace(b.conj().T @ k) / 2.0 for b in CHI_BASIS])
         chi += np.outer(c, c.conj())
     return chi
+
+
+def lstsq_process_tomography(input_kets, output_states):
+    """Process matrix from any tomographically complete set of input kets
+    and their outputs (DensityMatrix values or arrays): least squares on
+    rho_out = sum_mn chi_mn B_m rho_in B_n^dag, with the design built column
+    by column, then the sorted simplex projection onto the physical set.
+    Raises unless the design has full rank (the reference for
+    ``process_tomography``)."""
+    rho_ins = [np.outer(psi, np.conj(psi)) for psi in input_kets]
+    design = np.vstack(
+        [np.array([(bm @ rho @ bn.conj().T).reshape(-1) for bm in CHI_BASIS for bn in CHI_BASIS]).T for rho in rho_ins]
+    )
+    if np.linalg.matrix_rank(design, tol=1e-9) < 16:
+        raise ValueError("singular design matrix: input states are not tomographically complete")
+    rhs = np.concatenate([np.asarray(getattr(out, "matrix", out)).reshape(-1) for out in output_states])
+    solution, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return simplex_projection_psd(solution.reshape(4, 4))
 
 
 def partial_trace_index_sum(rho, dims, keep):
@@ -406,7 +426,8 @@ def per_state_entry(rho_out, label, shots, seed, restarts):
 def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
     """``run_benchmark`` one state at a time: each input is evolved, read
     out, reconstructed and projected onto each outcome on its own, then the
-    four conditional states of an outcome go to process tomography."""
+    four conditional states of an outcome go to the least-squares process
+    tomography reference."""
     states = {}
     conditionals = {outcome: [] for outcome in tb.OUTCOMES}
     for label in tb.INPUT_LABELS:
@@ -432,7 +453,7 @@ def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
         ):
             processes[outcome] = {"skipped": True}
             continue
-        chi = tb.process_tomography([tb.INPUT_KETS[label] for label in tb.INPUT_LABELS], conditionals[outcome])
+        chi = lstsq_process_tomography([tb.INPUT_KETS[label] for label in tb.INPUT_LABELS], conditionals[outcome])
         fp = tb.process_fidelity(chi, tb.ideal_chi(outcome))
         fbar = tb.average_output_fidelity(fp)
         processes[outcome] = {

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from oracles import chi_from_kraus, dense_conditional_state, random_density
-from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, ideal_phi
+import telebench.teleport_bench as tb
+from oracles import chi_from_kraus, dense_conditional_state, lstsq_process_tomography, random_density, random_unitary
+from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, apply_circuit, ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
 from telebench.teleport_bench import (
     CHI_BASIS,
@@ -92,7 +93,7 @@ def canonical_inputs():
 
 def test_process_tomography_identity():
     outputs = [DensityMatrix.from_ket(k) for k in canonical_inputs()]
-    chi = process_tomography(canonical_inputs(), outputs)
+    chi = process_tomography(outputs)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     assert np.max(np.abs(chi - expected)) < 1e-9
@@ -101,13 +102,13 @@ def test_process_tomography_identity():
 def test_process_tomography_pauli_conjugations():
     x = np.array(CHI_BASIS[1])
     outputs = [DensityMatrix.from_ket(x @ k) for k in canonical_inputs()]
-    chi = process_tomography(canonical_inputs(), outputs)
+    chi = process_tomography(outputs)
     assert chi[1, 1] == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(chi - ideal_chi("01"))) < 1e-9
 
     y_tilde = np.array(CHI_BASIS[2])
     outputs = [DensityMatrix.from_ket(y_tilde @ k) for k in canonical_inputs()]
-    chi = process_tomography(canonical_inputs(), outputs)
+    chi = process_tomography(outputs)
     assert np.max(np.abs(chi - ideal_chi("11"))) < 1e-9
 
 
@@ -128,30 +129,59 @@ def test_process_tomography_round_trip_against_kraus_expansion():
     for ket in canonical_inputs():
         rho_out = apply_channel(kraus, np.outer(ket, ket.conj()))
         outputs.append(DensityMatrix(rho_out))
-    chi = process_tomography(canonical_inputs(), outputs)
+    chi = process_tomography(outputs)
     oracle = chi_from_kraus(kraus)
     assert np.max(np.abs(chi - oracle)) < 1e-9
+    assert np.max(np.abs(chi - lstsq_process_tomography(canonical_inputs(), outputs))) < 1e-12
 
 
-def test_process_tomography_rejects_degenerate_inputs():
+def test_process_tomography_equals_the_least_squares_oracle_on_random_channels():
+    rng = np.random.default_rng(11)
+    for rank in (1, 2, 4):
+        # A random CPTP channel: the isometry columns of a Haar unitary, cut into Kraus operators.
+        v = random_unitary(rng, 2 * rank)[:, :2]
+        kraus = [v[2 * k : 2 * k + 2] for k in range(rank)]
+        outputs = [DensityMatrix(apply_channel(kraus, np.outer(k, k.conj()))) for k in canonical_inputs()]
+        chi = process_tomography(outputs)
+        assert np.max(np.abs(chi - lstsq_process_tomography(canonical_inputs(), outputs))) < 1e-12
+        assert np.max(np.abs(chi - chi_from_kraus(kraus))) < 1e-12
+
+
+def test_process_tomography_equals_the_least_squares_oracle_on_noisy_conditionals():
+    rho_out = apply_circuit(tb._CIRCUIT, [tb._INPUT_STATES[label] for label in INPUT_LABELS], DeviceParams.reference())
+    for outcome in OUTCOMES:
+        conditionals, _ = conditional_output_state(rho_out, outcome)
+        oracle = lstsq_process_tomography(canonical_inputs(), conditionals)
+        assert np.max(np.abs(process_tomography(conditionals) - oracle)) < 1e-12
+
+
+def test_least_squares_oracle_rejects_degenerate_inputs():
     kets = [INPUT_KETS["0"]] * 4
-    outputs = [DensityMatrix.from_ket(INPUT_KETS["0"])] * 4
-    for _ in range(2):  # the design is cached per input set; a rejected set is not
-        with pytest.raises(ValueError, match="singular design matrix"):
-            process_tomography(kets, outputs)
+    with pytest.raises(ValueError, match="singular design matrix"):
+        lstsq_process_tomography(kets, [DensityMatrix.from_ket(INPUT_KETS["0"])] * 4)
 
 
-def test_process_tomography_reuses_the_design_of_an_input_set(monkeypatch):
+def test_process_tomography_takes_the_four_single_qubit_outputs():
     outputs = [DensityMatrix.from_ket(k) for k in canonical_inputs()]
-    first = process_tomography(canonical_inputs(), outputs)
-    calls = []
-    rank = np.linalg.matrix_rank
-    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: calls.append(1) or rank(*a, **k))
-    again = process_tomography([np.array(k) for k in canonical_inputs()], outputs)
-    assert np.array_equal(again, first) and calls == []
-    rephased = [np.exp(0.123j) * canonical_inputs()[0], *canonical_inputs()[1:]]
-    assert np.allclose(process_tomography(rephased, outputs), first, atol=1e-12)
-    assert len(calls) == 1  # a distinct input set builds and checks its own design
+    for bad in (outputs[:3], outputs + outputs[:1], [DensityMatrix.from_ket(np.ones(4) / 2.0)] * 4):
+        with pytest.raises(ValueError, match="single-qubit outputs"):
+            process_tomography(bad)
+    with pytest.raises(TypeError, match="DensityMatrix"):
+        process_tomography([o.matrix for o in outputs])
+
+
+def test_chi_solve_is_a_read_only_well_conditioned_inverse():
+    solve = tb._CHI_SOLVE
+    assert solve.shape == (16, 16) and not solve.flags.writeable
+    assert np.linalg.matrix_rank(solve) == 16
+    assert np.linalg.cond(solve) < 4.0
+    rho_ins = [np.outer(k, k.conj()) for k in canonical_inputs()]
+    for m, n in np.ndindex(4, 4):
+        # Column (m, n) of the design is the four outputs of the map rho -> B_m rho B_n^dag.
+        column = np.concatenate([(CHI_BASIS[m] @ rho @ CHI_BASIS[n].conj().T).reshape(-1) for rho in rho_ins])
+        unit = np.zeros(16)
+        unit[4 * m + n] = 1.0
+        assert np.max(np.abs(solve @ column - unit)) < 1e-14
 
 
 def test_ideal_chi_entries():
@@ -279,13 +309,14 @@ def test_run_makes_one_call_per_stage_on_the_whole_stack(monkeypatch):
     assert all(len(stack) == 1 for _, stack in calls)
 
 
-def test_second_run_builds_no_process_design(monkeypatch):
-    run_benchmark(DeviceParams.reference())
+def test_run_makes_no_least_squares_solve_or_rank_check(monkeypatch):
     calls = []
-    rank = np.linalg.matrix_rank
-    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: calls.append(1) or rank(*a, **k))
-    report = run_benchmark(DeviceParams.reference())
-    assert not any(report["processes"][o]["skipped"] for o in OUTCOMES)
+    for name in ("lstsq", "matrix_rank"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    for noise in (False, True):
+        report = run_benchmark(DeviceParams.reference(), noise=noise, restarts=5)
+        assert not any(report["processes"][o]["skipped"] for o in OUTCOMES)
     assert calls == []
 
 

@@ -66,6 +66,22 @@ def test_bench_missing_config_exits_2(tmp_path, capsys):
     assert "nope.json" in err
 
 
+def test_bench_config_directory_exits_2(tmp_path, capsys):
+    code = run_cli(["bench", "--config", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and str(tmp_path) in err
+
+
+def test_bench_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "utf16.json"
+    config.write_bytes(b"\xff\xfe{}")
+    code = run_cli(["bench", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "utf16.json" in err
+
+
 def test_bench_invalid_config_field_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"shotz": 5}')

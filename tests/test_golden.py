@@ -12,7 +12,8 @@ root::
 Regeneration rewrites only the configurations whose reports differ beyond
 the timestamp line, so its diff names exactly the goldens whose values moved.
 For each rewritten golden it prints how many numbers in its JSON reports
-changed and the old -> new figures of merit (:data:`MERIT_KEYS`).
+changed, the old -> new figures of merit (:data:`MERIT_KEYS`) and the
+largest absolute change.
 
 To compare without writing, for example as proof that a refactor kept every
 report byte-identical::
@@ -92,13 +93,18 @@ def report_numbers(directory: Path) -> dict[tuple, float]:
 
 
 def change_summary(golden: Path, actual: Path) -> list[str]:
-    """The count of changed numbers, then one line per changed figure of merit."""
+    """The count of changed numbers, one line per changed figure of merit,
+    then the largest absolute change among the numbers on both sides."""
     old, new = report_numbers(golden), report_numbers(actual)
     changed = sorted((k for k in old.keys() | new.keys() if old.get(k) != new.get(k)), key=str)
     lines = [f"{len(changed)} of {len(new)} numbers changed"]
     for key in changed:
         if key[-1] in MERIT_KEYS:
             lines.append(f"{'/'.join(map(str, key))}: {old.get(key)} -> {new.get(key)}")
+    both = [key for key in changed if key in old and key in new]
+    if both:
+        key = max(both, key=lambda k: abs(new[k] - old[k]))
+        lines.append(f"largest change {abs(new[key] - old[key]):.3g} at {'/'.join(map(str, key))}")
     return lines
 
 
@@ -114,6 +120,7 @@ def test_change_summary_counts_numbers_and_names_figures_of_merit(tmp_path):
     assert change_summary(old, new) == [
         "2 of 3 numbers changed",
         "report.json/states/0/state_fidelity: 0.9 -> 0.8",
+        "largest change 0.25 at report.json/states/0/pauli_set/values/1",
     ]
     assert change_summary(old, old) == ["0 of 3 numbers changed"]
 

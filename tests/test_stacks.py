@@ -40,12 +40,42 @@ SWEEP = {
 }
 
 
+def pop_process_values(report: dict) -> tuple:
+    """Remove what is computed from chi (the process blocks and their two
+    means) from ``report`` and return it."""
+    means = tuple(report["averages"].pop(key) for key in ("mean_process_fidelity", "mean_average_output_fidelity"))
+    return report.pop("processes"), means
+
+
+def assert_close_tree(got, want, tol: float) -> None:
+    """Equal structure and non-float leaves, floats within ``tol``."""
+    if isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert_close_tree(got[key], want[key], tol)
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close_tree(g, w, tol)
+    elif isinstance(got, float):
+        assert abs(got - want) <= tol, (got, want)
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("config", SWEEP)
 def test_stacked_benchmark_report_equals_the_per_state_pipeline(config):
+    # Every value but those computed from chi is compared as report text.
+    # The per-state pipeline solves for chi by least squares, not with the
+    # package's constant inverse, so chi and the process fidelities agree
+    # to rounding: they are compared to 1e-12.
     device = DeviceParams.reference()
     for seed in range(10):
         stacked = run_benchmark(device, seed=seed, **SWEEP[config])
-        assert report_json_text(stacked) == report_json_text(per_state_benchmark(device, seed=seed, **SWEEP[config]))
+        oracle = per_state_benchmark(device, seed=seed, **SWEEP[config])
+        processes, oracle_processes = pop_process_values(stacked), pop_process_values(oracle)
+        assert report_json_text(stacked) == report_json_text(oracle)
+        assert_close_tree(processes, oracle_processes, 1e-12)
 
 
 @pytest.mark.parametrize("label", INPUT_LABELS)
