@@ -5,9 +5,11 @@ and machine-readable benchmark reports."""
 
 from .qops import DensityMatrix, nearest_physical
 from .circuit import (
+    CPhase,
     Circuit,
     DeviceParams,
     Gate,
+    Rotation,
     apply_circuit,
     build_teleport_circuit,
     ideal_phi,
@@ -24,10 +26,12 @@ from .teleport_bench import run_benchmark, run_state
 __version__ = "0.1.0"
 
 __all__ = [
+    "CPhase",
     "Circuit",
     "DensityMatrix",
     "DeviceParams",
     "Gate",
+    "Rotation",
     "WitnessResult",
     "apply_circuit",
     "build_teleport_circuit",

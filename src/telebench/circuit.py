@@ -1,10 +1,12 @@
 """Gate model, teleportation-circuit construction, and noisy evolution.
 
-The three-qubit register is ordered A, B, C with qubit A most significant.
-Two-qubit C-Phase gates exist only between the adjacent pairs AB and BC,
-matching the modeled device. Gate unitaries are ideal. With a device, each
-gate is followed by amplitude damping plus pure dephasing of every qubit for
-the gate's duration, applied in closed form to that qubit's 2x2 (ket, bra)
+The register is the device's three qubits, ordered A, B, C with qubit A most
+significant. A gate is a :class:`Rotation` of one qubit or a :class:`CPhase`
+on one of the adjacent pairs AB and BC, the device's native gates; each
+checks its fields on construction, and neither can name a qubit or a pair
+the device does not have. Gate unitaries are ideal. With a device, each gate
+is followed by amplitude damping plus pure dephasing of every qubit for the
+gate's duration, applied in closed form to that qubit's 2x2 (ket, bra)
 blocks of the state tensor. One noise pass per gate gathers the stack of
 states into qubit A's block layout, scales and shifts contiguous slabs of
 rows, and gathers on to B's and C's layouts and back; the arithmetic per
@@ -30,15 +32,12 @@ from .qops import (
     PAULI_Y,
     PAULI_Z,
     STRUCTURAL_TOL,
-    require_count,
     require_integer,
     require_normalized,
     state_stack,
 )
 
 CPHASE_PAIRS = {"AB": (0, 1), "BC": (1, 2)}
-# Number of qubits each gate kind acts on.
-_GATE_ARITY = {"rotation": 1, "cphase": 2}
 
 # Correction operators attached to the four two-qubit measurement outcomes:
 # the branch of the ideal output state labeled by outcome ij carries this
@@ -56,13 +55,6 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _pair_qubits(pair) -> tuple[int, int]:
-    """The qubits of a C-Phase pair, raising unless ``pair`` names one of :data:`CPHASE_PAIRS`."""
-    if not isinstance(pair, str) or pair not in CPHASE_PAIRS:
-        raise ValueError(f"C-Phase pair must be one of {sorted(CPHASE_PAIRS)}, got {pair!r}")
-    return CPHASE_PAIRS[pair]
-
-
 def _unit_axis(axis) -> tuple[float, float, float]:
     """``axis`` as a tuple of three floats, raising unless it is a real unit 3-vector."""
     try:
@@ -75,80 +67,75 @@ def _unit_axis(axis) -> tuple[float, float, float]:
     return tuple(float(a) for a in ax)
 
 
+def _check_duration(d) -> None:
+    """A negative or NaN gate duration would skip decoherence silently, and a bool would read as 1 s."""
+    if d is not None and not (_is_real(d) and 0.0 <= d < math.inf):
+        raise ValueError(f"gate duration must be None or a finite number >= 0, got {d!r}")
+
+
 @dataclass(frozen=True)
-class Gate:
-    """One gate application: a rotation of one qubit by ``angle`` about a
-    unit ``axis``, or a C-Phase on an adjacent ``pair`` of qubits.
+class Rotation:
+    """A rotation of ``qubit`` (an integer, 0, 1 or 2 for A, B or C) by a
+    finite ``angle`` about a real unit ``axis``, stored as floats. A
+    ``duration`` of ``None`` takes the device's single-qubit gate time when
+    applied; 0.0 marks a virtual gate that adds no decoherence."""
 
-    ``duration`` of ``None`` means "resolve from DeviceParams when applied"
-    (single-qubit gate time for rotations, the pair's C-Phase time for
-    C-Phases). A duration of 0.0 marks a virtual gate that adds no
-    decoherence. Every field is checked on construction. ``qubits`` holds
-    integers (numpy integers included): one for a rotation, and for a
-    C-Phase the two of its pair in :data:`CPHASE_PAIRS`. ``axis`` and
-    ``angle`` belong to rotations only, and are stored as a tuple of three
-    floats and a finite float; ``pair`` belongs to C-Phases only.
-    """
-
-    kind: str
-    qubits: tuple[int, ...]
-    axis: tuple[float, float, float] | None = None
-    angle: float | None = None
-    pair: str | None = None
+    axis: tuple[float, float, float]
+    angle: float
+    qubit: int
     duration: float | None = None
 
     def __post_init__(self):
-        # A negative or NaN duration would skip decoherence silently; a bool would read as 1 s.
-        d = self.duration
-        if d is not None and not (_is_real(d) and 0.0 <= d < math.inf):
-            raise ValueError(f"gate duration must be None or a finite number >= 0, got {d!r}")
-        if self.kind not in _GATE_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        _check_duration(self.duration)
         # int() would turn qubit 1.7 into 1 and True into 1.
-        qubits = tuple(require_integer("gate qubit", q) for q in self.qubits)
-        if len(qubits) != _GATE_ARITY[self.kind]:
-            raise ValueError(f"a {self.kind} gate acts on {_GATE_ARITY[self.kind]} qubit(s), got {qubits}")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"gate qubits must be distinct, got {qubits}")
-        object.__setattr__(self, "qubits", qubits)
-        if self.kind == "cphase":
-            if self.axis is not None or self.angle is not None:
-                raise ValueError("only a rotation takes an axis and an angle")
-            if qubits != _pair_qubits(self.pair):
-                raise ValueError(f"C-Phase pair {self.pair} acts on qubits {CPHASE_PAIRS[self.pair]}, got {qubits}")
-            return
-        if self.pair is not None:
-            raise ValueError(f"only a cphase takes a pair, got {self.pair!r}")
+        qubit = require_integer("gate qubit", self.qubit)
+        if not 0 <= qubit < 3:
+            raise ValueError(f"gate qubit must be 0, 1 or 2 (A, B or C), got {qubit}")
+        object.__setattr__(self, "qubit", qubit)
         # A list axis would make the gate unhashable, and gate_operator caches by gate.
         object.__setattr__(self, "axis", _unit_axis(self.axis))
         if not (_is_real(self.angle) and math.isfinite(self.angle)):
             raise ValueError(f"rotation angle must be a finite number, got {self.angle!r}")
         object.__setattr__(self, "angle", float(self.angle))
 
-    @classmethod
-    def rotation(cls, axis, angle: float, qubit: int, duration: float | None = None) -> "Gate":
-        return cls(kind="rotation", qubits=(qubit,), axis=axis, angle=angle, duration=duration)
+    @property
+    def qubits(self) -> tuple[int]:
+        return (self.qubit,)
 
-    @classmethod
-    def cphase(cls, pair: str, duration: float | None = None) -> "Gate":
-        return cls(kind="cphase", qubits=_pair_qubits(pair), pair=pair, duration=duration)
+
+@dataclass(frozen=True)
+class CPhase:
+    """A C-Phase on an adjacent ``pair`` of device qubits, "AB" or "BC". A
+    ``duration`` of ``None`` takes the pair's C-Phase time when applied."""
+
+    pair: str
+    duration: float | None = None
+
+    def __post_init__(self):
+        _check_duration(self.duration)
+        if not isinstance(self.pair, str) or self.pair not in CPHASE_PAIRS:
+            raise ValueError(f"C-Phase pair must be one of {sorted(CPHASE_PAIRS)}, got {self.pair!r}")
+
+    @property
+    def qubits(self) -> tuple[int, int]:
+        return CPHASE_PAIRS[self.pair]
+
+
+# A native gate of either kind: ``isinstance(g, Gate)`` accepts both.
+Gate = Rotation | CPhase
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gates on a fixed register size, stored as a tuple."""
+    """Ordered gates on the device's qubits A, B and C, stored as a tuple."""
 
-    num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "num_qubits", require_count("num_qubits", self.num_qubits, 1))
         gates = tuple(self.gates)
         for g in gates:
             if not isinstance(g, Gate):
                 raise TypeError(f"a circuit holds Gate values, got {type(g).__name__}")
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g.kind} touches qubit outside register of {self.num_qubits}")
         object.__setattr__(self, "gates", gates)
 
 
@@ -195,11 +182,9 @@ class DeviceParams:
             raise ValueError("single_qubit_error must lie in [0, 1)")
 
     def cphase_time(self, pair: str) -> float:
-        if pair == "AB":
-            return self.cphase_time_ab if self.cphase_time_ab is not None else 1.0 / (2.0 * self.j_ab)
-        if pair == "BC":
-            return self.cphase_time_bc if self.cphase_time_bc is not None else 1.0 / (2.0 * self.j_bc)
-        raise ValueError(f"unknown C-Phase pair {pair!r}")
+        """The C-Phase time of pair "AB" or "BC"; any other pair raises ``KeyError``."""
+        time, j = {"AB": (self.cphase_time_ab, self.j_ab), "BC": (self.cphase_time_bc, self.j_bc)}[pair]
+        return time if time is not None else 1.0 / (2.0 * j)
 
     def scaled_coherence(self, factor: float) -> "DeviceParams":
         """Copy with all T1 and T2* multiplied by ``factor``."""
@@ -272,10 +257,7 @@ def gate_operator(gate: Gate) -> np.ndarray:
     """The 2x2 or 4x4 operator of a gate on ``gate.qubits``, first listed
     qubit most significant. Built once per distinct gate and read-only, so
     every caller can share it."""
-    if gate.kind == "rotation":
-        op = rotation_unitary(gate.axis, gate.angle)
-    else:  # cphase; Gate rejects any other kind
-        op = cphase_ideal()
+    op = rotation_unitary(gate.axis, gate.angle) if isinstance(gate, Rotation) else cphase_ideal()
     op.setflags(write=False)
     return op
 
@@ -312,16 +294,16 @@ def build_teleport_circuit() -> Circuit:
     y = (0.0, 1.0, 0.0)
     half = math.pi / 2.0
     gates = (
-        Gate.rotation(y, -half, qubit=1),
-        Gate.rotation(y, -half, qubit=2),
-        Gate.cphase("BC"),
-        Gate.rotation(y, half, qubit=2),
-        Gate.rotation(y, half, qubit=1),
-        Gate.cphase("AB"),
-        Gate.rotation(y, -half, qubit=1),
-        Gate.rotation(y, -half, qubit=0),
+        Rotation(y, -half, qubit=1),
+        Rotation(y, -half, qubit=2),
+        CPhase("BC"),
+        Rotation(y, half, qubit=2),
+        Rotation(y, half, qubit=1),
+        CPhase("AB"),
+        Rotation(y, -half, qubit=1),
+        Rotation(y, -half, qubit=0),
     )
-    return Circuit(num_qubits=3, gates=gates)
+    return Circuit(gates)
 
 
 def ideal_phi(psi_a) -> np.ndarray:
@@ -344,7 +326,7 @@ def ideal_phi(psi_a) -> np.ndarray:
 def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     if gate.duration is not None:
         return gate.duration
-    if gate.kind == "rotation":
+    if isinstance(gate, Rotation):
         return device.single_qubit_gate_time
     return device.cphase_time(gate.pair)
 
@@ -361,7 +343,6 @@ def _qubit_blocks(t: np.ndarray, q: int) -> np.ndarray:
     return t.transpose(_axes_first((1 + q, 1 + n + q), t.ndim))
 
 
-@functools.lru_cache(maxsize=8)
 def _block_gathers(n: int) -> tuple[np.ndarray, ...]:
     """The n + 1 row gathers of the noise pass on an n-qubit register.
 
@@ -386,6 +367,9 @@ def _block_gathers(n: int) -> tuple[np.ndarray, ...]:
     return tuple(gathers)
 
 
+_BLOCK_GATHERS = _block_gathers(3)
+
+
 def _decay_factors(device: DeviceParams, duration: float) -> list[tuple[float, float, float]]:
     """(gamma, 1 - gamma, s) per qubit for amplitude damping plus pure dephasing over ``duration``.
 
@@ -402,19 +386,18 @@ def _decay_factors(device: DeviceParams, duration: float) -> list[tuple[float, f
 
 
 def _decohere(t: np.ndarray, factors) -> np.ndarray:
-    """Damp and dephase every qubit of a (B,) + (2,)*2n stack, qubit 0 first.
+    """Damp and dephase every qubit of a (B,) + (2,)*6 stack, qubit A first.
 
     ``factors`` holds (gamma, 1 - gamma, s) per qubit. On qubit q's
     (ket q, bra q) blocks: b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10
     *= s. Each qubit's update is three slab updates of the stack gathered
-    into that qubit's block layout (:func:`_block_gathers`); gathers copy
+    into that qubit's block layout (:data:`_BLOCK_GATHERS`); gathers copy
     exactly, so every entry gets the same multiplies and adds as a block
     update on the tensor. Returns a new stack of the same shape.
     """
-    gathers = _block_gathers(len(factors))
-    y = t.reshape(len(t), -1).T.take(gathers[0], axis=0)
+    y = t.reshape(len(t), -1).T.take(_BLOCK_GATHERS[0], axis=0)
     k = len(y) // 4
-    for (gamma, keep, s), gather in zip(factors, gathers[1:]):
+    for (gamma, keep, s), gather in zip(factors, _BLOCK_GATHERS[1:]):
         y[:k] += gamma * y[k : 2 * k]
         y[k : 2 * k] *= keep
         y[2 * k :] *= s  # b01 and b10; b00 is left unscaled, as scaling by 1.0 can flip a zero's sign
@@ -433,32 +416,28 @@ def _depolarize(t: np.ndarray, p: float, q: int) -> None:
 
 
 def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
-    """Evolve a state, or a stack of states, through a circuit, with
-    decoherence when given a device.
+    """Evolve a state, or a stack of states, of qubits A, B and C through a
+    circuit, with decoherence when given a device.
 
-    ``rho`` is one :class:`DensityMatrix` or a sequence of them; the result
-    is of the same kind (a list for a sequence). A sequence is evolved as one
-    (B,) + (2,)*2n stack, so every gate and channel is one update over all B
-    states, and each output equals the single-state evolution of its input
-    bit for bit. Gates act as ideal unitary conjugations contracted on their
-    own qubits' axes. With a device, every gate is followed by amplitude
-    damping and pure dephasing of all qubits for that gate's duration (idle
-    qubits decohere too), plus an optional depolarizing channel on the target
-    of single-qubit gates when the device's ``single_qubit_error`` is
-    nonzero; both channels update each qubit's 2x2 (ket, bra) blocks in
-    closed form. Damping and dephasing take one pass per gate over the stack
-    gathered into each qubit's block layout in turn (:func:`_decohere`), with
-    coefficients computed once per distinct gate duration. Without a device,
-    the evolution is noiseless. A device models qubits A, B and C, so with a
-    device the circuit must have three qubits.
+    ``rho`` is one 8x8 :class:`DensityMatrix` or a sequence of them; the
+    result is of the same kind (a list for a sequence). A sequence is evolved
+    as one (B,) + (2,)*6 stack, so every gate and channel is one update over
+    all B states, and each output equals the single-state evolution of its
+    input bit for bit. Gates act as ideal unitary conjugations contracted on
+    their own qubits' axes. With a device, every gate is followed by
+    amplitude damping and pure dephasing of all qubits for that gate's
+    duration (idle qubits decohere too), plus an optional depolarizing
+    channel on the qubit of each rotation when the device's
+    ``single_qubit_error`` is nonzero; both channels update each qubit's 2x2
+    (ket, bra) blocks in closed form. Damping and dephasing take one pass per
+    gate over the stack gathered into each qubit's block layout in turn
+    (:func:`_decohere`), with coefficients computed once per distinct gate
+    duration. Without a device, the evolution is noiseless.
     """
     m, single = state_stack(rho)
-    n = circuit.num_qubits
-    if m.shape[1] != 2**n:
-        raise ValueError(f"state dimension {m.shape[1]} does not match {n}-qubit circuit")
-    if device is not None and n != len(device.t1):
-        raise ValueError(f"the device models qubits A, B and C; it cannot decohere a {n}-qubit circuit")
-    t = m.reshape((len(m),) + (2,) * (2 * n))
+    if m.shape[1] != 8:
+        raise ValueError(f"state dimension {m.shape[1]} does not match the 3-qubit circuit")
+    t = m.reshape((len(m),) + (2,) * 6)
     decay = {}  # gate duration -> per-qubit factors
     for gate in circuit.gates:
         t = _conjugate(t, gate_operator(gate), gate.qubits)
@@ -469,7 +448,7 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
             if duration not in decay:
                 decay[duration] = _decay_factors(device, duration)
             t = _decohere(t, decay[duration])
-        if device.single_qubit_error > 0.0 and gate.kind == "rotation":
-            _depolarize(t, device.single_qubit_error, gate.qubits[0])
-    out = DensityMatrix.stack(t.reshape(len(m), 2**n, 2**n))
+        if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
+            _depolarize(t, device.single_qubit_error, gate.qubit)
+    out = DensityMatrix.stack(t.reshape(len(m), 8, 8))
     return out[0] if single else out

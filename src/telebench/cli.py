@@ -42,15 +42,11 @@ class ConfigError(Exception):
 class RunConfig:
     device: DeviceParams
     shots: int = 0
-    seed: int | None = None
+    seed: int = 0
     noise: bool = False
     out: Path = Path(".")
     format: str = "json"
     restarts: int = 200
-
-    @property
-    def effective_seed(self) -> int:
-        return 0 if self.seed is None else int(self.seed)
 
 
 def _load_config_file(path: str) -> dict:
@@ -121,6 +117,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"'restarts' must be a positive integer, got {restarts!r}")
     if shots > 0 and seed is None:
         raise ConfigError("'seed' is required when shots > 0")
+    seed = 0 if seed is None else seed
     return RunConfig(
         device=device, shots=shots, seed=seed, noise=noise, out=Path(out), format=fmt, restarts=restarts
     )
@@ -176,7 +173,7 @@ def command_bench(args: argparse.Namespace) -> int:
     report = run_benchmark(
         device=config.device,
         shots=config.shots,
-        seed=config.effective_seed,
+        seed=config.seed,
         noise=config.noise,
         restarts=config.restarts,
     )
@@ -206,7 +203,7 @@ def command_state(args: argparse.Namespace) -> int:
         device=config.device,
         label=label,
         shots=config.shots,
-        seed=config.effective_seed,
+        seed=config.seed,
         noise=config.noise,
         restarts=config.restarts,
     )

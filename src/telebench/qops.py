@@ -219,6 +219,18 @@ def state_fidelity_pure(rho, target):
     return clamped[0] if single else np.array(clamped)
 
 
+def _truncate_spectra(vals: np.ndarray) -> None:
+    """Truncate each row of a (B, d) array of ascending eigenvalues in place. A uniform
+    shift keeps the order, so the zeroed eigenvalues are always a prefix of the row."""
+    d = vals.shape[1]
+    for v in vals:
+        for i in range(d - 1):
+            if not v[i] < 0.0:
+                break
+            v[i + 1 :] += v[i] / (d - 1 - i)
+            v[i] = 0.0
+
+
 def nearest_physical(h):
     """Closest positive-semidefinite unit-trace matrix in Frobenius norm.
 
@@ -226,7 +238,9 @@ def nearest_physical(h):
     eigenbasis by truncation: zero the most negative eigenvalue, spread its
     value uniformly over the eigenvalues not yet zeroed, and repeat until
     none are negative. This reproduces the exact Frobenius-norm projection
-    onto the physical set and is idempotent on physical inputs.
+    onto the physical set and is idempotent on physical inputs. The trace
+    must be at least 1e-9: rescaling by a negative one would flip the
+    spectrum and return the farthest state instead of the nearest.
 
     One matrix (a :class:`DensityMatrix` or a 2-D array) gives a
     DensityMatrix. A stack (a sequence of them or a (B, d, d) array) gives
@@ -244,19 +258,9 @@ def nearest_physical(h):
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     m = (m + m.conj().swapaxes(1, 2)) / 2.0
     tr = m.trace(axis1=1, axis2=2).real
-    check_members(tr, lambda v: abs(v) < 1e-9, lambda v: "matrix trace is too close to zero to rescale", single)
+    bad_trace = "matrix trace is too close to zero or negative to rescale, got {}".format
+    check_members(tr, lambda v: not v >= 1e-9, bad_trace, single)  # negated: a NaN trace raises too
     vals, vecs = np.linalg.eigh(m / tr[:, np.newaxis, np.newaxis])
-    for v in vals:
-        active = np.ones(v.shape[0], dtype=bool)
-        while True:
-            negative = active & (v < 0.0)
-            if not negative.any():
-                break
-            masked = np.where(active, v, np.inf)
-            idx = int(np.argmin(masked))
-            deficit = v[idx]
-            v[idx] = 0.0
-            active[idx] = False
-            v[active] += deficit / active.sum()
+    _truncate_spectra(vals)
     states = DensityMatrix.stack((vecs * vals[:, np.newaxis, :]) @ vecs.conj().swapaxes(1, 2))
     return states[0] if single else states

@@ -40,6 +40,7 @@ from .qops import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    STRUCTURAL_TOL,
     check_members,
     computational_ket,
     nearest_physical,
@@ -171,11 +172,18 @@ def ideal_chi(outcome: str) -> np.ndarray:
 
 
 def process_fidelity(chi_m: np.ndarray, chi_t: np.ndarray) -> float:
-    """Process fidelity Tr(chi_m . chi_t), clamped to [0, 1]."""
-    val = complex(np.trace(np.asarray(chi_m) @ np.asarray(chi_t)))
+    """Process fidelity Tr(chi_m . chi_t) of two 4x4 chi matrices, clamped
+    to [0, 1]. Non-finite entries, an imaginary residue or a value outside
+    [0, 1] beyond tolerance indicate a bug and raise."""
+    chi_m, chi_t = np.asarray(chi_m), np.asarray(chi_t)
+    if chi_m.shape != (4, 4) or chi_t.shape != (4, 4) or not (np.isfinite(chi_m).all() and np.isfinite(chi_t).all()):
+        raise ValueError(f"process fidelity takes two finite 4x4 chi matrices, got shapes {chi_m.shape}, {chi_t.shape}")
+    val = complex(np.trace(chi_m @ chi_t))
     if abs(val.imag) >= 1e-9:
         raise ValueError(f"process fidelity has imaginary residue {val.imag:.3e}")
-    return min(1.0, max(0.0, float(val.real)))
+    if not -STRUCTURAL_TOL <= val.real <= 1.0 + STRUCTURAL_TOL:
+        raise ValueError(f"process fidelity {val.real} outside [0, 1] beyond tolerance")
+    return min(1.0, max(0.0, val.real))
 
 
 def average_output_fidelity(fp: float) -> float:

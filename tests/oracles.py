@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import telebench.teleport_bench as tb
-from telebench.circuit import _conjugate, _depolarize, _gate_duration, _qubit_blocks, gate_operator
+from telebench.circuit import Rotation, _conjugate, _depolarize, _gate_duration, _qubit_blocks, gate_operator
 from telebench.qops import DensityMatrix, state_stack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,6 +77,24 @@ def simplex_projection_psd(h):
     theta = css[rho_idx] / (rho_idx + 1)
     w = np.clip(vals - theta, 0.0, None)
     return (vecs * w) @ vecs.conj().T
+
+
+def argmin_truncate_spectra(vals):
+    """The masked-argmin form of ``qops._truncate_spectra``, in place: per
+    row, zero the most negative eigenvalue not yet zeroed, spread its value
+    over the rest of those, and repeat until none is negative. It makes no
+    use of the rows being sorted."""
+    for v in vals:
+        active = np.ones(v.shape[0], dtype=bool)
+        while True:
+            negative = active & (v < 0.0)
+            if not negative.any():
+                break
+            idx = int(np.argmin(np.where(active, v, np.inf)))
+            deficit = v[idx]
+            v[idx] = 0.0
+            active[idx] = False
+            v[active] += deficit / active.sum()
 
 
 def hyperdet_tangle(psi):
@@ -210,9 +228,9 @@ def kron_gate_unitary(gate, num_qubits):
     Rotations come from the matrix exponential of the Pauli generator, and
     C-Phase is I - 2 |11><11|.
     """
-    if gate.kind == "rotation":
+    if isinstance(gate, Rotation):
         generator = sum(a * p for a, p in zip(gate.axis, (SX, SY, SZ)))
-        return embed_1q(expm(-0.5j * gate.angle * generator), gate.qubits[0], num_qubits)
+        return embed_1q(expm(-0.5j * gate.angle * generator), gate.qubit, num_qubits)
     a, b = gate.qubits
     both_one = embed_1q(ONE, a, num_qubits) @ embed_1q(ONE, b, num_qubits)
     return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
@@ -331,17 +349,16 @@ def apply_kraus(arr, ops, qubits, num_qubits):
 def kraus_apply_circuit(circuit, rho, device):
     """Noisy evolution as one Kraus list per gate and channel: the gate, then
     damping and dephasing on every qubit for the gate's duration, then
-    depolarizing on the target of single-qubit gates."""
-    n = circuit.num_qubits
+    depolarizing on the qubit of each rotation."""
     arr = np.array(rho, dtype=complex)
     for gate in circuit.gates:
-        arr = apply_kraus(arr, [gate_operator(gate)], gate.qubits, n)
+        arr = apply_kraus(arr, [gate_operator(gate)], gate.qubits, 3)
         duration = _gate_duration(gate, device)
         if duration > 0.0:
-            for q in range(n):
-                arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), n)
-        if device.single_qubit_error > 0.0 and gate.kind == "rotation":
-            arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, n)
+            for q in range(3):
+                arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), 3)
+        if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
+            arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, 3)
     return arr
 
 
@@ -365,24 +382,23 @@ def decohere_qubit(t, duration, device, q):
 
 def block_apply_circuit(circuit, rho, device=None):
     """Noisy evolution of a state or a sequence of states as one block update
-    per qubit per gate, on strided views of the (B,) + (2,)*2n stack: the
+    per qubit per gate, on strided views of the (B,) + (2,)*6 stack: the
     gate's conjugation, then ``decohere_qubit`` on every qubit in order, then
-    depolarizing on the target of single-qubit gates. Returns the (B, d, d)
-    array (the bit-for-bit reference for ``apply_circuit``'s noise pass)."""
+    depolarizing on the qubit of each rotation. Returns the (B, 8, 8) array
+    (the bit-for-bit reference for ``apply_circuit``'s noise pass)."""
     m, _ = state_stack(rho)
-    n = circuit.num_qubits
-    t = m.reshape((len(m),) + (2,) * (2 * n))
+    t = m.reshape((len(m),) + (2,) * 6)
     for gate in circuit.gates:
         t = _conjugate(t, gate_operator(gate), gate.qubits)
         if device is None:
             continue
         duration = _gate_duration(gate, device)
         if duration > 0.0:
-            for q in range(n):
+            for q in range(3):
                 decohere_qubit(t, duration, device, q)
-        if device.single_qubit_error > 0.0 and gate.kind == "rotation":
-            _depolarize(t, device.single_qubit_error, gate.qubits[0])
-    return t.reshape(len(m), 2**n, 2**n)
+        if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
+            _depolarize(t, device.single_qubit_error, gate.qubit)
+    return t.reshape(len(m), 8, 8)
 
 
 def round_sig(value, digits: int = 12):

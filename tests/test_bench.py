@@ -203,6 +203,35 @@ def test_process_fidelity_examples():
     assert process_fidelity(depolarizing, ideal_chi("00")) == pytest.approx(0.25)
 
 
+def test_process_fidelity_rejects_non_finite_chi():
+    # A NaN chi used to give a fidelity of 0.0.
+    for bad in (np.nan, np.inf, -np.inf):
+        chi = ideal_chi("00").copy()
+        chi[1, 2] = bad
+        for pair in ((chi, ideal_chi("00")), (ideal_chi("00"), chi)):
+            with pytest.raises(ValueError, match=r"takes two finite 4x4 chi matrices, got shapes \(4, 4\), \(4, 4\)"):
+                process_fidelity(*pair)
+
+
+def test_process_fidelity_takes_4x4_chi_matrices():
+    # Two 3x3 identities used to give a trace of 3, clamped to 1.0.
+    for chi_m, chi_t in ((np.eye(3), np.eye(3)), (np.eye(4), np.eye(3)), (np.eye(8) / 8.0, np.eye(8) / 8.0)):
+        with pytest.raises(ValueError, match="process fidelity takes two finite 4x4 chi matrices"):
+            process_fidelity(chi_m, chi_t)
+
+
+def test_process_fidelity_rejects_values_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"process fidelity 4.0 outside \[0, 1\] beyond tolerance"):
+        process_fidelity(np.eye(4), np.eye(4))
+    with pytest.raises(ValueError, match="outside"):
+        process_fidelity(-ideal_chi("01"), ideal_chi("01"))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        process_fidelity(1j * ideal_chi("01"), ideal_chi("01"))
+    # Rounding either side of [0, 1] is clamped, as state_fidelity_pure does.
+    assert process_fidelity((1.0 + 5e-10) * ideal_chi("10"), ideal_chi("10")) == 1.0
+    assert process_fidelity(-5e-10 * ideal_chi("10"), ideal_chi("10")) == 0.0
+
+
 def test_average_output_fidelity():
     assert average_output_fidelity(1.0) == pytest.approx(1.0)
     assert average_output_fidelity(0.83) == pytest.approx(0.8866666666666667)

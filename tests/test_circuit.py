@@ -17,16 +17,21 @@ from oracles import (
     random_ket,
     textbook_teleport_unitary,
 )
+import telebench
 import telebench.circuit as circuit_module
 from telebench.circuit import (
     _conjugate,
     _decay_factors,
     _decohere,
     _depolarize,
+    _BLOCK_GATHERS,
+    _block_gathers,
     _on_axes,
+    CPhase,
     Circuit,
     DeviceParams,
     Gate,
+    Rotation,
     TELEPORT_BRANCH_OPS,
     apply_circuit,
     build_teleport_circuit,
@@ -77,10 +82,10 @@ def textbook_circuit():
     between Hadamards on its target. Two virtual z flips (duration 0) end it,
     as in :func:`oracles.textbook_teleport_unitary`."""
     x_plus_z = (1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
-    h = [Gate.rotation(x_plus_z, math.pi, qubit=q) for q in range(3)]
-    flips = [Gate.rotation((0.0, 0.0, 1.0), math.pi, qubit=q, duration=0.0) for q in (0, 1)]
-    cnot_bc, cnot_ab = (h[2], Gate.cphase("BC"), h[2]), (h[1], Gate.cphase("AB"), h[1])
-    return Circuit(num_qubits=3, gates=(h[1], *cnot_bc, *cnot_ab, h[0], *flips))
+    h = [Rotation(x_plus_z, math.pi, qubit=q) for q in range(3)]
+    flips = [Rotation((0.0, 0.0, 1.0), math.pi, qubit=q, duration=0.0) for q in (0, 1)]
+    cnot_bc, cnot_ab = (h[2], CPhase("BC"), h[2]), (h[1], CPhase("AB"), h[1])
+    return Circuit((h[1], *cnot_bc, *cnot_ab, h[0], *flips))
 
 
 # The evolution tests run the compiled circuit and a second, textbook-shaped
@@ -120,11 +125,11 @@ def test_gate_unitaries_are_unitary():
 def test_gate_unitary_matches_kron_embedding():
     # apply_circuit contracts each gate's operator on its own qubits' axes.
     rng = np.random.default_rng(3)
-    extra = [Gate.rotation(a / np.linalg.norm(a), 0.7, qubit=q) for q, a in enumerate(rng.normal(size=(3, 3)))]
+    extra = [Rotation(a / np.linalg.norm(a), 0.7, qubit=q) for q, a in enumerate(rng.normal(size=(3, 3)))]
     rho = random_density(rng, 8)
     for gate in [g for c in CIRCUITS.values() for g in c.gates] + extra:
         u = kron_gate_unitary(gate, 3)
-        out = apply_circuit(Circuit(num_qubits=3, gates=(gate,)), DensityMatrix(rho))
+        out = apply_circuit(Circuit((gate,)), DensityMatrix(rho))
         assert np.max(np.abs(out.matrix - u @ rho @ u.conj().T)) < 1e-12
 
 
@@ -137,7 +142,7 @@ def test_cphase_ideal():
 def test_cphase_gate_embeds_ideal_matrix():
     rho = random_density(np.random.default_rng(6), 8)
     for pair, u in (("AB", np.kron(cphase_ideal(), ID2)), ("BC", np.kron(ID2, cphase_ideal()))):
-        out = apply_circuit(Circuit(num_qubits=3, gates=(Gate.cphase(pair),)), DensityMatrix(rho))
+        out = apply_circuit(Circuit((CPhase(pair),)), DensityMatrix(rho))
         assert np.allclose(out.matrix, u @ rho @ u.conj().T, atol=1e-15)
 
 
@@ -205,11 +210,11 @@ def test_compiled_and_standard_variants_agree_up_to_global_phase():
 
 
 def test_compiled_circuit_gate_inventory():
-    circuit = build_teleport_circuit()
-    kinds = [g.kind for g in circuit.gates]
-    assert set(kinds) == {"rotation", "cphase"}
-    assert kinds.count("cphase") == 2
-    assert {g.pair for g in circuit.gates if g.kind == "cphase"} == {"AB", "BC"}
+    gates = build_teleport_circuit().gates
+    kinds = [type(g) for g in gates]
+    assert set(kinds) == {Rotation, CPhase} and all(isinstance(g, Gate) for g in gates)
+    assert kinds.count(CPhase) == 2
+    assert {g.pair for g in gates if isinstance(g, CPhase)} == {"AB", "BC"}
 
 
 def test_unknown_variant_rejected():
@@ -264,7 +269,7 @@ def test_empty_circuit_is_identity():
     rng = np.random.default_rng(4)
     psi = random_ket(rng, 8)
     rho = DensityMatrix.from_ket(psi)
-    out = apply_circuit(Circuit(num_qubits=3, gates=()), rho)
+    out = apply_circuit(Circuit(()), rho)
     assert np.allclose(out.matrix, rho.matrix)
 
 
@@ -532,6 +537,10 @@ def test_device_default_cphase_times_from_couplings():
     assert device.cphase_time("BC") == pytest.approx(1.0 / (2.0 * 23e6))
     assert device.cphase_time("AB") == pytest.approx(13.89e-9, rel=1e-3)
     assert device.cphase_time("BC") == pytest.approx(21.74e-9, rel=1e-3)
+    explicit = dataclasses.replace(device, cphase_time_bc=30e-9)
+    assert (explicit.cphase_time("AB"), explicit.cphase_time("BC")) == (device.cphase_time("AB"), 30e-9)
+    with pytest.raises(KeyError):
+        device.cphase_time("AC")
 
 
 def test_damping_channels_dephase_every_reference_qubit():
@@ -549,11 +558,11 @@ def test_damping_channels_dephase_every_reference_qubit():
 @pytest.mark.parametrize("duration", [-1e-6, math.nan, math.inf, -math.inf, True])
 def test_gate_rejects_negative_non_finite_and_bool_duration(duration):
     builders = (
-        lambda: Gate.rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=duration),
-        lambda: Gate.cphase("AB", duration=duration),
-        lambda: Gate.cphase("BC", duration=duration),
-        lambda: Gate(kind="rotation", qubits=(0,), axis=(1.0, 0.0, 0.0), angle=0.1, duration=duration),
-        lambda: Gate(kind="cphase", qubits=(1, 2), pair="BC", duration=duration),
+        lambda: Rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=duration),
+        lambda: CPhase("AB", duration=duration),
+        lambda: CPhase("BC", duration=duration),
+        lambda: Rotation(axis=(1.0, 0.0, 0.0), angle=0.1, qubit=2, duration=duration),
+        lambda: CPhase("BC", duration),
     )
     for build in builders:
         with pytest.raises(ValueError, match="gate duration"):
@@ -562,12 +571,13 @@ def test_gate_rejects_negative_non_finite_and_bool_duration(duration):
 
 def test_gate_duration_accepts_none_zero_and_positive():
     for duration in (None, 0.0, 0, 12e-9, np.float64(1e-6)):
-        assert Gate.cphase("AB", duration=duration).duration == duration
+        assert CPhase("AB", duration=duration).duration == duration
+        assert Rotation((0.0, 0.0, 1.0), 0.1, qubit=1, duration=duration).duration == duration
 
 
 def test_gate_duration_decoheres_idle_excited_state():
     # |111> through an identity rotation of 1 us must decay on every qubit.
-    circuit = Circuit(num_qubits=3, gates=(Gate.rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=1e-6),))
+    circuit = Circuit((Rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=1e-6),))
     out = apply_circuit(circuit, DensityMatrix.from_ket(computational_ket(7, 8)), reference_device())
     t1 = reference_device().t1
     assert out.matrix[7, 7].real == pytest.approx(math.prod(math.exp(-1e-6 / t) for t in t1), abs=1e-12)
@@ -575,28 +585,36 @@ def test_gate_duration_decoheres_idle_excited_state():
 
 def test_gate_constructors_validate():
     with pytest.raises(ValueError):
-        Gate.cphase("AC")
+        CPhase("AC")
     with pytest.raises(ValueError):
-        Gate.rotation((1.0, 1.0, 1.0), 0.1, qubit=0)
+        Rotation((1.0, 1.0, 1.0), 0.1, qubit=0)
     with pytest.raises(ValueError):
-        Gate.cphase(["AB"])
+        CPhase(["AB"])
     with pytest.raises(ValueError):
-        Circuit(num_qubits=3, gates=(Gate.rotation((0.0, 1.0, 0.0), 0.1, qubit=5),))
+        Rotation((0.0, 1.0, 0.0), 0.1, qubit=5)
+
+
+@pytest.mark.parametrize("qubit", [3, -1, np.int64(3)])
+def test_rotation_rejects_a_qubit_outside_the_register(qubit):
+    # The register is A, B and C; Circuit used to catch qubit 3 only against its num_qubits.
+    with pytest.raises(ValueError, match=r"gate qubit must be 0, 1 or 2 \(A, B or C\)"):
+        Rotation((0.0, 1.0, 0.0), 0.1, qubit=qubit)
 
 
 def test_cphase_qubits_must_be_its_pairs():
-    # (0, 2) with pair AB used to build a C-Phase between A and C, decohered for AB's duration.
-    with pytest.raises(ValueError, match=r"C-Phase pair AB acts on qubits \(0, 1\), got \(0, 2\)"):
-        Gate(kind="cphase", qubits=(0, 2), pair="AB")
-    with pytest.raises(ValueError, match=r"C-Phase pair BC acts on qubits \(1, 2\), got \(2, 1\)"):
-        Gate(kind="cphase", qubits=(2, 1), pair="BC")
+    # (0, 2) with pair AB used to build a C-Phase between A and C, decohered for
+    # AB's duration. A C-Phase's qubits are now read from its pair, never given.
+    assert CPhase("AB").qubits == (0, 1) and CPhase("BC").qubits == (1, 2)
+    for pair, qubits in (("AB", (0, 2)), ("BC", (2, 1))):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'qubits'"):
+            CPhase(pair, qubits=qubits)
 
 
 @pytest.mark.parametrize("pair", [None, "AC", "ab", ["AB"]])
 def test_cphase_needs_a_known_pair(pair):
     # Without a pair, a C-Phase used to fail only at noisy evolution.
     with pytest.raises(ValueError, match="C-Phase pair must be one of"):
-        Gate(kind="cphase", qubits=(0, 1), pair=pair)
+        CPhase(pair)
 
 
 @pytest.mark.parametrize(
@@ -605,72 +623,71 @@ def test_cphase_needs_a_known_pair(pair):
 )
 def test_rotation_needs_a_real_unit_axis(axis):
     with pytest.raises(ValueError, match="rotation axis must be a unit 3-vector"):
-        Gate(kind="rotation", qubits=(0,), axis=axis, angle=0.1)
+        Rotation(axis, 0.1, qubit=0)
 
 
 @pytest.mark.parametrize("angle", [None, math.nan, math.inf, True, "0.1", 1j])
 def test_rotation_needs_a_finite_real_angle(angle):
     with pytest.raises(ValueError, match="rotation angle must be a finite number"):
-        Gate(kind="rotation", qubits=(0,), axis=(0.0, 0.0, 1.0), angle=angle)
+        Rotation((0.0, 0.0, 1.0), angle, qubit=0)
 
 
 def test_gate_fields_belong_to_their_kind():
-    with pytest.raises(ValueError, match="only a rotation takes an axis and an angle"):
-        Gate(kind="cphase", qubits=(0, 1), pair="AB", axis=(0.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match="only a rotation takes an axis and an angle"):
-        Gate(kind="cphase", qubits=(0, 1), pair="AB", angle=0.1)
-    with pytest.raises(ValueError, match="only a cphase takes a pair"):
-        Gate(kind="rotation", qubits=(0,), axis=(0.0, 0.0, 1.0), angle=0.1, pair="AB")
+    # Each kind has only its own fields, so a C-Phase with an axis cannot be written.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'axis'"):
+        CPhase("AB", axis=(0.0, 0.0, 1.0))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'angle'"):
+        CPhase("AB", angle=0.1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'pair'"):
+        Rotation((0.0, 0.0, 1.0), 0.1, qubit=0, pair="AB")
 
 
 def test_rotation_stores_its_axis_and_angle_as_floats_in_a_tuple():
     # A list axis used to build, then fail in apply_circuit: unhashable for gate_operator's cache.
-    gate = Gate(kind="rotation", qubits=(0,), axis=[0.0, np.int64(0), 1], angle=np.float32(0.5))
+    gate = Rotation([0.0, np.int64(0), 1], np.float32(0.5), qubit=0)
     assert gate.axis == (0.0, 0.0, 1.0) and gate.angle == 0.5
     assert all(type(a) is float for a in (*gate.axis, gate.angle))
-    assert gate == Gate.rotation((0.0, 0.0, 1.0), 0.5, qubit=0)
+    assert gate == Rotation((0.0, 0.0, 1.0), 0.5, qubit=0)
     rho = DensityMatrix.from_ket(computational_ket(0, 8))
-    assert np.allclose(apply_circuit(Circuit(num_qubits=3, gates=(gate,)), rho, reference_device()).matrix[0, 0], 1.0)
+    assert np.allclose(apply_circuit(Circuit((gate,)), rho, reference_device()).matrix[0, 0], 1.0)
 
 
 def test_circuit_stores_its_gates_as_a_tuple_of_gates():
-    gates = [Gate.cphase("AB")]
-    circuit = Circuit(num_qubits=3, gates=gates)
-    gates.append(Gate.cphase("BC"))
-    assert circuit.gates == (Gate.cphase("AB"),)
+    gates = [CPhase("AB")]
+    circuit = Circuit(gates)
+    gates.append(CPhase("BC"))
+    assert circuit.gates == (CPhase("AB"),)
     with pytest.raises(TypeError, match="a circuit holds Gate values, got tuple"):
-        Circuit(num_qubits=3, gates=(("cphase", (0, 1)),))
+        Circuit((("cphase", (0, 1)),))
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=1.7),
-        lambda: Gate(kind="cphase", qubits=(True, 2), pair="BC"),
-        lambda: Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=True),
-        lambda: Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=np.float64(1.0)),
-        lambda: Gate(kind="cphase", qubits=(0.2, 0.9), pair="AB"),
-        lambda: Gate(kind="cphase", qubits=(0, "1"), pair="AB"),
-        lambda: Gate(kind="rotation", qubits=(None,), axis=(0.0, 1.0, 0.0), angle=0.3),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit=1.7),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit=(1,)),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit=True),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit=np.float64(1.0)),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit=0.2),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit="1"),
+        lambda: Rotation((0.0, 1.0, 0.0), 0.3, qubit=None),
     ],
 )
 def test_gate_rejects_non_integer_qubits(build):
-    # int() used to turn 1.7 and True into qubit 1, and qubits (0.2, 0.9) into (0, 0).
+    # int() used to turn 1.7 and True into qubit 1, and 0.2 into 0.
     with pytest.raises(ValueError, match="gate qubit must be an integer"):
         build()
 
 
 def test_gate_accepts_numpy_integer_qubits_as_ints():
-    gates = (
-        Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=np.int64(2)),
-        Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=np.int32(1)),
-        Gate(kind="cphase", qubits=(np.int64(1), np.uint8(2)), pair="BC"),
-        Gate(kind="cphase", qubits=np.array([0, 1]), pair="AB"),
-    )
-    assert [g.qubits for g in gates] == [(2,), (1,), (1, 2), (0, 1)]
-    assert all(type(q) is int for g in gates for q in g.qubits)
-    assert gates[2] == Gate.cphase("BC")
-    assert np.array_equal(gate_operator(gates[2]), cphase_ideal())
+    y = (0.0, 1.0, 0.0)
+    gates = tuple(Rotation(y, 0.3, qubit=q) for q in (np.int64(2), np.int32(1), np.uint8(0)))
+    assert [g.qubit for g in gates] == [2, 1, 0]
+    assert [g.qubits for g in gates] == [(2,), (1,), (0,)]
+    assert all(type(q) is int for g in (*gates, CPhase("AB"), CPhase("BC")) for q in g.qubits)
+    assert gates[0] == Rotation(y, 0.3, qubit=2)
+    assert np.array_equal(gate_operator(gates[0]), rotation_unitary(y, 0.3))
+    assert np.array_equal(gate_operator(CPhase("BC")), cphase_ideal())
 
 
 @pytest.mark.parametrize(
@@ -685,48 +702,71 @@ def test_gate_accepts_numpy_integer_qubits_as_ints():
     ],
 )
 def test_gate_rejects_qubit_count_other_than_its_kind(kind, qubits):
-    # A rotation on (0, 1) used to rotate qubit 0 alone and pass for a valid state.
-    with pytest.raises(ValueError, match=f"a {kind} gate acts on"):
-        Gate(kind=kind, qubits=qubits, axis=(0.0, 1.0, 0.0), angle=0.3, pair="AB")
+    # A rotation on (0, 1) used to rotate qubit 0 alone and pass for a valid
+    # state. A rotation takes one qubit and a C-Phase none: its pair names them.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'qubits'"):
+        Rotation((0.0, 1.0, 0.0), 0.3, 0, qubits=qubits) if kind == "rotation" else CPhase("AB", qubits=qubits)
+    if kind == "rotation":
+        with pytest.raises(ValueError, match="gate qubit must be an integer"):
+            Rotation((0.0, 1.0, 0.0), 0.3, qubit=qubits)
 
 
 def test_gate_rejects_repeated_qubits_and_unknown_kinds():
     for qubits in ((1, 1), (np.int64(2), 2)):
-        with pytest.raises(ValueError, match="distinct"):
-            Gate(kind="cphase", qubits=qubits, pair="BC")
-    # The textbook circuit's Hadamard and CNOT are not gate kinds: the device has neither.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'qubits'"):
+            CPhase("BC", qubits=qubits)
+    # The textbook circuit's Hadamard and CNOT are not gate types: the device has neither.
     for kind, qubits in (("toffoli", (0, 1, 2)), ("hadamard", (0,)), ("cnot", (0, 1))):
-        with pytest.raises(ValueError, match=f"unknown gate kind '{kind}'"):
+        with pytest.raises(TypeError, match="not callable"):
             Gate(kind=kind, qubits=qubits)
+        for native in (Rotation, CPhase):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'kind'"):
+                native(kind=kind, qubits=qubits)
+
+
+def test_gate_is_the_union_of_the_two_native_types():
+    assert telebench.Gate is Gate and telebench.Rotation is Rotation and telebench.CPhase is CPhase
+    assert isinstance(Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), Gate) and isinstance(CPhase("AB"), Gate)
+    for name in ("_GATE_ARITY", "_pair_qubits"):
+        assert not hasattr(circuit_module, name)
+    for name in ("rotation", "cphase", "kind"):
+        assert not hasattr(Gate, name) and not hasattr(Rotation, name) and not hasattr(CPhase, name)
 
 
 @pytest.mark.parametrize("num_qubits", [2.5, 3.0, True, 0, -1, "3", None])
 def test_circuit_requires_a_positive_integer_register(num_qubits):
-    with pytest.raises(ValueError, match="num_qubits"):
+    # The register is the device's A, B and C, so a circuit takes no size at all.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'num_qubits'"):
         Circuit(num_qubits=num_qubits, gates=())
 
 
 def test_circuit_accepts_a_numpy_integer_register():
-    circuit = Circuit(num_qubits=np.int64(3), gates=(Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=2),))
-    assert circuit.num_qubits == 3 and type(circuit.num_qubits) is int
+    circuit = Circuit(gates=(Rotation((0.0, 1.0, 0.0), 0.3, qubit=np.int64(2)),))
+    assert circuit.gates[0].qubit == 2 and type(circuit.gates[0].qubit) is int
+    assert not hasattr(circuit, "num_qubits")
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 4])
 def test_device_evolution_needs_the_three_device_qubits(num_qubits):
     # A 4-qubit register used to raise IndexError, and a 2-qubit one was
-    # silently decohered with A's and B's T1 and T2*.
-    ry = Gate.rotation((0.0, 1.0, 0.0), math.pi / 2.0, qubit=0, duration=0.0)
-    circuit = Circuit(num_qubits=num_qubits, gates=(ry,))
+    # silently decohered with A's and B's T1 and T2*. Every circuit is on A,
+    # B and C now, with or without a device.
     rho = DensityMatrix.from_ket(computational_ket(0, 2**num_qubits))
-    with pytest.raises(ValueError, match="device models qubits A, B and C"):
-        apply_circuit(circuit, rho, reference_device())
-    noiseless = apply_circuit(circuit, rho)
-    plus = np.kron(np.ones(2) / np.sqrt(2.0), computational_ket(0, 2 ** (num_qubits - 1)))
-    assert np.allclose(noiseless.matrix, np.outer(plus, plus), atol=1e-15)
+    for device in (reference_device(), None):
+        with pytest.raises(ValueError, match=f"dimension {2**num_qubits} does not match the 3-qubit circuit"):
+            apply_circuit(build_teleport_circuit(), rho, device)
+
+
+def test_block_gathers_are_one_read_only_constant_for_the_three_qubits():
+    assert not hasattr(_block_gathers, "cache_info")
+    assert len(_BLOCK_GATHERS) == 4
+    for built, constant in zip(_block_gathers(3), _BLOCK_GATHERS):
+        assert np.array_equal(built, constant) and not constant.flags.writeable
+        assert np.array_equal(np.sort(constant), np.arange(64))
 
 
 def test_gate_operators_are_read_only_and_alias_no_constant():
-    gates = (Gate.rotation((0.0, 1.0, 0.0), 0.3, qubit=0), Gate.cphase("AB"), Gate.cphase("BC"))
+    gates = (Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), CPhase("AB"), CPhase("BC"))
     for gate in gates:
         op = gate_operator(gate)
         with pytest.raises(ValueError, match="read-only"):
@@ -744,7 +784,7 @@ def test_second_apply_circuit_builds_no_rotation(monkeypatch):
     circuit = build_teleport_circuit()
     rho = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
     first = apply_circuit(circuit, rho, reference_device())
-    assert len(calls) == len({g for g in circuit.gates if g.kind == "rotation"}) == 5
+    assert len(calls) == len({g for g in circuit.gates if isinstance(g, Rotation)}) == 5
     calls.clear()
     second = apply_circuit(circuit, rho, reference_device())
     assert calls == []

@@ -10,7 +10,7 @@ import pytest
 
 import telebench
 from telebench.circuit import DeviceParams, ideal_phi
-from telebench.cli import main
+from telebench.cli import RunConfig, _build_run_config, build_parser, main
 from telebench.qops import DensityMatrix
 from telebench.tomography import pauli_set
 from test_circuit import CHECKED_DEVICE_FIELDS
@@ -143,6 +143,16 @@ def test_bench_seed_required_with_shots(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "seed" in err
+
+
+def test_run_config_seed_is_the_resolved_int(tmp_path):
+    config_file = tmp_path / "seeded.json"
+    config_file.write_text('{"seed": 11, "shots": 10}')
+    cases = {(): 0, ("--seed", "7"): 7, ("--config", str(config_file)): 11, ("--shots", "0"): 0}
+    for extra, seed in cases.items():
+        config = _build_run_config(build_parser().parse_args(["bench", *extra]))
+        assert config.seed == seed and type(config.seed) is int
+    assert not hasattr(RunConfig, "effective_seed")
 
 
 def test_bench_bundled_reference_config(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import block_apply_circuit, kraus_apply_circuit, random_density, random_ket, random_unitary
-from telebench.circuit import Circuit, DeviceParams, Gate, apply_circuit, build_teleport_circuit
+from telebench.circuit import CPhase, Circuit, DeviceParams, Rotation, apply_circuit, build_teleport_circuit
 from telebench.entanglement import three_tangle_pure
 from telebench.qops import DensityMatrix, computational_ket, nearest_physical
 from telebench.teleport_bench import INPUT_KETS, INPUT_LABELS, OUTCOMES, conditional_output_state
@@ -81,11 +81,11 @@ def gates(draw):
     duration, a virtual (zero) one or an explicit one."""
     duration = draw(st.one_of(st.none(), st.just(0.0), st.floats(1e-9, 100e-9)))
     if draw(st.booleans()):
-        return Gate.cphase(draw(st.sampled_from(["AB", "BC"])), duration)
+        return CPhase(draw(st.sampled_from(["AB", "BC"])), duration)
     v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(a * a for a in v) > 0.01))
     norm = math.sqrt(sum(a * a for a in v))
     axis = tuple(a / norm for a in v)
-    return Gate.rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
+    return Rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
 
 
 @settings(max_examples=80, deadline=None)
@@ -96,7 +96,7 @@ def gates(draw):
     size=st.integers(1, 5),
 )
 def test_evolution_equals_per_qubit_block_updates_bit_for_bit(gate_list, device, seed, size):
-    circuit = Circuit(num_qubits=3, gates=tuple(gate_list))
+    circuit = Circuit(gates=tuple(gate_list))
     rng = np.random.default_rng(seed)
     ket00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
     rhos = []

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import kron_pauli, partial_trace_index_sum, random_density, random_ket, simplex_projection_psd
+from oracles import (
+    argmin_truncate_spectra,
+    kron_pauli,
+    partial_trace_index_sum,
+    random_density,
+    random_ket,
+    simplex_projection_psd,
+)
+import telebench.qops as qops
 from telebench.qops import (
     DensityMatrix,
     ID2,
@@ -10,7 +18,8 @@ from telebench.qops import (
     nearest_physical,
     state_fidelity_pure,
 )
-from telebench.teleport_bench import conditional_output_state
+from telebench.circuit import DeviceParams
+from telebench.teleport_bench import conditional_output_state, run_benchmark
 from telebench.tomography import PAULI_LABELS, pauli_set
 
 
@@ -191,3 +200,47 @@ def test_nearest_physical_projection_property():
         projected = nearest_physical(h).matrix
         sigma = random_density(rng, 4)
         assert np.linalg.norm(projected - sigma) <= np.linalg.norm(h - sigma) + 1e-9
+
+
+def test_nearest_physical_rejects_a_negative_trace():
+    # Rescaling diag(0.5, -1.5) by its trace used to flip the spectrum and
+    # return |1><1|, at Frobenius distance 2.55; the nearest state is |0><0|, at 1.58.
+    with pytest.raises(ValueError, match=r"matrix trace is too close to zero or negative to rescale, got -1.0"):
+        nearest_physical(np.diag([0.5, -1.5]))
+    for tr in (0.0, 5e-10, -1e-3, np.nan):
+        with pytest.raises(ValueError, match="matrix trace is too close to zero or negative") as info:
+            nearest_physical(np.diag([tr, 0.0]))
+        assert "member" not in str(info.value)
+    assert np.allclose(nearest_physical(np.diag([2e-9, 0.0])).matrix, np.diag([1.0, 0.0]))
+
+
+def test_stacked_nearest_physical_names_the_member_with_a_negative_trace():
+    good = np.eye(2) / 2.0
+    with pytest.raises(ValueError, match=r"member 2: matrix trace is too close to zero or negative to rescale"):
+        nearest_physical(np.array([good, good, np.diag([0.5, -1.5]), good]))
+    with pytest.raises(ValueError, match=r"member 0: matrix trace is too close to zero or negative"):
+        nearest_physical([-good, DensityMatrix(good)])
+
+
+def test_spectrum_walk_equals_the_argmin_loop_byte_for_byte():
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4, 8):
+        for scale in (1.0, 1e-3, 1e-9, 1e-17):
+            # d - 1 eigenvalues of size ``scale`` and one that makes the sum 1, ascending as eigh gives them.
+            vals = rng.normal(size=(500, d)) * scale
+            vals[:, -1] = 1.0 - vals[:, :-1].sum(axis=1)
+            vals.sort(axis=1)
+            walked, looped = vals.copy(), vals.copy()
+            qops._truncate_spectra(walked)
+            argmin_truncate_spectra(looped)
+            assert walked.tobytes() == looped.tobytes(), (d, scale)
+            assert (walked >= 0.0).all() and (walked != vals).any()
+
+
+@pytest.mark.parametrize("shots, noise", [(0, False), (0, True), (200, True)])
+def test_pipeline_projections_are_unchanged_by_the_spectrum_walk(shots, noise, monkeypatch):
+    device = DeviceParams.reference()
+    walked = [run_benchmark(device, shots, seed, noise, restarts=2) for seed in range(3)]
+    monkeypatch.setattr(qops, "_truncate_spectra", argmin_truncate_spectra)
+    looped = [run_benchmark(device, shots, seed, noise, restarts=2) for seed in range(3)]
+    assert walked == looped
