@@ -67,6 +67,12 @@ def _unit_axis(axis) -> tuple[float, float, float]:
     return tuple(float(a) for a in ax)
 
 
+def _check_angle(angle) -> None:
+    """A NaN or infinite rotation angle would make every entry of the unitary NaN."""
+    if not (_is_real(angle) and math.isfinite(angle)):
+        raise ValueError(f"rotation angle must be a finite number, got {angle!r}")
+
+
 def _check_duration(d) -> None:
     """A negative or NaN gate duration would skip decoherence silently, and a bool would read as 1 s."""
     if d is not None and not (_is_real(d) and 0.0 <= d < math.inf):
@@ -94,8 +100,7 @@ class Rotation:
         object.__setattr__(self, "qubit", qubit)
         # A list axis would make the gate unhashable, and gate_operator caches by gate.
         object.__setattr__(self, "axis", _unit_axis(self.axis))
-        if not (_is_real(self.angle) and math.isfinite(self.angle)):
-            raise ValueError(f"rotation angle must be a finite number, got {self.angle!r}")
+        _check_angle(self.angle)
         object.__setattr__(self, "angle", float(self.angle))
 
     @property
@@ -158,8 +163,14 @@ class DeviceParams:
     single_qubit_error: float = 0.0
 
     def __post_init__(self):
-        if len(self.t1) != 3 or len(self.t2_star) != 3:
-            raise ValueError("t1 and t2_star must list exactly three qubits (A, B, C)")
+        for name in ("t1", "t2_star"):
+            value = getattr(self, name)
+            try:
+                three = len(value) == 3
+            except TypeError:  # a number or another unsized value
+                three = False
+            if not three:
+                raise ValueError(f"{name} must list exactly three qubits (A, B, C), got {value!r}")
         # Times and couplings must be finite positive reals: a NaN or infinite
         # one makes a gate duration NaN or 0, which silently skips that gate's
         # decoherence.
@@ -178,8 +189,8 @@ class DeviceParams:
         for q in range(3):
             if t2[q] > 2.0 * t1[q] * (1.0 + 1e-12):
                 raise ValueError(f"unphysical dephasing: T2*={t2[q]} exceeds 2*T1={2 * t1[q]} on qubit {q}")
-        if isinstance(self.single_qubit_error, bool) or not 0.0 <= self.single_qubit_error < 1.0:
-            raise ValueError("single_qubit_error must lie in [0, 1)")
+        if not (_is_real(self.single_qubit_error) and 0.0 <= self.single_qubit_error < 1.0):
+            raise ValueError(f"single_qubit_error must be a number in [0, 1), got {self.single_qubit_error!r}")
 
     def cphase_time(self, pair: str) -> float:
         """The C-Phase time of pair "AB" or "BC"; any other pair raises ``KeyError``."""
@@ -215,6 +226,7 @@ class DeviceParams:
 def rotation_unitary(axis, angle: float) -> np.ndarray:
     """2x2 rotation exp(-i * angle/2 * axis.sigma) about a unit axis."""
     ax = _unit_axis(axis)
+    _check_angle(angle)
     generator = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
     half = 0.5 * float(angle)
     return math.cos(half) * ID2 - 1j * math.sin(half) * generator
@@ -241,10 +253,11 @@ def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, fl
         diag(1, 1, 1, cos(2*pi*J*t)) (not unitary away from full periods),
         and the leakage probability sin^2(2*pi*J*t).
     """
-    if j_over_2pi <= 0:
-        raise ValueError("coupling strength must be positive")
-    if t < 0:
-        raise ValueError("interaction time must be non-negative")
+    # NaN compares false, so each test is negated rather than flipped.
+    if not (_is_real(j_over_2pi) and 0.0 < j_over_2pi < math.inf):
+        raise ValueError(f"coupling strength must be a finite positive number, got {j_over_2pi!r}")
+    if not (_is_real(t) and 0.0 <= t < math.inf):
+        raise ValueError(f"interaction time must be a finite number >= 0, got {t!r}")
     phase = 2.0 * math.pi * j_over_2pi * t
     amp11 = math.cos(phase)
     leakage = math.sin(phase) ** 2

@@ -11,7 +11,6 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .teleport_bench import (
     run_benchmark,
     run_state,
 )
+from .tomography import MAX_SHOTS
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -33,20 +33,12 @@ EXIT_USAGE = 2
 
 _FORMATS = ("json", "csv", "both")
 
+# Each run setting's value when neither its flag nor the config file sets it.
+_DEFAULTS = {"shots": 0, "seed": None, "noise": False, "out": ".", "format": "json", "restarts": 200}
+
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent run configuration."""
-
-
-@dataclass
-class RunConfig:
-    device: DeviceParams
-    shots: int = 0
-    seed: int = 0
-    noise: bool = False
-    out: Path = Path(".")
-    format: str = "json"
-    restarts: int = 200
 
 
 def _load_config_file(path: str) -> dict:
@@ -77,10 +69,14 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
+def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
+    """The device and the six run settings, each from its flag, else the config file, else ``_DEFAULTS``.
+
+    The resolved seed is an int, 0 when unset; ``None`` lives only here, for
+    the check that sampled runs name a seed.
+    """
     data = _load_config_file(args.config) if args.config else {}
-    known = {"device", "shots", "seed", "noise", "out", "format", "restarts"}
-    unknown = set(data) - known
+    unknown = set(data) - {"device", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     try:
@@ -88,23 +84,17 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid device config: {exc}")
 
-    def pick(name, override, default):
-        if override is not None:
-            return override
-        return data.get(name, default)
-
-    shots = pick("shots", args.shots, 0)
-    seed = pick("seed", args.seed, None)
-    noise = pick("noise", None if args.noise is None else args.noise == "on", False)
-    out = pick("out", args.out, ".")
-    fmt = pick("format", args.format, "json")
-    restarts = pick("restarts", args.restarts, 200)
+    flags = {**vars(args), "noise": {"on": True, "off": False}.get(args.noise)}
+    settings = {name: data.get(name, _DEFAULTS[name]) if flags[name] is None else flags[name] for name in _DEFAULTS}
+    shots, seed, noise, out, fmt, restarts = settings.values()  # in _DEFAULTS order
 
     def is_plain_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
 
     if not is_plain_int(shots) or shots < 0:
         raise ConfigError(f"'shots' must be a non-negative integer, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"'shots' must be at most {MAX_SHOTS}, the limit of numpy's sampler, got {shots}")
     if seed is not None and not is_plain_int(seed):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
     if not isinstance(noise, bool):
@@ -117,14 +107,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"'restarts' must be a positive integer, got {restarts!r}")
     if shots > 0 and seed is None:
         raise ConfigError("'seed' is required when shots > 0")
-    seed = 0 if seed is None else seed
-    return RunConfig(
-        device=device, shots=shots, seed=seed, noise=noise, out=Path(out), format=fmt, restarts=restarts
-    )
-
-
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    settings["seed"] = 0 if seed is None else seed
+    return device, settings
 
 
 def _fmt(value, width: int = 10) -> str:
@@ -168,26 +152,23 @@ def _print_bench_summary(report: dict) -> None:
     print(f"mean Fbar: {_fmt(mean_fbar, 0).strip()} (reference {ref['mean_average_output_fidelity']})")
 
 
+def _write(result: dict, out: str, files: dict) -> list[Path]:
+    """Stamp the run's timestamp on ``result``, make ``out`` and write each
+    ``{file name: serializer}`` of ``files`` there; returns the paths written."""
+    result["metadata"]["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text(result))
+    return [out / name for name in files]
+
+
 def command_bench(args: argparse.Namespace) -> int:
-    config = _build_run_config(args)
-    report = run_benchmark(
-        device=config.device,
-        shots=config.shots,
-        seed=config.seed,
-        noise=config.noise,
-        restarts=config.restarts,
-    )
-    report["metadata"]["timestamp"] = _timestamp()
-    config.out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if config.format in ("json", "both"):
-        path = config.out / "report.json"
-        path.write_text(report_json_text(report))
-        written.append(path)
-    if config.format in ("csv", "both"):
-        path = config.out / "report.csv"
-        path.write_text(report_csv_text(report))
-        written.append(path)
+    device, s = _build_run_config(args)
+    report = run_benchmark(device, s["shots"], s["seed"], s["noise"], s["restarts"])
+    writers = {"json": report_json_text, "csv": report_csv_text}
+    files = {f"report.{kind}": text for kind, text in writers.items() if s["format"] in (kind, "both")}
+    written = _write(report, s["out"], files)
     _print_bench_summary(report)
     for path in written:
         print(f"wrote {path}")
@@ -195,22 +176,12 @@ def command_bench(args: argparse.Namespace) -> int:
 
 
 def command_state(args: argparse.Namespace) -> int:
-    config = _build_run_config(args)
-    if config.format != "json":
-        raise ConfigError(f"'state' writes only the 'json' format, got {config.format!r}")
+    device, s = _build_run_config(args)
+    if s["format"] != "json":
+        raise ConfigError(f"'state' writes only the 'json' format, got {s['format']!r}")
     label = args.input
-    result = run_state(
-        device=config.device,
-        label=label,
-        shots=config.shots,
-        seed=config.seed,
-        noise=config.noise,
-        restarts=config.restarts,
-    )
-    result["metadata"]["timestamp"] = _timestamp()
-    config.out.mkdir(parents=True, exist_ok=True)
-    path = config.out / f"state_{label}.json"
-    path.write_text(report_json_text(result))
+    result = run_state(device, label, s["shots"], s["seed"], s["noise"], s["restarts"])
+    (path,) = _write(result, s["out"], {f"state_{label}.json": report_json_text})
     print(f"input {label}: fidelity {result['state_fidelity']:.4f}")
     if "witness" in result:
         print(
@@ -229,13 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", metavar="PATH", default=None, help="JSON run config")
-        p.add_argument("--shots", type=int, default=None, help="shots per Pauli setting (0 = analytic)")
-        p.add_argument("--seed", type=int, default=None, help="random seed (required when shots > 0)")
-        p.add_argument("--noise", choices=("on", "off"), default=None, help="enable decoherence")
-        p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-        p.add_argument("--format", choices=_FORMATS, default=None, help="report format (state: json only)")
-        p.add_argument("--restarts", type=int, default=None, help="decomposition-search restarts")
+        # Every flag defaults to None, so a flag left out yields to the config file.
+        d, noise = _DEFAULTS, "on" if _DEFAULTS["noise"] else "off"
+        p.add_argument("--config", metavar="PATH", help="JSON run config")
+        p.add_argument("--shots", type=int, help=f"shots per Pauli setting, 0 = analytic (default {d['shots']})")
+        p.add_argument("--seed", type=int, help="random seed (required when shots > 0, else default 0)")
+        p.add_argument("--noise", choices=("on", "off"), help=f"enable decoherence (default {noise})")
+        p.add_argument("--out", metavar="DIR", help=f"output directory (default {d['out']})")
+        p.add_argument(
+            "--format", choices=_FORMATS, help=f"report format, state: json only (default {d['format']})"
+        )
+        p.add_argument("--restarts", type=int, help=f"decomposition-search restarts (default {d['restarts']})")
 
     bench = sub.add_parser("bench", help="run the full benchmark and write report(s)")
     add_common(bench)

@@ -73,7 +73,6 @@ WITNESS_ALPHA = 0.5
 
 OUTCOMES = ("00", "01", "10", "11")
 
-CHI_LABELS = ("I", "X", "Y~", "Z")
 CHI_BASIS = (ID2, PAULI_X, -1j * PAULI_Y, PAULI_Z)
 _IDEAL_CHI_INDEX = {"00": 0, "01": 1, "10": 3, "11": 2}
 
@@ -219,19 +218,19 @@ def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts
     }
 
 
-def _evolve(device: DeviceParams, labels, noise: bool) -> list[DensityMatrix]:
-    """The circuit's outputs for the given inputs, evolved as one stack."""
-    return apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
+def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool, restarts: int):
+    """The settings checks and state stage shared by :func:`run_benchmark` and :func:`run_state`.
 
-
-def _run_inputs(rhos_out: list[DensityMatrix], labels, shots: int, seed: int, restarts: int):
-    """The state stage shared by :func:`run_benchmark` and :func:`run_state`.
-
-    Readout of the evolved states -> physical reconstruction -> state
-    fidelities and Pauli sets, each one call on the whole stack, plus
-    witness and tangle bound for each entangled input. Returns the figures
-    of merit per input and the reconstructed states.
+    Checks the settings as :func:`run_benchmark` documents, then evolution
+    -> readout -> physical reconstruction -> state fidelities and Pauli
+    sets, each one call on the whole stack of inputs, plus witness and
+    tangle bound for each entangled input. Returns the run metadata, the
+    figures of merit per input and the reconstructed states.
     """
+    shots = require_count("shots", shots, 0)
+    restarts = require_count("restarts", restarts, 1)
+    seed = require_integer("seed", seed)
+    rhos_out = apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
     indices = [INPUT_LABELS.index(label) for label in labels]
     rhos_m = mle_reconstruct(simulate_readout(rhos_out, shots, [_derived_seed(seed, 0, k) for k in indices]))
     fidelities = state_fidelity_pure(rhos_m, np.array([_IDEAL_KETS[label] for label in labels]))
@@ -248,7 +247,7 @@ def _run_inputs(rhos_out: list[DensityMatrix], labels, shots: int, seed: int, re
                 rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
             )
         entries.append(entry)
-    return entries, rhos_m
+    return _metadata(device, shots, seed, noise, restarts), entries, rhos_m
 
 
 def run_benchmark(
@@ -268,11 +267,8 @@ def run_benchmark(
     ``ValueError`` unless ``shots``, ``seed`` and ``restarts`` are integers
     (``shots`` >= 0, ``restarts`` >= 1).
     """
-    shots = require_count("shots", shots, 0)
-    restarts = require_count("restarts", restarts, 1)
-    seed = require_integer("seed", seed)
-
-    entries, rhos_m = _run_inputs(_evolve(device, INPUT_LABELS, noise), INPUT_LABELS, shots, seed, restarts)
+    metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
+    shots = metadata["shots"]
     for entry in entries:
         entry["outcomes"] = {}
     processes_block: dict[str, dict] = {}
@@ -305,7 +301,7 @@ def run_benchmark(
     states_block = dict(zip(INPUT_LABELS, entries))
     report = {
         "schema": SCHEMA_VERSION,
-        "metadata": _metadata(device, shots, seed, noise, restarts),
+        "metadata": metadata,
         "states": states_block,
         "processes": processes_block,
         "averages": {
@@ -335,16 +331,13 @@ def run_state(
     """
     if label not in INPUT_LABELS:
         raise ValueError(f"input label must be one of {INPUT_LABELS}, got {label!r}")
-    shots = require_count("shots", shots, 0)
-    restarts = require_count("restarts", restarts, 1)
-    seed = require_integer("seed", seed)
-    (entry,), (rho_m,) = _run_inputs(_evolve(device, (label,), noise), (label,), shots, seed, restarts)
+    metadata, (entry,), (rho_m,) = _run_inputs(device, (label,), shots, seed, noise, restarts)
     return {
         "schema": SCHEMA_VERSION,
         "input": label,
         "rho": _pack_matrix(np.array(rho_m.matrix)),
         **entry,
-        "metadata": _metadata(device, shots, seed, noise, restarts),
+        "metadata": metadata,
     }
 
 

@@ -54,6 +54,9 @@ _INVERSION_OPERATORS = (
 _INVERSION_OPERATORS.setflags(write=False)
 PAULI_STACK = _INVERSION_OPERATORS[1:]
 
+# numpy's binomial sampler takes a number of trials only up to the largest int64.
+MAX_SHOTS = 2**63 - 1
+
 
 def simulate_readout(rho, shots: int, seed):
     """Sample Pauli expectation values of a three-qubit state, or of a stack.
@@ -70,10 +73,13 @@ def simulate_readout(rho, shots: int, seed):
     of a state share that stream, and the binomial sampler uses a varying
     number of uniforms per setting, so setting i depends on the seed and on
     the probabilities of settings 0 .. i, not on (seed, i) alone. Raises
-    ``ValueError`` unless ``shots`` is a non-negative integer and every seed
-    an integer (numpy integers are accepted; floats and booleans are not).
+    ``ValueError`` unless ``shots`` is an integer in [0, :data:`MAX_SHOTS`]
+    and every seed an integer (numpy integers are accepted; floats and
+    booleans are not).
     """
     shots = require_count("shots", shots, 0)
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, the limit of numpy's sampler, got {shots}")
     exact = pauli_set(rho)
     single = exact.ndim == 1
     if single:

@@ -109,6 +109,13 @@ def test_rotation_unitary_rejects_non_unit_axis():
             rotation_unitary(axis, 0.3)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, True, "0.3", None])
+def test_rotation_unitary_rejects_a_non_finite_or_non_real_angle(angle):
+    # A NaN angle used to give an all-NaN unitary.
+    with pytest.raises(ValueError, match="rotation angle must be a finite number"):
+        rotation_unitary((0, 0, 1), angle)
+
+
 def test_gate_unitaries_are_unitary():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -186,6 +193,27 @@ def test_cphase_leakage_matches_qutrit_oracle(j):
 def test_cphase_rejects_negative_time():
     with pytest.raises(ValueError):
         cphase_avoided_crossing(36e6, -1e-9)
+
+
+@pytest.mark.parametrize(
+    "j, t, field",
+    [
+        (36e6, math.nan, "interaction time"),
+        (36e6, math.inf, "interaction time"),
+        (36e6, True, "interaction time"),
+        (36e6, "1e-9", "interaction time"),
+        (0.0, 1e-9, "coupling strength"),
+        (-36e6, 1e-9, "coupling strength"),
+        (math.nan, 1e-9, "coupling strength"),
+        (math.inf, 1e-9, "coupling strength"),
+        (True, 1e-9, "coupling strength"),
+        (None, 1e-9, "coupling strength"),
+    ],
+)
+def test_cphase_avoided_crossing_rejects_non_finite_or_non_real_inputs(j, t, field):
+    # NaN used to give a NaN operator entry and leakage, and True a 1 Hz coupling.
+    with pytest.raises(ValueError, match=field):
+        cphase_avoided_crossing(j, t)
 
 
 # --- circuit construction ------------------------------------------------
@@ -520,6 +548,30 @@ def test_device_params_rejects_non_finite_bool_and_non_positive(field, value):
 def test_device_params_rejects_bool_single_qubit_error():
     with pytest.raises(ValueError, match="single_qubit_error"):
         DeviceParams.from_dict(device_dict_with("single_qubit_error", True))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("single_qubit_error", "0.1"),
+        ("single_qubit_error", None),
+        ("single_qubit_error", [0.1]),
+        ("single_qubit_error", math.nan),
+        ("t1", 5),
+        ("t1", None),
+        ("t2_star", "abc"),
+        ("t2_star", [4.5e-7, 6e-7]),
+        ("j_ab", "3.6e7"),
+        ("single_qubit_gate_time", None),
+    ],
+)
+def test_device_params_type_errors_name_the_field(field, value):
+    # A string, null or list single_qubit_error, and a number t1, used to
+    # raise TypeError from a comparison or len() without naming the field.
+    d = reference_device().to_dict()
+    d[field] = value
+    with pytest.raises(ValueError, match=field):
+        DeviceParams.from_dict(d)
 
 
 def test_device_params_dict_round_trip_and_scaling():

@@ -10,7 +10,7 @@ import pytest
 
 import telebench
 from telebench.circuit import DeviceParams, ideal_phi
-from telebench.cli import RunConfig, _build_run_config, build_parser, main
+from telebench.cli import _build_run_config, build_parser, main
 from telebench.qops import DensityMatrix
 from telebench.tomography import pauli_set
 from test_circuit import CHECKED_DEVICE_FIELDS
@@ -117,6 +117,24 @@ def test_bench_non_finite_or_bool_device_value_exits_2(field, token, tmp_path, c
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("single_qubit_error", "0.1"), ("single_qubit_error", None), ("single_qubit_error", [0.1]), ("t1", 5)],
+)
+def test_bench_device_value_of_the_wrong_type_exits_2_naming_the_field(field, value, tmp_path, capsys):
+    # These used to exit 2 with a bare TypeError message such as
+    # "'<=' not supported between instances of 'float' and 'str'".
+    device = DeviceParams.reference().to_dict()
+    device[field] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"device": device}))
+    code = run_cli(["bench", "--config", str(config), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: invalid device config:") and field in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_bench_non_finite_run_setting_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"shots": Infinity}')
@@ -145,14 +163,64 @@ def test_bench_seed_required_with_shots(tmp_path, capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_shots_beyond_the_sampler_exits_2(source, tmp_path, capsys):
+    # numpy's binomial sampler takes at most 2**63 - 1 trials; more used to exit 1 with OverflowError.
+    config = tmp_path / "run.json"
+    config.write_text('{"shots": 100000000000000000000, "seed": 1}')
+    setting = ["--shots", str(10**20), "--seed", "1"] if source == "flag" else ["--config", str(config)]
+    code = run_cli(["bench", *setting, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: 'shots' must be at most 9223372036854775807")
+    assert not (tmp_path / "out").exists()
+
+
+# setting: (default, config file value, flag, flag value); the flag value
+# differs from the config file's, and both from the default.
+SETTING_SOURCES = {
+    "shots": (0, 20, "--shots=30", 30),
+    "seed": (0, 11, "--seed=7", 7),
+    "noise": (False, True, "--noise=off", False),
+    "out": (".", "from_config", "--out=from_flag", "from_flag"),
+    "format": ("json", "csv", "--format=both", "both"),
+    "restarts": (200, 3, "--restarts=2", 2),
+}
+
+
+def resolved_setting(name: str, run_dir: Path):
+    """A run setting as the bench run in ``run_dir`` resolved it, read from what it wrote."""
+    written = sorted(run_dir.rglob("report.*"))
+    if name == "out":
+        return str(written[0].parent.relative_to(run_dir))
+    if name == "format":
+        return "both" if len(written) == 2 else written[0].suffix[1:]
+    return json.loads((run_dir / "report.json").read_text())["metadata"][name]
+
+
+@pytest.mark.parametrize("name", SETTING_SOURCES)
+def test_flag_overrides_config_file_which_overrides_default(name, tmp_path, monkeypatch):
+    default, in_config, flag, in_flag = SETTING_SOURCES[name]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: in_config}))
+    seeded = ["--seed=1"] if name == "shots" else []  # sampled runs need a seed
+    runs = {"default": ([], default), "config": (["--config", str(config)], in_config)}
+    runs["flag"] = (["--config", str(config), flag], in_flag)
+    for source, (argv, expected) in runs.items():
+        run_dir = tmp_path / source
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert run_cli(["bench", *seeded, *argv]) == 0
+        assert resolved_setting(name, run_dir) == expected, source
+
+
 def test_run_config_seed_is_the_resolved_int(tmp_path):
     config_file = tmp_path / "seeded.json"
     config_file.write_text('{"seed": 11, "shots": 10}')
     cases = {(): 0, ("--seed", "7"): 7, ("--config", str(config_file)): 11, ("--shots", "0"): 0}
     for extra, seed in cases.items():
-        config = _build_run_config(build_parser().parse_args(["bench", *extra]))
-        assert config.seed == seed and type(config.seed) is int
-    assert not hasattr(RunConfig, "effective_seed")
+        _, settings = _build_run_config(build_parser().parse_args(["bench", *extra]))
+        assert settings["seed"] == seed and type(settings["seed"]) is int
 
 
 def test_bench_bundled_reference_config(tmp_path, capsys):

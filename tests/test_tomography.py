@@ -5,6 +5,7 @@ from oracles import kron_pauli, random_density, random_ket
 from telebench.circuit import ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
 from telebench.tomography import (
+    MAX_SHOTS,
     PAULI_LABELS,
     PAULI_STACK,
     linear_inversion,
@@ -106,10 +107,10 @@ def test_sampled_readout_settings_are_unbiased_with_binomial_variance_and_uncorr
     assert np.max(np.abs(r - np.eye(63))) < 0.3
 
 
-@pytest.mark.parametrize("shots", [2.5, 2.0, True, False, "10", None, -1])
+@pytest.mark.parametrize("shots", [2.5, 2.0, True, False, "10", None, -1, 2**63, 10**20])
 def test_simulate_readout_rejects_invalid_shots(shots):
     # Unchecked, numpy would truncate 2.5 to 2 draws while the mean divides
-    # by 2.5, and True would run one shot.
+    # by 2.5, True would run one shot, and 2**63 raised OverflowError.
     rho = DensityMatrix.from_ket(computational_ket(0, 8))
     with pytest.raises(ValueError, match="shots must be"):
         simulate_readout(rho, shots=shots, seed=0)
@@ -119,6 +120,13 @@ def test_simulate_readout_accepts_numpy_integer_shots():
     rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
     assert np.array_equal(simulate_readout(rho, shots=np.int64(500), seed=17), simulate_readout(rho, shots=500, seed=17))
     assert np.array_equal(simulate_readout(rho, shots=np.uint16(0), seed=17), pauli_set(rho))
+
+
+def test_simulate_readout_takes_shots_up_to_the_sampler_limit():
+    assert MAX_SHOTS == np.iinfo(np.int64).max
+    rho = DensityMatrix.from_ket(computational_ket(0, 8))
+    values = simulate_readout(rho, shots=MAX_SHOTS, seed=3)
+    assert np.all(np.abs(values - pauli_set(rho)) < 1e-6)
 
 
 def test_sampled_readout_standard_error_scales_as_inverse_sqrt_shots():
