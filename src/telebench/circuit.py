@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -204,7 +204,8 @@ class DeviceParams:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "t1": list(self.t1), "t2_star": list(self.t2_star)}
+        """The fields in declaration order, with ``t1`` and ``t2_star`` as lists."""
+        return {**vars(self), "t1": list(self.t1), "t2_star": list(self.t2_star)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceParams":

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .circuit import DeviceParams
+from .entanglement import MAX_RESTARTS
 from .teleport_bench import (
     ENTANGLED_INPUT_LABELS,
     INPUT_LABELS,
@@ -79,6 +81,8 @@ def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
     unknown = set(data) - {"device", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    if "device" in data and not isinstance(data["device"], dict):
+        raise ConfigError(f"'device' must be a JSON object, got {data['device']!r}")
     try:
         device = DeviceParams.from_dict(data["device"]) if "device" in data else DeviceParams.reference()
     except (ValueError, TypeError) as exc:
@@ -105,6 +109,8 @@ def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
         raise ConfigError(f"'format' must be one of {_FORMATS}, got {fmt!r}")
     if not is_plain_int(restarts) or restarts < 1:
         raise ConfigError(f"'restarts' must be a positive integer, got {restarts!r}")
+    if restarts > MAX_RESTARTS:
+        raise ConfigError(f"'restarts' must be at most {MAX_RESTARTS}, the bound on the tangle search, got {restarts}")
     if shots > 0 and seed is None:
         raise ConfigError("'seed' is required when shots > 0")
     settings["seed"] = 0 if seed is None else seed
@@ -223,9 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses: built on the first call, not at import, and reused after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

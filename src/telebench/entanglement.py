@@ -92,6 +92,18 @@ _HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 # Most accepted steps of the refine's conjugate-gradient descent.
 _REFINE_STEPS = 30
 
+# Most restarts of the tangle search. Its candidates take about 7.4 KB per
+# restart at rank 8, so the bound holds a search to about 75 MB.
+MAX_RESTARTS = 10_000
+
+
+def require_restarts(restarts) -> int:
+    """``restarts`` as an int; raises ``ValueError`` unless it is an integer in [1, :data:`MAX_RESTARTS`]."""
+    restarts = require_count("restarts", restarts, 1)
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+    return restarts
+
 
 def _tangle_gradient(w: np.ndarray, terms: tuple | None = None) -> np.ndarray:
     """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW).
@@ -160,12 +172,12 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int 
     re-mix all its columns at once. Deterministic for a given seed; the
     result is always a valid upper bound because every candidate is an
     exact decomposition. Raises ``ValueError`` unless ``restarts`` is an
-    integer >= 1 and ``seed`` an integer (numpy integers are accepted;
-    floats and booleans are not).
+    integer in [1, :data:`MAX_RESTARTS`] and ``seed`` an integer (numpy
+    integers are accepted; floats and booleans are not).
     """
     if rho.num_qubits != 3:
         raise ValueError("expected a three-qubit state")
-    restarts = require_count("restarts", restarts, 1)
+    restarts = require_restarts(restarts)
     seed = require_integer("seed", seed)
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-12

@@ -33,7 +33,7 @@ from .circuit import (
     build_teleport_circuit,
     ideal_phi,
 )
-from .entanglement import three_tangle_mixed_upper, witness_evaluate
+from .entanglement import require_restarts, three_tangle_mixed_upper, witness_evaluate
 from .qops import (
     DensityMatrix,
     ID2,
@@ -228,7 +228,7 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
     figures of merit per input and the reconstructed states.
     """
     shots = require_count("shots", shots, 0)
-    restarts = require_count("restarts", restarts, 1)
+    restarts = require_restarts(restarts)
     seed = require_integer("seed", seed)
     rhos_out = apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
     indices = [INPUT_LABELS.index(label) for label in labels]
@@ -265,7 +265,7 @@ def run_benchmark(
     -> process and average output fidelities. Deterministic for a given
     seed; per-input substreams keep the four pipelines independent. Raises
     ``ValueError`` unless ``shots``, ``seed`` and ``restarts`` are integers
-    (``shots`` >= 0, ``restarts`` >= 1).
+    (``shots`` >= 0, ``restarts`` in [1, ``entanglement.MAX_RESTARTS``]).
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
     shots = metadata["shots"]

@@ -5,6 +5,7 @@ import pytest
 
 import telebench.teleport_bench as tb
 from oracles import chi_from_kraus, dense_conditional_state, lstsq_process_tomography, random_density, random_unitary
+from telebench.entanglement import MAX_RESTARTS
 from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, apply_circuit, ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
 from telebench.teleport_bench import (
@@ -271,6 +272,20 @@ def test_runs_reject_non_integer_shots_and_restarts(kwargs):
         run_benchmark(DeviceParams.reference(), **kwargs)
     with pytest.raises(ValueError, match="shots|restarts"):
         run_state(DeviceParams.reference(), "0", **kwargs)
+
+
+def test_runs_reject_restarts_above_the_bound_before_any_work(monkeypatch):
+    # run_state("0") never reaches the tangle search, so the run checks the bound itself.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a stage before checking restarts")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(tb, "apply_circuit", refuse)
+    too_many = MAX_RESTARTS + 1
+    with pytest.raises(ValueError, match=f"restarts must be at most {MAX_RESTARTS}"):
+        run_benchmark(DeviceParams.reference(), shots=100, seed=1, noise=True, restarts=too_many)
+    with pytest.raises(ValueError, match=f"restarts must be at most {MAX_RESTARTS}"):
+        run_state(DeviceParams.reference(), "0", shots=100, seed=1, noise=True, restarts=too_many)
 
 
 @pytest.mark.parametrize(

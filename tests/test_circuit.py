@@ -577,6 +577,11 @@ def test_device_params_type_errors_name_the_field(field, value):
 def test_device_params_dict_round_trip_and_scaling():
     device = reference_device()
     assert DeviceParams.from_dict(device.to_dict()) == device
+    # to_dict is asdict's dict, key order included, with t1 and t2_star as lists.
+    for d in (device, dataclasses.replace(device, cphase_time_ab=3e-8, single_qubit_error=0.01)):
+        expected = {**dataclasses.asdict(d), "t1": list(d.t1), "t2_star": list(d.t2_star)}
+        assert list(d.to_dict().items()) == list(expected.items())
+        assert type(d.to_dict()["t1"]) is list and type(d.to_dict()["t2_star"]) is list
     scaled = device.scaled_coherence(0.5)
     assert scaled.t1 == tuple(0.5 * t for t in device.t1)
     assert scaled.t2_star == tuple(0.5 * t for t in device.t2_star)

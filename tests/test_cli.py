@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import telebench
+import telebench.cli as cli
 from telebench.circuit import DeviceParams, ideal_phi
 from telebench.cli import _build_run_config, build_parser, main
+from telebench.entanglement import MAX_RESTARTS
 from telebench.qops import DensityMatrix
 from telebench.tomography import pauli_set
 from test_circuit import CHECKED_DEVICE_FIELDS
@@ -135,6 +137,19 @@ def test_bench_device_value_of_the_wrong_type_exits_2_naming_the_field(field, va
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", [5, None, "abc", []], ids=["number", "null", "string", "list"])
+def test_bench_device_that_is_not_an_object_exits_2(value, tmp_path, capsys):
+    # These used to exit 2 with "'int' object is not iterable", and "abc" with
+    # "unknown device field(s): ['a', 'b', 'c']".
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"device": value}))
+    code = run_cli(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: 'device' must be a JSON object, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_non_finite_run_setting_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"shots": Infinity}')
@@ -173,6 +188,19 @@ def test_bench_shots_beyond_the_sampler_exits_2(source, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: 'shots' must be at most 9223372036854775807")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_restarts_above_the_bound_exits_2(source, tmp_path, capsys):
+    # Unbounded, --restarts 10000000 asked the tangle search for about 74 GB.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"restarts": MAX_RESTARTS + 1}))
+    setting = ["--restarts", str(MAX_RESTARTS + 1)] if source == "flag" else ["--config", str(config)]
+    code = run_cli(["bench", *setting, "--noise=on", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: 'restarts' must be at most {MAX_RESTARTS}")
     assert not (tmp_path / "out").exists()
 
 
@@ -308,6 +336,70 @@ def test_state_unknown_label_exits_2():
     assert excinfo.value.code == 2
 
 
+@pytest.fixture
+def fresh_parser_cache():
+    """Clears the cache of ``main``'s parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(fresh_parser_cache, tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert run_cli(["state", "0", "--out", str(tmp_path)]) == 0
+    assert run_cli(["bench", "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
+def test_reused_parser_carries_nothing_from_one_call_to_the_next(fresh_parser_cache, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"restarts": 4, "seed": 3}')
+    assert run_cli(["bench", "--restarts", "5", "--noise", "on", "--format", "csv", "--out", str(tmp_path / "a")]) == 0
+    second = ["bench", "--config", str(config)]
+    assert run_cli([*second, "--out", str(tmp_path / "b")]) == 0
+    cli._parser.cache_clear()
+    assert run_cli([*second, "--out", str(tmp_path / "fresh")]) == 0
+    # restarts and seed from the config file; noise, shots and format from _DEFAULTS
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["report.json"]
+    metadata = json.loads((tmp_path / "b" / "report.json").read_text())["metadata"]
+    assert (metadata["restarts"], metadata["seed"], metadata["noise"], metadata["shots"]) == (4, 3, False, 0)
+    reused, fresh = ((tmp_path / run / "report.json").read_text() for run in ("b", "fresh"))
+    assert strip_timestamp(reused) == strip_timestamp(fresh)
+
+
+def test_usage_error_leaves_the_parser_usable(fresh_parser_cache, tmp_path, capsys):
+    for bad in (["bench", "--shots", "x"], ["bench", "--restarts", "7", "--noise", "maybe"], ["nope"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(bad)
+        assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["bench", "--out", str(tmp_path)]) == 0
+    metadata = json.loads((tmp_path / "report.json").read_text())["metadata"]
+    assert (metadata["restarts"], metadata["noise"]) == (200, False)
+
+
+@pytest.mark.parametrize("command", [[], ["bench"], ["state"]], ids=["top", "bench", "state"])
+def test_help_of_the_reused_parser_is_that_of_a_fresh_one(command, fresh_parser_cache, tmp_path, capsys):
+    def help_text(parse):
+        with pytest.raises(SystemExit) as excinfo:
+            parse([*command, "--help"])
+        assert excinfo.value.code == 0
+        return capsys.readouterr().out
+
+    assert run_cli(["state", "0", "--out", str(tmp_path)]) == 0  # builds main's parser
+    capsys.readouterr()
+    fresh = help_text(build_parser().parse_args)
+    assert help_text(main) == fresh
+    if not command:
+        assert fresh == build_parser().format_help()
+
+
 def child_env() -> dict:
     # The child imports the same telebench as this process, installed or not.
     package_root = str(Path(telebench.__file__).parents[1])
@@ -340,6 +432,25 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_parser():
+    # main builds its parser on its first call; built at import, its cost
+    # would land on every import of the CLI.
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import telebench.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_noisy_sampled_run_does_not_load_numpy_fft():

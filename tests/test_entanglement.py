@@ -12,6 +12,7 @@ from oracles import (
     wootters_concurrence,
 )
 from telebench.entanglement import (
+    MAX_RESTARTS,
     WitnessResult,
     _column_tangle_sum,
     _haar_isometries,
@@ -390,6 +391,25 @@ def test_mixed_tangle_rejects_non_integer_restarts(restarts):
     rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
     with pytest.raises(ValueError, match="restarts must be an integer"):
         three_tangle_mixed_upper(rho, restarts=restarts, seed=4)
+
+
+def refuse_draws(*args, **kwargs):
+    raise AssertionError("drew random numbers before checking restarts")
+
+
+def test_mixed_tangle_rejects_restarts_above_the_bound_before_any_draw(monkeypatch):
+    # Unbounded, each restart holds about 7.4 KB of candidates at rank 8,
+    # so a count of 10**7 asked for about 74 GB before failing.
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    monkeypatch.setattr(np.random, "default_rng", refuse_draws)
+    for restarts in (MAX_RESTARTS + 1, 10**7):
+        with pytest.raises(ValueError, match=f"restarts must be at most {MAX_RESTARTS}, got {restarts}"):
+            three_tangle_mixed_upper(rho, restarts=restarts, seed=4)
+
+
+def test_mixed_tangle_accepts_restarts_at_the_bound():
+    # A pure state needs no search, so the bound itself is checked without drawing.
+    assert three_tangle_mixed_upper(DensityMatrix.from_ket(GHZ), restarts=MAX_RESTARTS) == pytest.approx(1.0)
 
 
 def test_mixed_tangle_accepts_numpy_integer_restarts():
