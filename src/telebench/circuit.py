@@ -209,6 +209,8 @@ class DeviceParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceParams":
+        if not isinstance(d, dict):
+            raise ValueError(f"device fields must be given as a dict, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown device field(s): {sorted(unknown)}")

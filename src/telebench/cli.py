@@ -16,18 +16,17 @@ from importlib import resources
 from pathlib import Path
 
 from .circuit import DeviceParams
-from .entanglement import MAX_RESTARTS
 from .teleport_bench import (
     ENTANGLED_INPUT_LABELS,
     INPUT_LABELS,
     OUTCOMES,
     PAPER_REFERENCE,
+    check_run_settings,
     report_csv_text,
     report_json_text,
     run_benchmark,
     run_state,
 )
-from .tomography import MAX_SHOTS
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -74,46 +73,33 @@ def _load_config_file(path: str) -> dict:
 def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
     """The device and the six run settings, each from its flag, else the config file, else ``_DEFAULTS``.
 
-    The resolved seed is an int, 0 when unset; ``None`` lives only here, for
-    the check that sampled runs name a seed.
+    ``check_run_settings`` checks shots, seed, noise and restarts; its message is the config error. The
+    seed resolves to an int, 0 when unset; ``None`` lives only here, for the check that sampled runs name one.
     """
     data = _load_config_file(args.config) if args.config else {}
     unknown = set(data) - {"device", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    if "device" in data and not isinstance(data["device"], dict):
-        raise ConfigError(f"'device' must be a JSON object, got {data['device']!r}")
     try:
         device = DeviceParams.from_dict(data["device"]) if "device" in data else DeviceParams.reference()
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid device config: {exc}")
 
     flags = {**vars(args), "noise": {"on": True, "off": False}.get(args.noise)}
     settings = {name: data.get(name, _DEFAULTS[name]) if flags[name] is None else flags[name] for name in _DEFAULTS}
-    shots, seed, noise, out, fmt, restarts = settings.values()  # in _DEFAULTS order
-
-    def is_plain_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    if not is_plain_int(shots) or shots < 0:
-        raise ConfigError(f"'shots' must be a non-negative integer, got {shots!r}")
-    if shots > MAX_SHOTS:
-        raise ConfigError(f"'shots' must be at most {MAX_SHOTS}, the limit of numpy's sampler, got {shots}")
-    if seed is not None and not is_plain_int(seed):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
-    if not isinstance(noise, bool):
-        raise ConfigError(f"'noise' must be a boolean, got {noise!r}")
-    if not isinstance(out, str):
-        raise ConfigError(f"'out' must be a directory path string, got {out!r}")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"'format' must be one of {_FORMATS}, got {fmt!r}")
-    if not is_plain_int(restarts) or restarts < 1:
-        raise ConfigError(f"'restarts' must be a positive integer, got {restarts!r}")
-    if restarts > MAX_RESTARTS:
-        raise ConfigError(f"'restarts' must be at most {MAX_RESTARTS}, the bound on the tangle search, got {restarts}")
-    if shots > 0 and seed is None:
-        raise ConfigError("'seed' is required when shots > 0")
+    seed = settings["seed"]
     settings["seed"] = 0 if seed is None else seed
+    checked = ("shots", "seed", "noise", "restarts")
+    try:
+        settings.update(zip(checked, check_run_settings(*(settings[name] for name in checked))))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if not isinstance(settings["out"], str):
+        raise ConfigError(f"'out' must be a directory path string, got {settings['out']!r}")
+    if settings["format"] not in _FORMATS:
+        raise ConfigError(f"'format' must be one of {_FORMATS}, got {settings['format']!r}")
+    if settings["shots"] > 0 and seed is None:
+        raise ConfigError("'seed' is required when shots > 0")
     return device, settings
 
 

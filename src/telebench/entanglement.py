@@ -99,8 +99,7 @@ MAX_RESTARTS = 10_000
 
 def require_restarts(restarts) -> int:
     """``restarts`` as an int; raises ``ValueError`` unless it is an integer in [1, :data:`MAX_RESTARTS`]."""
-    restarts = require_count("restarts", restarts, 1)
-    if restarts > MAX_RESTARTS:
+    if (restarts := require_count("restarts", restarts, 1)) > MAX_RESTARTS:
         raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     return restarts
 

@@ -44,12 +44,11 @@ from .qops import (
     check_members,
     computational_ket,
     nearest_physical,
-    require_count,
     require_integer,
     state_fidelity_pure,
     state_stack,
 )
-from .tomography import PAULI_LABELS, mle_reconstruct, pauli_set, simulate_readout
+from .tomography import PAULI_LABELS, mle_reconstruct, pauli_set, require_shots, simulate_readout
 
 SCHEMA_VERSION = 1
 
@@ -205,14 +204,26 @@ def _pack_pauli_set(values: np.ndarray) -> dict:
     return {"labels": list(PAULI_LABELS), "values": [float(v) for v in values]}
 
 
+def check_run_settings(shots, seed, noise, restarts) -> tuple[int, int, bool, int]:
+    """The run settings as int, int, bool and int: their one check, for the runs and the CLI.
+
+    Raises ``ValueError`` unless ``shots`` is an integer in [0, ``tomography.MAX_SHOTS``], ``seed``
+    an integer, ``noise`` a bool and ``restarts`` an integer in [1, ``entanglement.MAX_RESTARTS``]
+    (numpy integers and bools pass; floats do not, nor booleans as integers).
+    """
+    if not isinstance(noise, (bool, np.bool_)):
+        raise ValueError(f"noise must be a bool, got {noise!r}")
+    return require_shots(shots), require_integer("seed", seed), bool(noise), require_restarts(restarts)
+
+
 def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts: int) -> dict:
-    """The run settings and the device parameters, with a stable hash of the latter."""
+    """The checked run settings and the device parameters, with a stable hash of the latter."""
     params = device.to_dict()
     return {
-        "seed": int(seed),
-        "shots": int(shots),
-        "noise": bool(noise),
-        "restarts": int(restarts),
+        "seed": seed,
+        "shots": shots,
+        "noise": noise,
+        "restarts": restarts,
         "device": params,
         "device_hash": hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest(),
     }
@@ -221,15 +232,13 @@ def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts
 def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool, restarts: int):
     """The settings checks and state stage shared by :func:`run_benchmark` and :func:`run_state`.
 
-    Checks the settings as :func:`run_benchmark` documents, then evolution
+    Checks the settings with :func:`check_run_settings` before any work, then evolution
     -> readout -> physical reconstruction -> state fidelities and Pauli
     sets, each one call on the whole stack of inputs, plus witness and
     tangle bound for each entangled input. Returns the run metadata, the
     figures of merit per input and the reconstructed states.
     """
-    shots = require_count("shots", shots, 0)
-    restarts = require_restarts(restarts)
-    seed = require_integer("seed", seed)
+    shots, seed, noise, restarts = check_run_settings(shots, seed, noise, restarts)
     rhos_out = apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
     indices = [INPUT_LABELS.index(label) for label in labels]
     rhos_m = mle_reconstruct(simulate_readout(rhos_out, shots, [_derived_seed(seed, 0, k) for k in indices]))
@@ -264,8 +273,7 @@ def run_benchmark(
     outcome: one conditional projection of the stack -> process tomography
     -> process and average output fidelities. Deterministic for a given
     seed; per-input substreams keep the four pipelines independent. Raises
-    ``ValueError`` unless ``shots``, ``seed`` and ``restarts`` are integers
-    (``shots`` >= 0, ``restarts`` in [1, ``entanglement.MAX_RESTARTS``]).
+    ``ValueError`` before any work for settings that :func:`check_run_settings` rejects.
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
     shots = metadata["shots"]

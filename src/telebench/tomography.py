@@ -58,6 +58,13 @@ PAULI_STACK = _INVERSION_OPERATORS[1:]
 MAX_SHOTS = 2**63 - 1
 
 
+def require_shots(shots) -> int:
+    """``shots`` as an int; raises ``ValueError`` unless it is an integer in [0, :data:`MAX_SHOTS`]."""
+    if (shots := require_count("shots", shots, 0)) > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, the limit of numpy's sampler, got {shots}")
+    return shots
+
+
 def simulate_readout(rho, shots: int, seed):
     """Sample Pauli expectation values of a three-qubit state, or of a stack.
 
@@ -77,9 +84,7 @@ def simulate_readout(rho, shots: int, seed):
     and every seed an integer (numpy integers are accepted; floats and
     booleans are not).
     """
-    shots = require_count("shots", shots, 0)
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots must be at most {MAX_SHOTS}, the limit of numpy's sampler, got {shots}")
+    shots = require_shots(shots)
     exact = pauli_set(rho)
     single = exact.ndim == 1
     if single:

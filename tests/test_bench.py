@@ -8,6 +8,7 @@ from oracles import chi_from_kraus, dense_conditional_state, lstsq_process_tomog
 from telebench.entanglement import MAX_RESTARTS
 from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, apply_circuit, ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
+from telebench.tomography import MAX_SHOTS
 from telebench.teleport_bench import (
     CHI_BASIS,
     INPUT_KETS,
@@ -286,6 +287,41 @@ def test_runs_reject_restarts_above_the_bound_before_any_work(monkeypatch):
         run_benchmark(DeviceParams.reference(), shots=100, seed=1, noise=True, restarts=too_many)
     with pytest.raises(ValueError, match=f"restarts must be at most {MAX_RESTARTS}"):
         run_state(DeviceParams.reference(), "0", shots=100, seed=1, noise=True, restarts=too_many)
+
+
+def test_runs_reject_shots_above_the_cap_before_any_work(monkeypatch):
+    # The cap is the sampler's, but a run must fail on it before it evolves the inputs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a stage before checking shots")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(tb, "apply_circuit", refuse)
+    with pytest.raises(ValueError, match=f"shots must be at most {MAX_SHOTS}"):
+        run_benchmark(DeviceParams.reference(), shots=2**63, seed=1, noise=True, restarts=5)
+    with pytest.raises(ValueError, match=f"shots must be at most {MAX_SHOTS}"):
+        run_state(DeviceParams.reference(), "0", shots=2**63, seed=1, noise=True, restarts=5)
+
+
+@pytest.mark.parametrize("noise", ["off", "on", 1, 0, None])
+def test_runs_reject_non_bool_noise_before_any_work(noise, monkeypatch):
+    # Read for its truth value, noise="off" would run the noisy model and record "noise": true.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a stage before checking noise")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(tb, "apply_circuit", refuse)
+    with pytest.raises(ValueError, match=f"noise must be a bool, got {noise!r}"):
+        run_benchmark(DeviceParams.reference(), noise=noise)
+    with pytest.raises(ValueError, match=f"noise must be a bool, got {noise!r}"):
+        run_state(DeviceParams.reference(), "plus", noise=noise)
+
+
+def test_runs_accept_numpy_bool_noise():
+    kwargs = dict(shots=100, seed=3, restarts=5)
+    for noise in (np.True_, np.False_):
+        state = run_state(DeviceParams.reference(), "plus", noise=noise, **kwargs)
+        assert state == run_state(DeviceParams.reference(), "plus", noise=bool(noise), **kwargs)
+        assert type(state["metadata"]["noise"]) is bool
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -572,6 +573,16 @@ def test_device_params_type_errors_name_the_field(field, value):
     d[field] = value
     with pytest.raises(ValueError, match=field):
         DeviceParams.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "value", [5, None, "abc", [], [("j_ab", 1.0)]], ids=["number", "none", "string", "empty_list", "pairs"]
+)
+def test_device_params_from_dict_rejects_a_non_dict(value):
+    # Unchecked, "abc" reads as the fields 'a', 'b', 'c', a list of pairs as
+    # unknown fields, and 5 and None raise TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"device fields must be given as a dict, got {value!r}")):
+        DeviceParams.from_dict(value)
 
 
 def test_device_params_dict_round_trip_and_scaling():

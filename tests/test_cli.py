@@ -140,13 +140,13 @@ def test_bench_device_value_of_the_wrong_type_exits_2_naming_the_field(field, va
 @pytest.mark.parametrize("value", [5, None, "abc", []], ids=["number", "null", "string", "list"])
 def test_bench_device_that_is_not_an_object_exits_2(value, tmp_path, capsys):
     # These used to exit 2 with "'int' object is not iterable", and "abc" with
-    # "unknown device field(s): ['a', 'b', 'c']".
+    # "unknown device field(s): ['a', 'b', 'c']". DeviceParams.from_dict checks this.
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"device": value}))
     code = run_cli(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"config error: 'device' must be a JSON object, got {value!r}\n"
+    assert err == f"config error: invalid device config: device fields must be given as a dict, got {value!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -187,7 +187,7 @@ def test_bench_shots_beyond_the_sampler_exits_2(source, tmp_path, capsys):
     code = run_cli(["bench", *setting, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error: 'shots' must be at most 9223372036854775807")
+    assert err.startswith("config error: shots must be at most 9223372036854775807")
     assert not (tmp_path / "out").exists()
 
 
@@ -200,7 +200,37 @@ def test_bench_restarts_above_the_bound_exits_2(source, tmp_path, capsys):
     code = run_cli(["bench", *setting, "--noise=on", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"config error: 'restarts' must be at most {MAX_RESTARTS}")
+    assert err.startswith(f"config error: restarts must be at most {MAX_RESTARTS}")
+    assert not (tmp_path / "out").exists()
+
+
+# Invalid run settings: the library's runs and the CLI check them with one
+# function, so a config file value exits 2 with the library's own message.
+INVALID_SETTINGS = [
+    ("shots", -1),
+    ("shots", 2.5),
+    ("shots", True),
+    ("shots", 10**20),
+    ("seed", "3"),
+    ("seed", 2.0),
+    ("noise", "on"),
+    ("noise", 1),
+    ("restarts", 0),
+    ("restarts", True),
+    ("restarts", MAX_RESTARTS + 1),
+]
+
+
+@pytest.mark.parametrize("name, value", INVALID_SETTINGS, ids=[f"{n}={v!r}" for n, v in INVALID_SETTINGS])
+def test_invalid_setting_fails_alike_in_the_library_and_the_cli(name, value, tmp_path, capsys):
+    with pytest.raises(ValueError) as raised:
+        telebench.run_benchmark(DeviceParams.reference(), **{name: value})
+    message = str(raised.value)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: value}))
+    code = run_cli(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

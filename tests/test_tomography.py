@@ -7,7 +7,6 @@ from telebench.qops import DensityMatrix, computational_ket
 from telebench.tomography import (
     MAX_SHOTS,
     PAULI_LABELS,
-    PAULI_STACK,
     linear_inversion,
     mle_reconstruct,
     pauli_set,
@@ -21,13 +20,6 @@ def test_pauli_labels_are_the_63_nontrivial_strings_in_order():
     assert PAULI_LABELS[0] == "IIX"
     assert PAULI_LABELS[-1] == "ZZZ"
     assert list(PAULI_LABELS) == sorted(PAULI_LABELS, key=lambda s: ["IXYZ".index(c) for c in s])
-
-
-def test_pauli_stack_equals_pauli_operator_for_every_label():
-    assert PAULI_STACK.shape == (63, 8, 8)
-    assert not PAULI_STACK.flags.writeable
-    for k, label in enumerate(PAULI_LABELS):
-        assert np.array_equal(PAULI_STACK[k], kron_pauli(label))
 
 
 def test_analytic_readout_matches_exact_expectations():
