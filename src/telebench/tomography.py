@@ -57,6 +57,13 @@ PAULI_STACK = _INVERSION_OPERATORS[1:]
 # numpy's binomial sampler takes a number of trials only up to the largest int64.
 MAX_SHOTS = 2**63 - 1
 
+# Sampled readout reads an expectation of at most this magnitude as exactly 0.
+# numpy draws n - binomial(n, 1 - p) for p > 1/2, so an expectation that is 0
+# up to rounding would otherwise draw one of two records by the sign of its
+# rounding error. The cut-off is about 300 times below the finest resolution
+# any shot count gives, 1/sqrt(MAX_SHOTS) = 3.3e-10.
+ZERO_EXPECTATION = 1e-12
+
 
 def require_shots(shots) -> int:
     """``shots`` as an int; raises ``ValueError`` unless it is an integer in [0, :data:`MAX_SHOTS`]."""
@@ -76,6 +83,8 @@ def simulate_readout(rho, shots: int, seed):
     and records the sample mean: the counts of +1 outcomes of a state are
     one ``binomial`` draw over the 63 settings from ``default_rng`` of that
     state's seed, so each member is drawn as if it were read out alone.
+    An expectation within :data:`ZERO_EXPECTATION` of 0 is drawn as exactly
+    0 (p = 1/2), so rounding error in the state cannot flip its draw.
     The estimates are deterministic for a given seed and state. All settings
     of a state share that stream, and the binomial sampler uses a varying
     number of uniforms per setting, so setting i depends on the seed and on
@@ -95,9 +104,10 @@ def simulate_readout(rho, shots: int, seed):
         seeds = [require_integer("seed", s) for s in seed]
     if shots == 0:
         return exact
+    snapped = np.where(np.abs(exact) <= ZERO_EXPECTATION, 0.0, exact)
     values = [
         (2.0 * np.random.default_rng(s).binomial(shots, np.clip(0.5 * (1.0 + e), 0.0, 1.0)) - shots) / shots
-        for s, e in zip(seeds, exact.reshape(len(seeds), -1))
+        for s, e in zip(seeds, snapped.reshape(len(seeds), -1))
     ]
     return values[0] if single else np.array(values)
 

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import kron_pauli, random_density, random_ket
-from telebench.circuit import ideal_phi
+import telebench.teleport_bench as tb
+import telebench.tomography as tomography
+from telebench.circuit import DeviceParams, apply_circuit, ideal_phi
 from telebench.qops import DensityMatrix, computational_ket
 from telebench.tomography import (
     MAX_SHOTS,
     PAULI_LABELS,
+    ZERO_EXPECTATION,
     linear_inversion,
     mle_reconstruct,
     pauli_set,
@@ -97,6 +100,28 @@ def test_sampled_readout_settings_are_unbiased_with_binomial_variance_and_uncorr
     assert 0.7 < ratio.min() and ratio.max() < 1.3
     r = np.corrcoef(samples, rowvar=False)
     assert np.max(np.abs(r - np.eye(63))) < 0.3
+
+
+@pytest.mark.parametrize("delta", [1e-16, 1e-13])
+@pytest.mark.parametrize("device", [None, DeviceParams.reference()], ids=["noise_off", "noise_on"])
+def test_sampled_readout_does_not_jump_at_half_probability(device, delta, monkeypatch):
+    # For p > 1/2 numpy draws n - binomial(n, 1 - p), so an expectation that
+    # is 0 up to rounding drew one of two records by the sign of its rounding
+    # error: at 10k shots this moved setting 26 of the noisy minus output.
+    inputs = [tb._INPUT_STATES[label] for label in tb.INPUT_LABELS]
+    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(3, 63))
+    signs[:2] = [[1.0], [-1.0]]
+    for rho in apply_circuit(tb._CIRCUIT, inputs, device):
+        exact = pauli_set(rho)
+        near_zero = np.abs(exact) <= ZERO_EXPECTATION
+        assert near_zero.any()
+        for seed in (7, 8):
+            record = simulate_readout(rho, shots=10_000, seed=seed)
+            for sign in signs:
+                perturbed = np.where(near_zero, exact + sign * delta, exact)
+                monkeypatch.setattr(tomography, "pauli_set", lambda _, values=perturbed: values)
+                assert np.array_equal(simulate_readout(rho, shots=10_000, seed=seed), record)
+                monkeypatch.undo()
 
 
 @pytest.mark.parametrize("shots", [2.5, 2.0, True, False, "10", None, -1, 2**63, 10**20])
