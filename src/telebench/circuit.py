@@ -220,8 +220,10 @@ class DeviceParams:
         return cls(**d)
 
     @classmethod
+    @functools.lru_cache(maxsize=1)
     def reference(cls) -> "DeviceParams":
-        """The bundled reference device (paper_device.json)."""
+        """The bundled reference device (paper_device.json), read once per
+        process: the value is frozen, so every caller shares it."""
         text = resources.files("telebench").joinpath("data/paper_device.json").read_text()
         return cls.from_dict(json.loads(text)["device"])
 
@@ -278,27 +280,6 @@ def gate_operator(gate: Gate) -> np.ndarray:
     return op
 
 
-def _axes_first(axes, ndim: int) -> list[int]:
-    """Axis order that puts ``axes`` first, in that order, and the rest after."""
-    return [*axes, *(a for a in range(ndim) if a not in axes)]
-
-
-@functools.lru_cache(maxsize=256)
-def _axis_orders(axes: tuple[int, ...], ndim: int) -> tuple[list[int], list[int]]:
-    """:func:`_axes_first` of ``axes`` and the order that undoes it."""
-    order = _axes_first(axes, ndim)
-    return order, sorted(range(ndim), key=order.__getitem__)
-
-
-def _on_axes(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
-    """Apply ``op`` to ``axes`` of a tensor whose listed axes have length 2,
-    first listed axis most significant. Other axes may have any length."""
-    order, back = _axis_orders(tuple(axes), t.ndim)
-    moved = t.transpose(order)
-    out = op @ moved.reshape(len(op), -1)
-    return out.reshape(moved.shape).transpose(back)
-
-
 def build_teleport_circuit() -> Circuit:
     """Construct the compiled teleportation circuit up to the measurement step.
 
@@ -347,45 +328,6 @@ def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     return device.cphase_time(gate.pair)
 
 
-def _conjugate(t: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
-    """op rho op^dag with ``op`` acting on ``qubits`` of every state in a (B,) + (2,)*2n stack."""
-    n = (t.ndim - 1) // 2
-    return _on_axes(op.conj(), _on_axes(op, t, [1 + q for q in qubits]), [1 + n + q for q in qubits])
-
-
-def _qubit_blocks(t: np.ndarray, q: int) -> np.ndarray:
-    """View of a (B,) + (2,)*2n stack with qubit ``q``'s (ket, bra) axes first."""
-    n = (t.ndim - 1) // 2
-    return t.transpose(_axes_first((1 + q, 1 + n + q), t.ndim))
-
-
-def _block_gathers(n: int) -> tuple[np.ndarray, ...]:
-    """The n + 1 row gathers of the noise pass on an n-qubit register.
-
-    Qubit q's block layout orders the 4**n matrix elements as four blocks of
-    k = 4**(n-1) rows, by (ket q, bra q) = (0, 0), (1, 1), (0, 1), (1, 0),
-    with the other indices row-major within a block. Gather 0 takes
-    row-major order to qubit 0's layout, gather q takes qubit q-1's layout
-    to qubit q's, and gather n takes qubit n-1's layout back to row-major.
-    """
-    elements = np.arange(4**n)
-    position = elements  # row of each element in the current layout
-    gathers = []
-    for q in range(n):
-        layout = elements.reshape((2,) * (2 * n)).transpose(_axes_first((q, n + q), 2 * n))
-        layout = layout.reshape(4, -1)[[0, 3, 1, 2]].ravel()
-        gathers.append(position[layout])
-        position = np.empty_like(layout)  # the inverse permutation; argsort would page in its sort kernels
-        position[layout] = elements
-    gathers.append(position)
-    for g in gathers:
-        g.setflags(write=False)
-    return tuple(gathers)
-
-
-_BLOCK_GATHERS = _block_gathers(3)
-
-
 def _decay_factors(device: DeviceParams, duration: float) -> list[tuple[float, float, float]]:
     """(gamma, 1 - gamma, s) per qubit for amplitude damping plus pure dephasing over ``duration``.
 
@@ -401,34 +343,80 @@ def _decay_factors(device: DeviceParams, duration: float) -> list[tuple[float, f
     return factors
 
 
-def _decohere(t: np.ndarray, factors) -> np.ndarray:
-    """Damp and dephase every qubit of a (B,) + (2,)*6 stack, qubit A first.
 
-    ``factors`` holds (gamma, 1 - gamma, s) per qubit. On qubit q's
-    (ket q, bra q) blocks: b00 += gamma*b11, b11 *= 1 - gamma, b01 and b10
-    *= s. Each qubit's update is three slab updates of the stack gathered
-    into that qubit's block layout (:data:`_BLOCK_GATHERS`); gathers copy
-    exactly, so every entry gets the same multiplies and adds as a block
-    update on the tensor. Returns a new stack of the same shape.
+
+def _decay_map(gamma: float, keep: float, s: float) -> np.ndarray:
+    """4x4 Liouville map of damping plus dephasing on one qubit's (ket, bra)
+    entries 00, 01, 10, 11: b00 += gamma*b11, b11 *= keep, b01 and b10 *= s."""
+    return np.array([[1.0, 0.0, 0.0, gamma], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0], [0.0, 0.0, 0.0, keep]])
+
+
+def _depolarizing_map(p: float) -> np.ndarray:
+    """4x4 Liouville map of (1 - p) rho + p Tr(rho) I/2 on one qubit's (ket, bra) entries."""
+    h = 0.5 * p
+    return np.array([[1.0 - h, 0.0, 0.0, h], [0.0, 1.0 - p, 0.0, 0.0], [0.0, 0.0, 1.0 - p, 0.0], [h, 0.0, 0.0, 1.0 - h]])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square maps: the same products, without its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+# Qubit-factor order indexes the 64 entries of rho by (ket A, bra A, ket B,
+# bra B, ket C, bra C), so a map on each qubit's (ket, bra) pair is a
+# Kronecker product of three 4x4 maps. Entry k of this array is the
+# qubit-factor index of row-major entry k of rho.
+_TO_ROW_MAJOR = np.arange(64).reshape((2,) * 6).transpose(0, 2, 4, 1, 3, 5).ravel()
+_FACTOR_BITS = np.indices((2,) * 6).reshape(6, 64)
+
+
+def _cphase_signs(pair: str) -> np.ndarray:
+    """The C-Phase's conjugation as signs on the 64 entries in qubit-factor
+    order: -1 where exactly one of the ket and the bra has both qubits of the pair in 1."""
+    q0, q1 = CPHASE_PAIRS[pair]
+    ket = _FACTOR_BITS[2 * q0] & _FACTOR_BITS[2 * q1]
+    bra = _FACTOR_BITS[2 * q0 + 1] & _FACTOR_BITS[2 * q1 + 1]
+    return 1.0 - 2.0 * (ket ^ bra)
+
+
+@functools.lru_cache(maxsize=32)
+def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) -> np.ndarray:
+    """The 64x64 map S of a circuit, with the device's decoherence, on row-major vec(rho).
+
+    Each gate contributes one Kronecker product of the three qubits' 4x4
+    Liouville maps in qubit-factor order: a rotation's U (x) conj(U) on its
+    own qubit, followed by every qubit's damping and dephasing for the
+    gate's duration, then depolarizing on the rotated qubit when the
+    device's ``single_qubit_error`` is nonzero; a C-Phase is a +-1 mask on
+    the columns of the damping map. S is the product of the gate maps in
+    circuit order, permuted once to row-major. Without a device, or for a
+    gate of duration 0, there is no noise map. Built once per distinct
+    (circuit, device) pair, both frozen and hashable, and kept read-only in
+    a cache of 32 maps (64 KB each).
     """
-    y = t.reshape(len(t), -1).T.take(_BLOCK_GATHERS[0], axis=0)
-    k = len(y) // 4
-    for (gamma, keep, s), gather in zip(factors, _BLOCK_GATHERS[1:]):
-        y[:k] += gamma * y[k : 2 * k]
-        y[k : 2 * k] *= keep
-        y[2 * k :] *= s  # b01 and b10; b00 is left unscaled, as scaling by 1.0 can flip a zero's sign
-        y = y.take(gather, axis=0)
-    return y.T.reshape(t.shape)
-
-
-def _depolarize(t: np.ndarray, p: float, q: int) -> None:
-    """Depolarizing channel (1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q`` of
-    every state in a (B,) + (2,)*2n stack, in place."""
-    b = _qubit_blocks(t, q)
-    mixed = 0.5 * p * (b[0, 0] + b[1, 1])
-    t *= 1.0 - p
-    b[0, 0] += mixed
-    b[1, 1] += mixed
+    decay = {}  # gate duration -> the three qubits' damping maps
+    s = np.eye(64, dtype=complex)
+    for gate in circuit.gates:
+        duration = 0.0 if device is None else _gate_duration(gate, device)
+        if duration <= 0.0:
+            maps = [np.eye(4)] * 3
+        else:
+            if duration not in decay:
+                decay[duration] = [_decay_map(*factors) for factors in _decay_factors(device, duration)]
+            maps = list(decay[duration])
+        if isinstance(gate, Rotation):
+            u = gate_operator(gate)
+            rotated = maps[gate.qubit] @ _kron(u, u.conj())
+            if device is not None and device.single_qubit_error > 0.0:
+                rotated = _depolarizing_map(device.single_qubit_error) @ rotated
+            maps[gate.qubit] = rotated
+        gate_map = _kron(_kron(maps[0], maps[1]), maps[2])
+        if isinstance(gate, CPhase):
+            gate_map = gate_map * _cphase_signs(gate.pair)
+        s = gate_map @ s
+    s = s[np.ix_(_TO_ROW_MAJOR, _TO_ROW_MAJOR)]
+    s.setflags(write=False)
+    return s
 
 
 def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
@@ -436,35 +424,23 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     circuit, with decoherence when given a device.
 
     ``rho`` is one 8x8 :class:`DensityMatrix` or a sequence of them; the
-    result is of the same kind (a list for a sequence). A sequence is evolved
-    as one (B,) + (2,)*6 stack, so every gate and channel is one update over
-    all B states, and each output equals the single-state evolution of its
-    input bit for bit. Gates act as ideal unitary conjugations contracted on
-    their own qubits' axes. With a device, every gate is followed by
-    amplitude damping and pure dephasing of all qubits for that gate's
-    duration (idle qubits decohere too), plus an optional depolarizing
-    channel on the qubit of each rotation when the device's
-    ``single_qubit_error`` is nonzero; both channels update each qubit's 2x2
-    (ket, bra) blocks in closed form. Damping and dephasing take one pass per
-    gate over the stack gathered into each qubit's block layout in turn
-    (:func:`_decohere`), with coefficients computed once per distinct gate
-    duration. Without a device, the evolution is noiseless.
+    result is of the same kind (a list for a sequence). The evolution is one
+    product with the circuit's cached 64x64 map
+    (:func:`circuit_superoperator`): every gate is an ideal unitary
+    conjugation and, with a device, is followed by amplitude damping and
+    pure dephasing of all qubits for that gate's duration (idle qubits
+    decohere too), plus an optional depolarizing channel on the qubit of
+    each rotation when the device's ``single_qubit_error`` is nonzero.
+    Without a device, the evolution is noiseless. The first call for a
+    (circuit, device) pair builds the map, in about a millisecond; later
+    calls reuse it. A sequence of B states is one batched product of (B, 1,
+    64) rows with S^T, which computes each member on its own, so every
+    output equals the single-state evolution of its input bit for bit (a
+    plain (B, 64) product would not, as BLAS blocks by B).
     """
     m, single = state_stack(rho)
     if m.shape[1] != 8:
         raise ValueError(f"state dimension {m.shape[1]} does not match the 3-qubit circuit")
-    t = m.reshape((len(m),) + (2,) * 6)
-    decay = {}  # gate duration -> per-qubit factors
-    for gate in circuit.gates:
-        t = _conjugate(t, gate_operator(gate), gate.qubits)
-        if device is None:
-            continue
-        duration = _gate_duration(gate, device)
-        if duration > 0.0:
-            if duration not in decay:
-                decay[duration] = _decay_factors(device, duration)
-            t = _decohere(t, decay[duration])
-        if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
-            _depolarize(t, device.single_qubit_error, gate.qubit)
-    out = DensityMatrix.stack(t.reshape(len(m), 8, 8))
+    s = circuit_superoperator(circuit, device)
+    out = DensityMatrix.stack((m.reshape(len(m), 1, 64) @ s.T).reshape(len(m), 8, 8))
     return out[0] if single else out

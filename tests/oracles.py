@@ -12,10 +12,12 @@ teleportation circuit (Hadamards and CNOTs) is a Kronecker-built unitary
 (``kron_pauli``), and the witness threshold is the largest one-qubit
 reduced eigenvalue (``biseparable_alpha``). Noisy
 evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``)
-and a per-qubit block-update reference (``block_apply_circuit``, bit for
-bit), report text the standard-library JSON encoder (``json_report_text``), and
-the stacked benchmark pipeline a run of one state at a time
-(``per_state_benchmark``).
+and a per-qubit block-update reference (``block_apply_circuit``), built
+on full-register gate unitaries and their own duration rule
+(``gate_duration``); the exact conditional channel of a circuit map is
+read off its columns (``transfer_matrices``). Report text has the
+standard-library JSON encoder (``json_report_text``), and the stacked
+benchmark pipeline a run of one state at a time (``per_state_benchmark``).
 """
 
 import json
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import telebench.teleport_bench as tb
-from telebench.circuit import Rotation, _conjugate, _depolarize, _gate_duration, _qubit_blocks, gate_operator
+from telebench.circuit import Rotation
 from telebench.qops import DensityMatrix, state_stack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -236,6 +238,18 @@ def kron_gate_unitary(gate, num_qubits):
     return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
 
 
+def closed_form_gate_unitary(gate):
+    """:func:`kron_gate_unitary` of a three-qubit gate with a rotation's 2x2
+    written as cos(angle/2) I - i sin(angle/2) axis.sigma. The matrix
+    exponential is off by up to about 1e-15; this form is exact to a few
+    roundings."""
+    if not isinstance(gate, Rotation):
+        return kron_gate_unitary(gate, 3)
+    generator = sum(a * p for a, p in zip(gate.axis, (SX, SY, SZ)))
+    half = 0.5 * gate.angle
+    return embed_1q(math.cos(half) * np.eye(2) - 1j * math.sin(half) * generator, gate.qubit, 3)
+
+
 def textbook_teleport_unitary():
     """The textbook teleportation circuit on A, B, C (Fig. 1a): Hadamard on B,
     CNOT B->C, CNOT A->B, Hadamard on A, then z flips on A and B that put
@@ -346,20 +360,38 @@ def apply_kraus(arr, ops, qubits, num_qubits):
     return out.reshape(arr.shape)
 
 
+def gate_duration(gate, device):
+    """A gate's own duration, else the device's: the single-qubit gate time
+    for a rotation, the pair's C-Phase time for a C-Phase, by default the
+    full avoided-crossing period 1/(2J)."""
+    if gate.duration is not None:
+        return gate.duration
+    if isinstance(gate, Rotation):
+        return device.single_qubit_gate_time
+    time, j = (device.cphase_time_ab, device.j_ab) if gate.pair == "AB" else (device.cphase_time_bc, device.j_bc)
+    return time if time is not None else 1.0 / (2.0 * j)
+
+
 def kraus_apply_circuit(circuit, rho, device):
     """Noisy evolution as one Kraus list per gate and channel: the gate, then
     damping and dephasing on every qubit for the gate's duration, then
     depolarizing on the qubit of each rotation."""
     arr = np.array(rho, dtype=complex)
     for gate in circuit.gates:
-        arr = apply_kraus(arr, [gate_operator(gate)], gate.qubits, 3)
-        duration = _gate_duration(gate, device)
+        arr = apply_kraus(arr, [kron_gate_unitary(gate, 3)], (0, 1, 2), 3)
+        duration = gate_duration(gate, device)
         if duration > 0.0:
             for q in range(3):
                 arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), 3)
         if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
             arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, 3)
     return arr
+
+
+def qubit_blocks(t, q):
+    """View of a (B,) + (2,)*2n stack with qubit ``q``'s (ket, bra) axes first."""
+    n = (t.ndim - 1) // 2
+    return np.moveaxis(t, (1 + q, 1 + n + q), (0, 1))
 
 
 def decohere_qubit(t, duration, device, q):
@@ -373,32 +405,62 @@ def decohere_qubit(t, duration, device, q):
     t1, t2_star = device.t1[q], device.t2_star[q]
     gamma = 1.0 - math.exp(-duration / t1)
     p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
-    b = _qubit_blocks(t, q)
+    b = qubit_blocks(t, q)
     b[0, 0] += gamma * b[1, 1]
     b[1, 1] *= 1.0 - gamma
     b[0, 1] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
     b[1, 0] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
 
 
+def depolarize_qubit(t, p, q):
+    """(1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q`` of a (B,) + (2,)*2n stack, in place."""
+    b = qubit_blocks(t, q)
+    mixed = 0.5 * p * (b[0, 0] + b[1, 1])
+    t *= 1.0 - p
+    b[0, 0] += mixed
+    b[1, 1] += mixed
+
+
 def block_apply_circuit(circuit, rho, device=None):
     """Noisy evolution of a state or a sequence of states as one block update
     per qubit per gate, on strided views of the (B,) + (2,)*6 stack: the
-    gate's conjugation, then ``decohere_qubit`` on every qubit in order, then
-    depolarizing on the qubit of each rotation. Returns the (B, 8, 8) array
-    (the bit-for-bit reference for ``apply_circuit``'s noise pass)."""
+    gate's conjugation by :func:`closed_form_gate_unitary`, then
+    ``decohere_qubit`` on every qubit in order, then ``depolarize_qubit`` on
+    the qubit of each rotation. Returns the (B, 8, 8) array."""
     m, _ = state_stack(rho)
-    t = m.reshape((len(m),) + (2,) * 6)
     for gate in circuit.gates:
-        t = _conjugate(t, gate_operator(gate), gate.qubits)
+        u = closed_form_gate_unitary(gate)
+        m = u @ m @ u.conj().T
         if device is None:
             continue
-        duration = _gate_duration(gate, device)
+        t = m.reshape((len(m),) + (2,) * 6)
+        duration = gate_duration(gate, device)
         if duration > 0.0:
             for q in range(3):
                 decohere_qubit(t, duration, device, q)
         if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
-            _depolarize(t, device.single_qubit_error, gate.qubit)
-    return t.reshape(len(m), 8, 8)
+            depolarize_qubit(t, device.single_qubit_error, gate.qubit)
+    return m
+
+
+def transfer_matrices(s):
+    """The exact conditional channel of a three-qubit circuit map ``s`` (64x64,
+    on row-major vec(rho)) for the input |psi>|00>: per outcome ij, the 4x4
+    matrix T_ij taking row-major vec(rho_A) to the unnormalised qubit-C
+    state of outcome ij. Column 2a + b is ``s`` applied to
+    |a><b| (x) |00><00|, with the AB = ij block kept."""
+    columns = []
+    for a in range(2):
+        for b in range(2):
+            unit = np.zeros((8, 8), dtype=complex)
+            unit[4 * a, 4 * b] = 1.0
+            columns.append((s @ unit.reshape(-1)).reshape(8, 8))
+    transfers = {}
+    for i in range(2):
+        for j in range(2):
+            k = 4 * i + 2 * j
+            transfers[f"{i}{j}"] = np.array([col[k : k + 2, k : k + 2].reshape(-1) for col in columns]).T
+    return transfers
 
 
 def round_sig(value, digits: int = 12):

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oracles import (
     damping_channels,
     decohere_qubit,
     dense_kraus,
+    depolarize_qubit,
     depolarizing_kraus,
     kron_gate_unitary,
     partial_trace_index_sum,
@@ -17,17 +20,11 @@ from oracles import (
     random_density,
     random_ket,
     textbook_teleport_unitary,
+    transfer_matrices,
 )
 import telebench
 import telebench.circuit as circuit_module
 from telebench.circuit import (
-    _conjugate,
-    _decay_factors,
-    _decohere,
-    _depolarize,
-    _BLOCK_GATHERS,
-    _block_gathers,
-    _on_axes,
     CPhase,
     Circuit,
     DeviceParams,
@@ -36,6 +33,7 @@ from telebench.circuit import (
     TELEPORT_BRANCH_OPS,
     apply_circuit,
     build_teleport_circuit,
+    circuit_superoperator,
     cphase_avoided_crossing,
     cphase_ideal,
     gate_operator,
@@ -43,6 +41,7 @@ from telebench.circuit import (
     rotation_unitary,
 )
 from telebench.qops import ID2, DensityMatrix, PAULI_X, computational_ket, state_fidelity_pure
+from telebench.teleport_bench import conditional_output_state
 
 
 INPUT_KETS = {
@@ -345,20 +344,6 @@ def test_apply_circuit_dimension_mismatch():
         apply_circuit(build_teleport_circuit(), DensityMatrix(np.eye(4) / 4.0))
 
 
-def test_on_axes_matches_einsum_with_a_leading_axis_of_length_three():
-    # The product is reshaped to the transposed tensor's shape; reshaping to
-    # the input's shape is only right while every axis has length 2.
-    rng = np.random.default_rng(5)
-    t = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
-    op2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    op4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(_on_axes(op2, t, [2]), np.einsum("ij,bajc->baic", op2, t), atol=1e-13)
-    expected = np.einsum("ijkl,bakcl->baicj", op4.reshape(2, 2, 2, 2), t.reshape(3, 1, 2, 2, 2)).reshape(3, 2, 2, 2)
-    assert np.allclose(_on_axes(op4, t, [1, 3]), expected, atol=1e-13)
-    expected = np.einsum("ijkl,bclk->bcji", op4.reshape(2, 2, 2, 2), t)
-    assert np.allclose(_on_axes(op4, t, [3, 2]), expected, atol=1e-13)
-
-
 STACK_DEVICES = {
     "none": None,
     "reference": reference_device(),
@@ -391,6 +376,32 @@ def test_stacked_evolution_rejects_a_wrong_dimension_member():
         apply_circuit(circuit, [])
 
 
+@pytest.mark.parametrize(
+    "device",
+    [
+        None,
+        reference_device(),
+        reference_device().scaled_coherence(2.0),
+        dataclasses.replace(reference_device(), single_qubit_error=0.02),
+    ],
+    ids=["none", "reference", "scaled_coherence_2", "single_qubit_error_0.02"],
+)
+def test_transfer_matrices_give_the_exact_conditional_channel(device):
+    # T_ij, read off the columns of the circuit's map, takes rho_A to the
+    # unnormalised qubit-C state of outcome ij: the exact channel that
+    # process tomography estimates.
+    circuit = build_teleport_circuit()
+    transfers = transfer_matrices(circuit_superoperator(circuit, device))
+    trace = np.eye(2).reshape(-1)
+    assert np.max(np.abs(trace @ sum(transfers.values()) - trace)) < 1e-12
+    for psi in INPUT_KETS.values():
+        out = apply_circuit(circuit, DensityMatrix.from_ket(embed_input(psi)), device)
+        for outcome, transfer in transfers.items():
+            rho_c, probability = conditional_output_state(out, outcome)
+            channel = transfer @ np.outer(psi, psi.conj()).reshape(-1)
+            assert np.max(np.abs(channel - probability * rho_c.matrix.reshape(-1))) < 1e-12
+
+
 def test_depolarizing_knob_reduces_fidelity():
     base = reference_device()
     knobbed = DeviceParams(
@@ -413,56 +424,32 @@ def test_depolarizing_knob_reduces_fidelity():
     p=st.floats(0.0, 1.0),
 )
 def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, p):
+    # The oracles' block updates and the one-qubit factors of a gate's map in
+    # circuit_superoperator act on one qubit's indices at a time; both must
+    # equal the channels with every Kraus operator embedded densely.
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 8)
-    device = uniform_device(t1, t2_ratio * t1)
+    device = dataclasses.replace(uniform_device(t1, t2_ratio * t1), single_qubit_error=min(p, 0.99))
     for q in range(3):
         expected = dense_kraus(rho, damping_channels(duration, device, q), (q,), 3)
         assert np.max(np.abs(decohered(rho, duration, device, q) - expected)) < 1e-13
         t = rho.astype(complex).reshape((1,) + (2,) * 6)
-        _depolarize(t, p, q)
+        depolarize_qubit(t, p, q)
         assert np.max(np.abs(t.reshape(8, 8) - dense_kraus(rho, depolarizing_kraus(p), (q,), 3))) < 1e-13
-    for qubits in ((0,), (2,), (0, 1), (1, 2), (0, 2), (2, 1)):
-        d = 2 ** len(qubits)
-        op = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-        contracted = _conjugate(rho.reshape((1,) + (2,) * 6), op, qubits).reshape(8, 8)
-        assert np.max(np.abs(contracted - dense_kraus(rho, [op], qubits, 3))) < 1e-12
+    axis = rng.normal(size=3)
+    rotation = Rotation(axis / np.linalg.norm(axis), rng.uniform(-2.0 * math.pi, 2.0 * math.pi), int(rng.integers(3)))
+    for gate in (dataclasses.replace(rotation, duration=duration), CPhase(str(rng.choice(["AB", "BC"])), duration)):
+        u = kron_gate_unitary(gate, 3)
+        expected = u @ rho @ u.conj().T
+        for q in range(3):
+            expected = dense_kraus(expected, damping_channels(duration, device, q), (q,), 3)
+        if isinstance(gate, Rotation):
+            expected = dense_kraus(expected, depolarizing_kraus(device.single_qubit_error), gate.qubits, 3)
+        out = apply_circuit(Circuit((gate,)), DensityMatrix(rho), device)
+        assert np.max(np.abs(out.matrix - expected)) < 1e-13
 
 
 # --- noise channels --------------------------------------------------------
-
-
-def signed_zero_stacks(size):
-    """Stacks of +-0, +-0.5 and +-1 entries whose zeros carry signs.
-
-    In the last one every imaginary part is -0 and every real part is
-    negative, except at |000><000|, which therefore stays in every qubit's
-    (0, 0) block with imaginary part -0. Scaling that block by 1.0 would make
-    it +0 there.
-    """
-    shape = (size,) + (2,) * 6
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        t = np.empty(shape, dtype=complex)
-        t.real = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], size=shape)
-        t.imag = rng.choice([0.0, -0.0, -0.0, 0.5], size=shape)
-        yield t
-    t = np.full(shape, complex(-0.5, -0.0))
-    t.reshape(size, -1)[:, 0] = complex(0.5, -0.0)
-    yield t
-
-
-@pytest.mark.parametrize("size", [1, 3])
-def test_noise_pass_equals_per_qubit_block_updates_with_signed_zeros(size):
-    device = reference_device()
-    for t in signed_zero_stacks(size):
-        for duration in (12e-9, 1e-6):
-            expected = t.copy()
-            for q in range(3):
-                decohere_qubit(expected, duration, device, q)
-            out = _decohere(t.copy(), _decay_factors(device, duration))
-            assert out.shape == t.shape
-            assert out.tobytes() == expected.tobytes()
 
 
 def test_damping_channels_identity_limit():
@@ -597,6 +584,13 @@ def test_device_params_dict_round_trip_and_scaling():
     assert scaled.t1 == tuple(0.5 * t for t in device.t1)
     assert scaled.t2_star == tuple(0.5 * t for t in device.t2_star)
     assert dataclasses.replace(scaled, t1=device.t1, t2_star=device.t2_star) == device
+
+
+def test_reference_device_is_read_once_and_shared():
+    # It used to parse paper_device.json on every call, about 0.1 ms.
+    text = resources.files("telebench").joinpath("data/paper_device.json").read_text()
+    assert DeviceParams.reference() is DeviceParams.reference()
+    assert DeviceParams.reference() == DeviceParams.from_dict(json.loads(text)["device"])
 
 
 def test_device_default_cphase_times_from_couplings():
@@ -825,14 +819,6 @@ def test_device_evolution_needs_the_three_device_qubits(num_qubits):
             apply_circuit(build_teleport_circuit(), rho, device)
 
 
-def test_block_gathers_are_one_read_only_constant_for_the_three_qubits():
-    assert not hasattr(_block_gathers, "cache_info")
-    assert len(_BLOCK_GATHERS) == 4
-    for built, constant in zip(_block_gathers(3), _BLOCK_GATHERS):
-        assert np.array_equal(built, constant) and not constant.flags.writeable
-        assert np.array_equal(np.sort(constant), np.arange(64))
-
-
 def test_gate_operators_are_read_only_and_alias_no_constant():
     gates = (Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), CPhase("AB"), CPhase("BC"))
     for gate in gates:
@@ -844,11 +830,28 @@ def test_gate_operators_are_read_only_and_alias_no_constant():
     assert cphase_ideal().flags.writeable
 
 
+def test_circuit_superoperator_is_built_once_per_circuit_and_device_and_read_only():
+    circuit = build_teleport_circuit()
+    circuit_superoperator.cache_clear()
+    s = circuit_superoperator(circuit, reference_device())
+    assert s.shape == (64, 64) and not s.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = 2.0
+    # Equal values share one map: a device read again, a circuit built again.
+    twin = DeviceParams.from_dict(reference_device().to_dict())
+    assert twin is not reference_device()
+    assert circuit_superoperator(build_teleport_circuit(), twin) is s
+    assert circuit_superoperator(circuit, None) is not s
+    info = circuit_superoperator.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 2, 32)
+
+
 def test_second_apply_circuit_builds_no_rotation(monkeypatch):
     calls = []
     build = circuit_module.rotation_unitary
     monkeypatch.setattr(circuit_module, "rotation_unitary", lambda *a: calls.append(a) or build(*a))
     gate_operator.cache_clear()
+    circuit_superoperator.cache_clear()
     circuit = build_teleport_circuit()
     rho = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
     first = apply_circuit(circuit, rho, reference_device())
@@ -864,6 +867,8 @@ def test_cached_gate_operators_evolve_bit_for_bit_as_fresh_ones(circuit, monkeyp
     rhos = [DensityMatrix.from_ket(embed_input(psi)) for psi in INPUT_KETS.values()]
     cached = [apply_circuit(circuit, rhos, device) for device in (None, reference_device())]
     monkeypatch.setattr(circuit_module, "gate_operator", gate_operator.__wrapped__)
+    circuit_superoperator.cache_clear()
     fresh = [apply_circuit(circuit, rhos, device) for device in (None, reference_device())]
+    circuit_superoperator.cache_clear()
     for a, b in zip(cached, fresh):
         assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))

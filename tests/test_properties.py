@@ -88,6 +88,20 @@ def gates(draw):
     return Rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
 
 
+def random_inputs(seed, size):
+    """``size`` states: benchmark inputs, whose exact zeros carry signs, and random states of rank 1 to 8."""
+    rng = np.random.default_rng(seed)
+    ket00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
+    rhos = []
+    for _ in range(size):
+        rank = int(rng.integers(0, 9))
+        if rank == 0:
+            rhos.append(DensityMatrix.from_ket(np.kron(INPUT_KETS[INPUT_LABELS[rng.integers(4)]], ket00)))
+        else:
+            rhos.append(DensityMatrix(random_density(rng, 8, rank)))
+    return rhos
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     gate_list=st.lists(gates(), max_size=10),
@@ -95,22 +109,32 @@ def gates(draw):
     seed=seeds,
     size=st.integers(1, 5),
 )
-def test_evolution_equals_per_qubit_block_updates_bit_for_bit(gate_list, device, seed, size):
+def test_evolution_equals_per_qubit_block_updates(gate_list, device, seed, size):
+    # One product with the circuit's 64x64 map rounds differently from one
+    # block update per qubit per gate: over 3,000 such draws the two
+    # differed by at most 5.6e-16.
     circuit = Circuit(gates=tuple(gate_list))
-    rng = np.random.default_rng(seed)
-    ket00 = np.kron(computational_ket(0, 2), computational_ket(0, 2))
-    rhos = []
-    for _ in range(size):
-        rank = int(rng.integers(0, 9))  # 0: a benchmark input, whose exact zeros carry signs
-        if rank == 0:
-            rhos.append(DensityMatrix.from_ket(np.kron(INPUT_KETS[INPUT_LABELS[rng.integers(4)]], ket00)))
-        else:
-            rhos.append(DensityMatrix(random_density(rng, 8, rank)))
+    rhos = random_inputs(seed, size)
     outs = apply_circuit(circuit, rhos, device)
     expected = block_apply_circuit(circuit, rhos, device)
     for out, want in zip(outs, expected, strict=True):
-        assert np.array_equal(out.matrix, want)
-        assert out.matrix.tobytes() == want.tobytes()  # the sign of every zero too
+        assert np.max(np.abs(out.matrix - want)) < 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gate_list=st.lists(gates(), max_size=10),
+    device=st.one_of(st.none(), devices()),
+    seed=seeds,
+    size=st.integers(1, 5),
+)
+def test_stacked_evolution_equals_stacks_of_one_bit_for_bit(gate_list, device, seed, size):
+    circuit = Circuit(gates=tuple(gate_list))
+    rhos = random_inputs(seed, size)
+    outs = apply_circuit(circuit, rhos, device)
+    for rho, out in zip(rhos, outs, strict=True):
+        for alone in (apply_circuit(circuit, [rho], device)[0], apply_circuit(circuit, rho, device)):
+            assert out.matrix.tobytes() == alone.matrix.tobytes()  # the sign of every zero too
 
 
 @settings(max_examples=20, deadline=None)
