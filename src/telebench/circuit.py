@@ -8,10 +8,10 @@ the device does not have. Gate unitaries are ideal. With a device, each gate
 is followed by amplitude damping plus pure dephasing of every qubit for the
 gate's duration. On a given device the whole noisy circuit is therefore one
 linear map S on the 64 entries of rho (:func:`circuit_superoperator`),
-built from each gate's Kronecker product of three 4x4 single-qubit maps.
-S is built once per (circuit, device) pair, in under a millisecond, and
+the product of each gate's Kronecker product of three 4x4 single-qubit
+maps. S is built once per (circuit, device) pair, in under a millisecond, and
 kept read-only in a cache of 32 maps; evolving a stack of states is one
-batched product with it.
+product with it.
 """
 
 from __future__ import annotations
@@ -355,11 +355,6 @@ def _depolarizing_map(p: float) -> np.ndarray:
     return np.array([[1.0 - h, 0.0, 0.0, h], [0.0, 1.0 - p, 0.0, 0.0], [0.0, 0.0, 1.0 - p, 0.0], [h, 0.0, 0.0, 1.0 - h]])
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square maps: the same products, without its overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
 # Qubit-factor order indexes the 64 entries of rho by (ket A, bra A, ket B,
 # bra B, ket C, bra C), so a map on each qubit's (ket, bra) pair is a
 # Kronecker product of three 4x4 maps. Entry k of this array is the
@@ -383,16 +378,16 @@ def _cphase_signs(pair: str) -> np.ndarray:
 def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) -> np.ndarray:
     """The 64x64 map S of a circuit, with the device's decoherence, on row-major vec(rho).
 
-    Each gate contributes one Kronecker product of the three qubits' 4x4
+    Each gate's map is the Kronecker product of the three qubits' 4x4
     Liouville maps in qubit-factor order: a rotation's U (x) conj(U) on its
     own qubit, followed by every qubit's damping and dephasing for the
     gate's duration, then depolarizing on the rotated qubit when the
     device's ``single_qubit_error`` is nonzero; a C-Phase is a +-1 mask on
     the columns of the damping map. S is the product of the gate maps in
-    circuit order, permuted once to row-major. Without a device, or for a
-    gate of duration 0, there is no noise map. Built once per distinct
-    (circuit, device) pair, both frozen and hashable, and kept read-only in
-    a cache of 32 maps (64 KB each).
+    circuit order, each applied one 4x4 factor at a time, permuted once to
+    row-major. Without a device, or for a gate of duration 0, there is no
+    noise map. Built once per distinct (circuit, device) pair, both frozen
+    and hashable, and kept read-only in a cache of 32 maps (64 KB each).
     """
     decay = {}  # gate duration -> the three qubits' damping maps
     s = np.eye(64, dtype=complex)
@@ -406,14 +401,17 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
             maps = list(decay[duration])
         if isinstance(gate, Rotation):
             u = gate_operator(gate)
-            rotated = maps[gate.qubit] @ _kron(u, u.conj())
+            rotated = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
             if device is not None and device.single_qubit_error > 0.0:
                 rotated = _depolarizing_map(device.single_qubit_error) @ rotated
             maps[gate.qubit] = rotated
-        gate_map = _kron(_kron(maps[0], maps[1]), maps[2])
         if isinstance(gate, CPhase):
-            gate_map = gate_map * _cphase_signs(gate.pair)
-        s = gate_map @ s
+            s = _cphase_signs(gate.pair)[:, None] * s
+        # (A (x) B (x) C) @ s one 4x4 factor at a time: small products that
+        # BLAS runs on one thread, where one dense 64x64 product takes two.
+        s = (maps[0] @ s.reshape(4, -1)).reshape(4, 4, -1)
+        s = (maps[1] @ s).reshape(16, 4, -1)
+        s = (maps[2] @ s).reshape(64, 64)
     s = s[np.ix_(_TO_ROW_MAJOR, _TO_ROW_MAJOR)]
     s.setflags(write=False)
     return s
@@ -433,14 +431,17 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     each rotation when the device's ``single_qubit_error`` is nonzero.
     Without a device, the evolution is noiseless. The first call for a
     (circuit, device) pair builds the map, in under a millisecond; later
-    calls reuse it. A sequence of B states is one batched product of (B, 1,
-    64) rows with S^T, which computes each member on its own, so every
-    output equals the single-state evolution of its input bit for bit (a
-    plain (B, 64) product would not, as BLAS blocks by B).
+    calls reuse it. A sequence of B states is one product of (B, 64) rows
+    with S^T that computes each member on its own, so every output equals
+    the single-state evolution of its input bit for bit (a BLAS matrix
+    product would not, as BLAS blocks by B).
     """
     m, single = state_stack(rho)
     if m.shape[1] != 8:
         raise ValueError(f"state dimension {m.shape[1]} does not match the 3-qubit circuit")
-    s = circuit_superoperator(circuit, device)
-    out = DensityMatrix.stack((m.reshape(len(m), 1, 64) @ s.T).reshape(len(m), 8, 8))
+    # einsum's own loops, not BLAS: OpenBLAS runs a 64x64 complex
+    # matrix-vector product on two threads, and that call stalls for a
+    # scheduler time slice (about 4 ms) whenever the other core is busy.
+    out = np.einsum("bk,jk->bj", m.reshape(len(m), 64), circuit_superoperator(circuit, device))
+    out = DensityMatrix.stack(out.reshape(len(m), 8, 8))
     return out[0] if single else out
