@@ -11,7 +11,9 @@ linear map S on the 64 entries of rho (:func:`circuit_superoperator`),
 the product of each gate's Kronecker product of three 4x4 single-qubit
 maps. S is built once per (circuit, device) pair, in under a millisecond, and
 kept read-only in a cache of 32 maps; evolving a stack of states is one
-product with it.
+product with it. Its build is the one place a gate becomes numbers: a
+rotation's 2x2 unitary comes from :func:`rotation_unitary`, and a C-Phase is
+a +-1 mask on S's entries. S's cache is the evolution's only cache.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class Rotation:
         if not 0 <= qubit < 3:
             raise ValueError(f"gate qubit must be 0, 1 or 2 (A, B or C), got {qubit}")
         object.__setattr__(self, "qubit", qubit)
-        # A list axis would make the gate unhashable, and gate_operator caches by gate.
+        # A list axis would make the gate, and so its circuit, unhashable, and S caches by circuit.
         object.__setattr__(self, "axis", _unit_axis(self.axis))
         _check_angle(self.angle)
         object.__setattr__(self, "angle", float(self.angle))
@@ -182,15 +184,16 @@ class DeviceParams:
         for name, v in checked:
             if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-        t1 = tuple(float(x) for x in self.t1)
-        t2 = tuple(float(x) for x in self.t2_star)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2_star", t2)
-        for q in range(3):
-            if t2[q] > 2.0 * t1[q] * (1.0 + 1e-12):
-                raise ValueError(f"unphysical dephasing: T2*={t2[q]} exceeds 2*T1={2 * t1[q]} on qubit {q}")
         if not (_is_real(self.single_qubit_error) and 0.0 <= self.single_qubit_error < 1.0):
             raise ValueError(f"single_qubit_error must be a number in [0, 1), got {self.single_qubit_error!r}")
+        # Every number is stored as a Python float: a NumPy scalar would reach the
+        # report's metadata, which JSON cannot serialize.
+        for name, v in list(vars(self).items()):
+            v = tuple(map(float, v)) if name in ("t1", "t2_star") else None if v is None else float(v)
+            object.__setattr__(self, name, v)
+        for q, (t1, t2) in enumerate(zip(self.t1, self.t2_star)):
+            if t2 > 2.0 * t1 * (1.0 + 1e-12):
+                raise ValueError(f"unphysical dephasing: T2*={t2} exceeds 2*T1={2 * t1} on qubit {q}")
 
     def cphase_time(self, pair: str) -> float:
         """The C-Phase time of pair "AB" or "BC"; any other pair raises ``KeyError``."""
@@ -237,11 +240,6 @@ def rotation_unitary(axis, angle: float) -> np.ndarray:
     return math.cos(half) * ID2 - 1j * math.sin(half) * generator
 
 
-def cphase_ideal() -> np.ndarray:
-    """Ideal two-qubit C-Phase gate diag(1, 1, 1, -1)."""
-    return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
 def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, float]:
     """C-Phase physics: resonant |11>-|20> oscillation at coupling J.
 
@@ -268,16 +266,6 @@ def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, fl
     leakage = math.sin(phase) ** 2
     effective = np.diag([1.0, 1.0, 1.0, amp11]).astype(complex)
     return effective, leakage
-
-
-@functools.lru_cache(maxsize=64)
-def gate_operator(gate: Gate) -> np.ndarray:
-    """The 2x2 or 4x4 operator of a gate on ``gate.qubits``, first listed
-    qubit most significant. Built once per distinct gate and read-only, so
-    every caller can share it."""
-    op = rotation_unitary(gate.axis, gate.angle) if isinstance(gate, Rotation) else cphase_ideal()
-    op.setflags(write=False)
-    return op
 
 
 def build_teleport_circuit() -> Circuit:
@@ -328,25 +316,24 @@ def _gate_duration(gate: Gate, device: DeviceParams) -> float:
     return device.cphase_time(gate.pair)
 
 
-def _decay_factors(device: DeviceParams, duration: float) -> list[tuple[float, float, float]]:
-    """(gamma, 1 - gamma, s) per qubit for amplitude damping plus pure dephasing over ``duration``.
+def _decay_maps(device: DeviceParams, duration: float) -> list[np.ndarray]:
+    """Each qubit's 4x4 Liouville map of amplitude damping plus pure dephasing
+    over ``duration`` on its (ket, bra) entries 00, 01, 10, 11: b00 += gamma*b11,
+    b11 *= 1 - gamma, b01 and b10 *= s.
 
     gamma = 1 - exp(-duration/T1), p = (1 - exp(-duration/Tphi))/2 with the
     pure-dephasing rate 1/Tphi = 1/T2* - 1/(2*T1) >= 0, and
-    s = sqrt(1 - gamma)*(1 - 2p) scales the off-diagonal blocks.
+    s = sqrt(1 - gamma)*(1 - 2p).
     """
-    factors = []
+    maps = []
     for t1, t2_star in zip(device.t1, device.t2_star):
         gamma = 1.0 - math.exp(-duration / t1)
         p = 0.5 * (1.0 - math.exp(-duration * max(1.0 / t2_star - 1.0 / (2.0 * t1), 0.0)))
-        factors.append((gamma, 1.0 - gamma, math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)))
-    return factors
-
-
-def _decay_map(gamma: float, keep: float, s: float) -> np.ndarray:
-    """4x4 Liouville map of damping plus dephasing on one qubit's (ket, bra)
-    entries 00, 01, 10, 11: b00 += gamma*b11, b11 *= keep, b01 and b10 *= s."""
-    return np.array([[1.0, 0.0, 0.0, gamma], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0], [0.0, 0.0, 0.0, keep]])
+        s = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
+        maps.append(
+            np.array([[1.0, 0.0, 0.0, gamma], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]])
+        )
+    return maps
 
 
 def _depolarizing_map(p: float) -> np.ndarray:
@@ -397,10 +384,10 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
             maps = [np.eye(4)] * 3
         else:
             if duration not in decay:
-                decay[duration] = [_decay_map(*factors) for factors in _decay_factors(device, duration)]
+                decay[duration] = _decay_maps(device, duration)
             maps = list(decay[duration])
         if isinstance(gate, Rotation):
-            u = gate_operator(gate)
+            u = rotation_unitary(gate.axis, gate.angle)
             rotated = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
             if device is not None and device.single_qubit_error > 0.0:
                 rotated = _depolarizing_map(device.single_qubit_error) @ rotated

@@ -11,11 +11,13 @@ import argparse
 import datetime
 import functools
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .circuit import DeviceParams
+from .entanglement import DEFAULT_RESTARTS
 from .teleport_bench import (
     ENTANGLED_INPUT_LABELS,
     INPUT_LABELS,
@@ -35,7 +37,7 @@ EXIT_USAGE = 2
 _FORMATS = ("json", "csv", "both")
 
 # Each run setting's value when neither its flag nor the config file sets it.
-_DEFAULTS = {"shots": 0, "seed": None, "noise": False, "out": ".", "format": "json", "restarts": 200}
+_DEFAULTS = {"shots": 0, "seed": None, "noise": False, "out": ".", "format": "json", "restarts": DEFAULT_RESTARTS}
 
 
 class ConfigError(Exception):
@@ -96,6 +98,11 @@ def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
         raise ConfigError(str(exc))
     if not isinstance(settings["out"], str):
         raise ConfigError(f"'out' must be a directory path string, got {settings['out']!r}")
+    # The run makes the missing part of the path; a file on it would only fail after the run.
+    if not os.path.isdir(out := settings["out"]):
+        nearest = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"'out' must be a directory path, but {nearest} is not a directory")
     if settings["format"] not in _FORMATS:
         raise ConfigError(f"'format' must be one of {_FORMATS}, got {settings['format']!r}")
     if settings["shots"] > 0 and seed is None:

@@ -92,8 +92,9 @@ _HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 # Most accepted steps of the refine's conjugate-gradient descent.
 _REFINE_STEPS = 30
 
-# Most restarts of the tangle search. Its candidates take about 7.4 KB per
-# restart at rank 8, so the bound holds a search to about 75 MB.
+# Restarts of the tangle search when a run sets none, and the most it takes: its
+# candidates take about 7.4 KB per restart at rank 8, so at most about 75 MB.
+DEFAULT_RESTARTS = 200
 MAX_RESTARTS = 10_000
 
 
@@ -161,7 +162,7 @@ def _refine(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = 200, seed: int = 0) -> float:
+def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> float:
     """Upper bound on the convex-roof three-tangle of a mixed state.
 
     Pure-state decompositions are generated by mixing the eigendecomposition

@@ -33,7 +33,7 @@ from .circuit import (
     build_teleport_circuit,
     ideal_phi,
 )
-from .entanglement import require_restarts, three_tangle_mixed_upper, witness_evaluate
+from .entanglement import DEFAULT_RESTARTS, require_restarts, three_tangle_mixed_upper, witness_evaluate
 from .qops import (
     DensityMatrix,
     ID2,
@@ -73,7 +73,6 @@ WITNESS_ALPHA = 0.5
 OUTCOMES = ("00", "01", "10", "11")
 
 CHI_BASIS = (ID2, PAULI_X, -1j * PAULI_Y, PAULI_Z)
-_IDEAL_CHI_INDEX = {"00": 0, "01": 1, "10": 3, "11": 2}
 
 # Probability floor below which an outcome's conditional tomography is
 # skipped and flagged: analytic mode uses an absolute floor, sampled mode
@@ -112,6 +111,10 @@ _BRANCH_KETS = {
     outcome: _read_only(np.array([op @ INPUT_KETS[label] for label in INPUT_LABELS]))
     for outcome, op in TELEPORT_BRANCH_OPS.items()
 }
+# Per outcome, the ideal process matrix chi = c c^dag: c_m = Tr(B_m^dag U)/2 expands its correction
+# operator U in CHI_BASIS, exactly, as each U is a basis element up to sign.
+_BRANCH_COEFFS = np.einsum("mij,kij->km", np.conj(CHI_BASIS), list(TELEPORT_BRANCH_OPS.values())) / 2.0
+_IDEAL_CHIS = dict(zip(TELEPORT_BRANCH_OPS, _read_only(np.einsum("km,kn->kmn", _BRANCH_COEFFS, _BRANCH_COEFFS.conj()))))
 # The process-tomography design over the four inputs is square,
 # design[(input, i, j), (m, n)] = (B_m rho_in B_n^dag)[i, j], and well
 # conditioned (condition number about 3.2), so chi is one product with its inverse.
@@ -159,14 +162,12 @@ def process_tomography(output_states) -> np.ndarray:
 
 
 def ideal_chi(outcome: str) -> np.ndarray:
-    """Ideal process matrix for an outcome: a single unit diagonal entry
-    (00 -> II, 01 -> XX, 10 -> ZZ, 11 -> Y~Y~)."""
+    """Ideal process matrix for an outcome, derived from its correction operator in
+    :data:`TELEPORT_BRANCH_OPS`: a single unit diagonal entry (00 -> II, 01 -> XX,
+    10 -> ZZ, 11 -> Y~Y~)."""
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    chi = np.zeros((4, 4), dtype=complex)
-    k = _IDEAL_CHI_INDEX[outcome]
-    chi[k, k] = 1.0
-    return chi
+    return np.array(_IDEAL_CHIS[outcome])
 
 
 def process_fidelity(chi_m: np.ndarray, chi_t: np.ndarray) -> float:
@@ -264,7 +265,7 @@ def run_benchmark(
     shots: int = 0,
     seed: int = 0,
     noise: bool = False,
-    restarts: int = 200,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> dict:
     """Run the full benchmark and return the report as a plain dict.
 
@@ -328,7 +329,7 @@ def run_state(
     shots: int = 0,
     seed: int = 0,
     noise: bool = False,
-    restarts: int = 200,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> dict:
     """Single-input drill-down: the reconstructed state and its figures of merit.
 

@@ -421,6 +421,28 @@ def test_runs_accept_numpy_integer_shots_and_restarts():
     assert numpy_counts["metadata"]["shots"] == 300
 
 
+def test_device_params_store_numpy_scalars_as_floats():
+    # An np.int64 coupling or an np.float32 gate time used to pass validation, run the
+    # whole pipeline and then fail to serialize in the report's metadata.
+    numpy_fields = {
+        "j_ab": np.int64(36_000_000),
+        "j_bc": np.float32(23e6),
+        "single_qubit_gate_time": np.float32(12e-9),
+        "cphase_time_ab": np.float64(14e-9),
+        "cphase_time_bc": np.float32(25e-9),
+        "single_qubit_error": np.float32(0.01),
+    }
+    reference = DeviceParams.reference().to_dict()
+    device = DeviceParams(**{**reference, **numpy_fields})
+    floats = DeviceParams(**{**reference, **{name: float(v) for name, v in numpy_fields.items()}})
+    for value in vars(device).values():
+        assert all(type(v) is float for v in value) if isinstance(value, tuple) else type(value) is float
+    assert device == floats
+    texts = [report_json_text(run_benchmark(d, noise=True, restarts=3)) for d in (device, floats)]
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["metadata"]["device"]["j_ab"] == 36e6
+
+
 @pytest.mark.parametrize("label", INPUT_LABELS)
 def test_run_state_equals_benchmark_entry(label, sampled_noisy_report):
     state = run_state(DeviceParams.reference(), label, shots=300, seed=21, noise=True, restarts=5)

@@ -35,12 +35,10 @@ from telebench.circuit import (
     build_teleport_circuit,
     circuit_superoperator,
     cphase_avoided_crossing,
-    cphase_ideal,
-    gate_operator,
     ideal_phi,
     rotation_unitary,
 )
-from telebench.qops import ID2, DensityMatrix, PAULI_X, computational_ket, state_fidelity_pure
+from telebench.qops import DensityMatrix, PAULI_X, computational_ket, state_fidelity_pure
 from telebench.teleport_bench import conditional_output_state
 
 
@@ -125,8 +123,12 @@ def test_gate_unitaries_are_unitary():
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
     for circuit in CIRCUITS.values():
         for gate in circuit.gates:
-            u = gate_operator(gate)
-            assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-12
+            if isinstance(gate, Rotation):
+                u = rotation_unitary(gate.axis, gate.angle)
+                assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+        # Without a device, S is U (x) conj(U) of the whole circuit, C-Phases included.
+        s = circuit_superoperator(circuit)
+        assert np.max(np.abs(s @ s.conj().T - np.eye(64))) < 1e-12
 
 
 def test_gate_unitary_matches_kron_embedding():
@@ -140,15 +142,10 @@ def test_gate_unitary_matches_kron_embedding():
         assert np.max(np.abs(out.matrix - u @ rho @ u.conj().T)) < 1e-12
 
 
-def test_cphase_ideal():
-    cz = cphase_ideal()
-    assert np.array_equal(cz, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex))
-    assert np.allclose(cz @ cz, np.eye(4))
-
-
 def test_cphase_gate_embeds_ideal_matrix():
     rho = random_density(np.random.default_rng(6), 8)
-    for pair, u in (("AB", np.kron(cphase_ideal(), ID2)), ("BC", np.kron(ID2, cphase_ideal()))):
+    for pair in ("AB", "BC"):
+        u = kron_gate_unitary(CPhase(pair), 3)
         out = apply_circuit(Circuit((CPhase(pair),)), DensityMatrix(rho))
         assert np.allclose(out.matrix, u @ rho @ u.conj().T, atol=1e-15)
 
@@ -705,7 +702,7 @@ def test_gate_fields_belong_to_their_kind():
 
 
 def test_rotation_stores_its_axis_and_angle_as_floats_in_a_tuple():
-    # A list axis used to build, then fail in apply_circuit: unhashable for gate_operator's cache.
+    # A list axis used to build, then fail in apply_circuit: unhashable for circuit_superoperator's cache.
     gate = Rotation([0.0, np.int64(0), 1], np.float32(0.5), qubit=0)
     assert gate.axis == (0.0, 0.0, 1.0) and gate.angle == 0.5
     assert all(type(a) is float for a in (*gate.axis, gate.angle))
@@ -748,8 +745,7 @@ def test_gate_accepts_numpy_integer_qubits_as_ints():
     assert [g.qubits for g in gates] == [(2,), (1,), (0,)]
     assert all(type(q) is int for g in (*gates, CPhase("AB"), CPhase("BC")) for q in g.qubits)
     assert gates[0] == Rotation(y, 0.3, qubit=2)
-    assert np.array_equal(gate_operator(gates[0]), rotation_unitary(y, 0.3))
-    assert np.array_equal(gate_operator(CPhase("BC")), cphase_ideal())
+    assert circuit_superoperator(Circuit(gates[:1])) is circuit_superoperator(Circuit((Rotation(y, 0.3, qubit=2),)))
 
 
 @pytest.mark.parametrize(
@@ -789,7 +785,7 @@ def test_gate_rejects_repeated_qubits_and_unknown_kinds():
 def test_gate_is_the_union_of_the_two_native_types():
     assert telebench.Gate is Gate and telebench.Rotation is Rotation and telebench.CPhase is CPhase
     assert isinstance(Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), Gate) and isinstance(CPhase("AB"), Gate)
-    for name in ("_GATE_ARITY", "_pair_qubits"):
+    for name in ("_GATE_ARITY", "_pair_qubits", "gate_operator", "cphase_ideal"):
         assert not hasattr(circuit_module, name)
     for name in ("rotation", "cphase", "kind"):
         assert not hasattr(Gate, name) and not hasattr(Rotation, name) and not hasattr(CPhase, name)
@@ -819,17 +815,6 @@ def test_device_evolution_needs_the_three_device_qubits(num_qubits):
             apply_circuit(build_teleport_circuit(), rho, device)
 
 
-def test_gate_operators_are_read_only_and_alias_no_constant():
-    gates = (Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), CPhase("AB"), CPhase("BC"))
-    for gate in gates:
-        op = gate_operator(gate)
-        with pytest.raises(ValueError, match="read-only"):
-            op[0, 0] = 2.0
-        assert gate_operator(gate) is op
-    assert gate_operator(gates[1]) is not gate_operator(gates[2])
-    assert cphase_ideal().flags.writeable
-
-
 def test_circuit_superoperator_is_built_once_per_circuit_and_device_and_read_only():
     circuit = build_teleport_circuit()
     circuit_superoperator.cache_clear()
@@ -850,25 +835,13 @@ def test_second_apply_circuit_builds_no_rotation(monkeypatch):
     calls = []
     build = circuit_module.rotation_unitary
     monkeypatch.setattr(circuit_module, "rotation_unitary", lambda *a: calls.append(a) or build(*a))
-    gate_operator.cache_clear()
     circuit_superoperator.cache_clear()
     circuit = build_teleport_circuit()
     rho = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
     first = apply_circuit(circuit, rho, reference_device())
-    assert len(calls) == len({g for g in circuit.gates if isinstance(g, Rotation)}) == 5
+    # One build per rotation gate, repeated gates included: S's cache is the only cache.
+    assert len(calls) == sum(isinstance(g, Rotation) for g in circuit.gates) == 6
     calls.clear()
     second = apply_circuit(circuit, rho, reference_device())
     assert calls == []
     assert np.array_equal(first.matrix, second.matrix)
-
-
-@pytest.mark.parametrize("circuit", CIRCUITS.values(), ids=CIRCUITS.keys())
-def test_cached_gate_operators_evolve_bit_for_bit_as_fresh_ones(circuit, monkeypatch):
-    rhos = [DensityMatrix.from_ket(embed_input(psi)) for psi in INPUT_KETS.values()]
-    cached = [apply_circuit(circuit, rhos, device) for device in (None, reference_device())]
-    monkeypatch.setattr(circuit_module, "gate_operator", gate_operator.__wrapped__)
-    circuit_superoperator.cache_clear()
-    fresh = [apply_circuit(circuit, rhos, device) for device in (None, reference_device())]
-    circuit_superoperator.cache_clear()
-    for a, b in zip(cached, fresh):
-        assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))

@@ -171,6 +171,27 @@ def test_non_string_out_in_config_exits_2(command, out, tmp_path, capsys):
     assert "config error" in err and "'out'" in err
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", [["bench"], ["state", "plus"]], ids=["bench", "state"])
+def test_out_that_names_a_file_exits_2_before_any_work(command, source, below, tmp_path, capsys, monkeypatch):
+    # These used to run the whole pipeline, then exit 1 with FileExistsError or NotADirectoryError.
+    monkeypatch.setattr(cli, "run_benchmark", lambda *a: pytest.fail("ran the benchmark"))
+    monkeypatch.setattr(cli, "run_state", lambda *a: pytest.fail("ran the state"))
+    existing = tmp_path / "existing"
+    existing.write_text("keep")
+    out = str(existing / "sub" if below else existing)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": out}))
+    setting = ["--out", out] if source == "flag" else ["--config", str(config)]
+    code = run_cli([*command, "--noise=on", *setting])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: 'out' must be a directory path, but {existing} is not a directory\n"
+    assert existing.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "run.json"]
+
+
 def test_bench_seed_required_with_shots(tmp_path, capsys):
     code = run_cli(["bench", "--shots", "100", "--out", str(tmp_path)])
     err = capsys.readouterr().err
