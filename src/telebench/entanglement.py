@@ -5,7 +5,8 @@ amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
 searching over pure-state decompositions: random restarts, cut from one
 Gaussian draw and scored in one batch, then conjugate-gradient descent over
-the unitaries that re-mix all columns of the best one. Hdet is a quartic,
+the unitaries that re-mix all columns of the best one. The eigendecomposition
+average is only the floor, never a descent start. Hdet is a quartic,
 so the gradient of the tangle sum is in closed form. The search is
 heuristic, so the value is never a certificate of separability, only of
 how much tangle a decomposition can avoid.
@@ -13,7 +14,7 @@ how much tangle a decomposition can avoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,22 +106,22 @@ def require_restarts(restarts) -> int:
     return restarts
 
 
-def _tangle_gradient(w: np.ndarray, terms: tuple | None = None) -> np.ndarray:
-    """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW).
+def _tangle_gradient(w: np.ndarray, terms: tuple) -> np.ndarray:
+    """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW),
+    from the ``terms`` ``_tangle_terms(w)[1]``.
 
     dHdet is the cubic 2 A dA - 4 (C dB + B dC). Column k of G is
     4 (H_k / |H_k| conj(dH_k) / p_k - 2 |H_k| w_k / p_k^2) with p_k = |w_k|^2;
     a column with H_k = 0 keeps only the (zero) norm term, and columns with
-    p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``. ``terms``
-    are ``_tangle_terms(w)[1]`` when the caller has them already.
+    p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``.
     """
-    big, b, c, hdet, size, p, keep = _tangle_terms(w)[1] if terms is None else terms
+    big, b, c, hdet, size, p, keep = terms
     d_hdet = _SIGNS * (2.0 * big * w[::-1] - 4.0 * np.repeat([c, b], 4, axis=0) * w[_HALF_REVERSED])
     phase = np.divide(hdet, size, out=np.zeros_like(hdet), where=size > 0.0)
     return np.where(keep, 4.0 * (phase * d_hdet.conj() / p - 2.0 * (size / p**2) * w), 0.0)
 
 
-def _refine(w: np.ndarray) -> np.ndarray:
+def _refine(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Conjugate-gradient descent of the tangle sum over W -> W U, U in U(m).
 
     Every W U with U unitary is an exact decomposition of the same state
@@ -132,7 +133,8 @@ def _refine(w: np.ndarray) -> np.ndarray:
     W W^dag is kept. A trial that lowers the sum by more than 1e-12 is
     accepted and grows the step by 1.5; otherwise the step halves and the
     same direction is tried again. Stops after ``_REFINE_STEPS`` accepted
-    steps or once the step is below 1e-9.
+    steps or once the step is below 1e-9. Returns the last accepted W and
+    its tangle sum, which is never above that of the start.
     """
     eye = np.eye(w.shape[1])
     value, terms = _tangle_terms(w)
@@ -156,24 +158,24 @@ def _refine(w: np.ndarray) -> np.ndarray:
                 break
             step *= 0.5
             if step < 1e-9:
-                return w
+                return w, value
         w, value, terms = trial, trial_value, trial_terms
         step *= 1.5
-    return w
+    return w, value
 
 
 def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> float:
     """Upper bound on the convex-roof three-tangle of a mixed state.
 
     Pure-state decompositions are generated by mixing the eigendecomposition
-    through random isometries with twice the rank many components (the
-    unmixed eigendecomposition itself is the first candidate), and the best
-    candidate is refined by conjugate-gradient descent over unitaries that
-    re-mix all its columns at once. Deterministic for a given seed; the
-    result is always a valid upper bound because every candidate is an
-    exact decomposition. Raises ``ValueError`` unless ``restarts`` is an
-    integer in [1, :data:`MAX_RESTARTS`] and ``seed`` an integer (numpy
-    integers are accepted; floats and booleans are not).
+    through random isometries with twice the rank many components, and the
+    best candidate is refined by conjugate-gradient descent over unitaries
+    that re-mix all its columns at once. The eigendecomposition's average is
+    the floor; the descent starts from the best restart. Deterministic for a
+    given seed; the result is always a valid upper bound because every
+    candidate is an exact decomposition. Raises ``ValueError`` unless
+    ``restarts`` is an integer in [1, :data:`MAX_RESTARTS`] and ``seed`` an
+    integer (numpy integers are accepted; floats and booleans are not).
     """
     if rho.num_qubits != 3:
         raise ValueError("expected a three-qubit state")
@@ -186,18 +188,11 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
     basis = vecs[:, keep]
     r = int(lam.shape[0])
     m_root = basis * np.sqrt(lam)
-    best_val = float(_column_tangle_sum(m_root))
-    if r == 1 or best_val < 1e-9:
-        return best_val
+    floor = float(_column_tangle_sum(m_root))
+    if r == 1 or floor < 1e-9:
+        return floor
     values, candidates = _restart_values(m_root, restarts, seed % (2**63))
-    k = int(np.argmin(values))
-    best_w = m_root
-    if values[k] < best_val:
-        best_val = float(values[k])
-        best_w = candidates[k]
-    if best_val >= 1e-9:
-        best_val = min(best_val, float(_column_tangle_sum(_refine(best_w))))
-    return best_val
+    return min(floor, _refine(candidates[int(np.argmin(values))])[1])
 
 
 @dataclass(frozen=True)
@@ -210,12 +205,7 @@ class WitnessResult:
     robustness_lower_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "expectation": self.expectation,
-            "is_tripartite_entangled": self.is_tripartite_entangled,
-            "robustness_lower_bound": self.robustness_lower_bound,
-        }
+        return asdict(self)
 
 
 def witness_evaluate(rho: DensityMatrix, phi, alpha: float) -> WitnessResult:

@@ -162,7 +162,8 @@ def require_normalized(psi, tol: float = INPUT_TOL) -> np.ndarray:
     """Return ``psi`` as a complex vector, raising unless its norm is 1."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
+    # A NaN norm compares false, so the tolerance test is negated rather than flipped.
+    if not abs(nrm - 1.0) <= tol:
         raise ValueError(f"ket is not normalized (norm {nrm:.9f})")
     return v
 
@@ -209,9 +210,11 @@ def state_fidelity_pure(rho, target):
     t = t.reshape(1, -1) if single else t
     if t.shape != m.shape[:2]:
         raise ValueError(f"target shape {t.shape} does not match states {m.shape[:2]}")
+    # Summed as squares rather than as <t|t>, so an infinite entry gives an
+    # infinite norm instead of inf * 0 = NaN and a warning.
+    norms = np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))
     bras, kets = t.conj()[:, np.newaxis, :], t[:, :, np.newaxis]
-    norms = np.sqrt((bras @ kets)[:, 0, 0].real)
-    check_members(norms, lambda v: abs(v - 1.0) > INPUT_TOL, "ket is not normalized (norm {:.9f})".format, single)
+    check_members(norms, lambda v: not abs(v - 1.0) <= INPUT_TOL, "ket is not normalized (norm {:.9f})".format, single)
     f = (bras @ (m @ kets))[:, 0, 0].real
     outside = "fidelity {} outside [0, 1] beyond tolerance".format
     check_members(f, lambda v: v < -STRUCTURAL_TOL or v > 1.0 + STRUCTURAL_TOL, outside, single)

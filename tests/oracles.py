@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own computational paths:
 projections go through sorted simplex projection, tangles through the
-Cayley hyperdeterminant (scalar form) and through CKW monogamy, leakage
-through a 9x9 matrix exponential, process matrices through direct
+Cayley hyperdeterminant (scalar form) and through CKW monogamy, the convex
+roof of a rank-2 state through a linear program over spinors
+(``rank_two_roof``), leakage through a 9x9 matrix exponential, process
+matrices through direct
 Kraus-operator basis expansion and through least squares over any complete
 input set (``lstsq_process_tomography``), and gates, channels and
 conditional states through dense full-register matrices. The textbook
@@ -25,6 +27,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import linprog
 
 import telebench.teleport_bench as tb
 from telebench.circuit import Rotation
@@ -101,7 +104,13 @@ def argmin_truncate_spectra(vals):
 
 def hyperdet_tangle(psi):
     """Three-tangle of a pure state as 4|Hdet| of the amplitude tensor."""
-    a = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    return float(4.0 * abs(hyperdeterminants(psi)[0]))
+
+
+def hyperdeterminants(kets):
+    """Cayley hyperdeterminant of each ket of an (n, 8) stack, as a length-n
+    complex array; one ket gives a length-1 array."""
+    a = np.moveaxis(np.asarray(kets, dtype=complex).reshape(-1, 2, 2, 2), 0, -1)
     d1 = (
         a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
         + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
@@ -117,8 +126,85 @@ def hyperdet_tangle(psi):
         + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
     )
     d3 = a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1] + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    hdet = d1 - 2.0 * d2 + 4.0 * d3
-    return float(4.0 * abs(hdet))
+    return d1 - 2.0 * d2 + 4.0 * d3
+
+
+def _fibonacci_sphere(n):
+    """n nearly uniform unit vectors (n, 3) on the sphere, along a Fibonacci spiral."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = np.pi * (1.0 + math.sqrt(5.0)) * k
+    s = np.sqrt(1.0 - z * z)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def _roof_lp(m, points):
+    """Least average tangle over decompositions of M M^dag whose elements are
+    along M u_k, u_k the spinors of the unit vectors ``points``; returns the
+    value and the weights. With u u^dag = (I + n.sigma)/2, the constraint
+    sum w_k u_k u_k^dag = I reads sum w = 2, sum w n = 0, and the average is
+    sum w_k 4|Hdet(M u_k)| / |M u_k|^2."""
+    theta, phi = np.arccos(np.clip(points[:, 2], -1.0, 1.0)), np.arctan2(points[:, 1], points[:, 0])
+    spinors = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+    kets = (m @ spinors).T
+    cost = 4.0 * np.abs(hyperdeterminants(kets)) / np.sum(np.abs(kets) ** 2, axis=1)
+    a_eq = np.vstack([np.ones(len(points)), points.T])
+    tolerances = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    result = linprog(cost, A_eq=a_eq, b_eq=[2.0, 0.0, 0.0, 0.0], bounds=(0.0, None), method="highs", options=tolerances)
+    assert result.status == 0, result.message
+    return result.fun, result.x
+
+
+def _zero_tangle_points(m):
+    """Bloch vectors of the spinors u with Hdet(M u) = 0, plus both poles.
+
+    Hdet(M (1, z)) is a quartic in z, fitted exactly from five samples; a
+    root z is the spinor (1, z). Near such a point the tangle rises like the
+    distance to it, so no grid point scores close to it."""
+    samples = np.array([0.0, 1.0, -1.0, 1j, -1j])
+    h = hyperdeterminants((m @ np.stack([np.ones(5), samples])).T)
+    z = np.roots(np.linalg.solve(np.vander(samples, 5), h))
+    scale = 1.0 + np.abs(z) ** 2
+    roots = np.stack([2.0 * z.real / scale, 2.0 * z.imag / scale, (2.0 - scale) / scale], axis=1)
+    return np.concatenate([roots, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+
+
+def rank_two_roof(rho, points=4000, rounds=6):
+    """Convex-roof three-tangle of a rank-2 three-qubit state as a linear program.
+
+    Every decomposition of rho = M M^dag (M = V sqrt(Lambda), 8 x 2) has
+    elements sqrt(w_k) M u_k with sum w_k u_k u_k^dag = I (Hughston-Jozsa-
+    Wootters), and its average tangle is linear in w, so over a finite set of
+    spinors the least average is an LP. It is solved with HiGHS on a
+    ``points``-point Fibonacci sphere and the zero-tangle points, then
+    ``rounds`` times more on those zeros, the support and three rings of 12
+    points around each support point, their radius a third of the last
+    round's. Every feasible point is an exact
+    decomposition, so the value is an upper bound that converges to the roof
+    (Lohmayer, Osterloh, Siewert and Uhlmann, PRL 97, 260502 (2006)).
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    assert vals[-3] < 1e-12 < vals[-2], "expected a rank-2 state"
+    m = vecs[:, -2:] * np.sqrt(vals[-2:])
+    zeros = _zero_tangle_points(m)
+    n = np.concatenate([zeros, _fibonacci_sphere(points)])
+    value, w = _roof_lp(m, n)
+    turns = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    radii = np.array([1.0, 2.0, 3.0]) * math.sqrt(4.0 * math.pi / points) / 3.0
+    for _ in range(rounds):
+        support = n[w > 0.0]
+        rings = [zeros, support]
+        for centre in support:
+            e1 = np.cross(centre, [1.0, 0.0, 0.0] if abs(centre[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(centre, e1)
+            tangents = np.cos(turns)[:, np.newaxis] * e1 + np.sin(turns)[:, np.newaxis] * e2
+            for radius in radii:
+                rings.append(np.cos(radius) * centre + np.sin(radius) * tangents)
+        n = np.concatenate(rings)
+        value, w = _roof_lp(m, n)
+        radii = radii / 3.0
+    return value
 
 
 def wootters_concurrence(rho):

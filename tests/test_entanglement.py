@@ -9,8 +9,10 @@ from oracles import (
     random_density,
     random_ket,
     random_unitary,
+    rank_two_roof,
     wootters_concurrence,
 )
+import telebench.entanglement as entanglement
 from telebench.entanglement import (
     MAX_RESTARTS,
     WitnessResult,
@@ -19,12 +21,13 @@ from telebench.entanglement import (
     _refine,
     _restart_values,
     _tangle_gradient,
+    _tangle_terms,
     three_tangle_mixed_upper,
     three_tangle_pure,
     witness_evaluate,
 )
 from telebench.circuit import ideal_phi
-from telebench.qops import DensityMatrix, computational_ket
+from telebench.qops import DensityMatrix, computational_ket, state_fidelity_pure
 from telebench.teleport_bench import ENTANGLED_INPUT_LABELS, INPUT_KETS, WITNESS_ALPHA
 
 
@@ -139,6 +142,26 @@ def test_ckw_monogamy_never_violated():
 def test_three_tangle_rejects_unnormalized():
     with pytest.raises(ValueError):
         three_tangle_pure(np.ones(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_kets_are_not_normalized(bad):
+    # A NaN norm compares false against any tolerance, so a check written as
+    # abs(norm - 1) > tol lets a NaN ket through.
+    rho = DensityMatrix(np.eye(8) / 8.0)
+    ket = computational_ket(0, 8)
+    ket[3] = bad
+    calls = (
+        lambda: state_fidelity_pure(rho, ket),
+        lambda: witness_evaluate(rho, ket, WITNESS_ALPHA),
+        lambda: three_tangle_pure(ket),
+        lambda: ideal_phi(np.array([bad, 0.0])),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="not normalized"):
+            call()
+    with pytest.raises(ValueError, match="member 1: ket is not normalized"):
+        state_fidelity_pure([rho, rho], np.array([computational_ket(0, 8), ket]))
 
 
 # --- mixed-state tangle upper bound -------------------------------------------
@@ -303,8 +326,8 @@ def test_ghz_w_roof_constants():
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9, 1.0])
 def test_mixed_tangle_ghz_w_bound_is_valid(p):
     # Every candidate is an exact decomposition, so no seed may go below the
-    # roof. Below p0 the search stays far above the roof (0.2 at p = 0.2);
-    # nothing is asserted about tightness there.
+    # roof. Below p0 the search can stay far above the roof (up to 0.2 at
+    # p = 0.2 over seeds 0-9); nothing is asserted about tightness there.
     rho = ghz_w_mixture(p)
     for seed in range(3):
         assert three_tangle_mixed_upper(rho, seed=seed) >= ghz_w_roof(p) - 1e-9
@@ -315,6 +338,49 @@ def test_mixed_tangle_ghz_w_bound_is_tight_above_p0(p):
     rho = ghz_w_mixture(p)
     for seed in range(3):
         assert three_tangle_mixed_upper(rho, seed=seed) <= ghz_w_roof(p) + 0.02
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9])
+def test_rank_two_roof_reproduces_the_ghz_w_roof(p):
+    # The LP is a second oracle for the analytic roof: exact above p0, and
+    # within 2e-5 of the zero roof below it.
+    value = rank_two_roof(ghz_w_mixture(p).matrix)
+    if p < GHZ_W_P0:
+        assert 0.0 <= value <= 2e-5
+    else:
+        assert value == pytest.approx(ghz_w_roof(p), abs=1e-6)
+
+
+def test_mixed_tangle_never_goes_below_the_rank_two_roof():
+    # Both are exact decompositions, and the LP reaches the roof, so the search
+    # may not beat it beyond the LP's own residual. How far the search stays
+    # above it is not gated here.
+    rng = np.random.default_rng(2026)
+    for _ in range(10):
+        rho = random_density(rng, 8, 2)
+        roof = rank_two_roof(rho)
+        for seed in range(5):
+            assert three_tangle_mixed_upper(DensityMatrix(rho), seed=seed) >= roof - 1e-6
+
+
+def test_descent_always_starts_from_a_restart_candidate(monkeypatch):
+    # The r eigendecomposition columns cannot re-mix into a decomposition with
+    # more elements, so the descent starts from the best 2r-column restart even
+    # where the eigendecomposition scores lower: GHZ/W at p = 0.2, W as 3**-0.5.
+    starts = []
+    refine = entanglement._refine
+
+    def recording_refine(w):
+        starts.append(w.shape)
+        return refine(w)
+
+    monkeypatch.setattr(entanglement, "_refine", recording_refine)
+    w_state = np.zeros(8, dtype=complex)
+    w_state[[1, 2, 4]] = 3**-0.5
+    rho = DensityMatrix(0.2 * np.outer(GHZ, GHZ.conj()) + 0.8 * np.outer(w_state, w_state.conj()))
+    for seed in range(10):
+        three_tangle_mixed_upper(rho, seed=seed)
+    assert starts == [(8, 4)] * 10
 
 
 def gradient_columns():
@@ -337,7 +403,7 @@ def test_tangle_gradient_matches_central_differences(index):
     # differenced alone, with a step relative to its norm; G is the
     # gradient in the sense df = Re tr(G^dag dW).
     w = gradient_columns()[index]
-    gradient = _tangle_gradient(w)
+    gradient = _tangle_gradient(w, _tangle_terms(w)[1])
     assert np.all(np.isfinite(gradient))
     for k in range(w.shape[1]):
         column = w[:, [k]]
@@ -353,7 +419,8 @@ def test_tangle_gradient_matches_central_differences(index):
 @pytest.mark.parametrize("state", ["rank3", "rank8", "ghz_w"])
 def test_refine_pairs_keeps_the_decomposition_and_never_raises_the_tangle(state):
     # Every accepted move is a unitary mix of all columns, so W W^dag must stay
-    # the input's to 1e-12, and the direct tangle sum may only fall.
+    # the input's to 1e-12, and the direct tangle sum may only fall. The value
+    # the descent returns is the tangle sum of the W it returns, bit for bit.
     rng = np.random.default_rng(15)
     rho = {
         "rank3": lambda: random_density(rng, 8, 3),
@@ -369,9 +436,9 @@ def test_refine_pairs_keeps_the_decomposition_and_never_raises_the_tangle(state)
         g = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
         w = root @ _haar_isometries(g).conj().T
         before = _column_tangle_sum(w)
-        refined = _refine(w)
+        refined, after = _refine(w)
         assert np.max(np.abs(refined @ refined.conj().T - w @ w.conj().T)) <= 1e-12
-        after = _column_tangle_sum(refined)
+        assert after == _column_tangle_sum(refined)
         assert after <= before
         lowered.append(after < before - 1e-6)
     assert any(lowered)
