@@ -352,9 +352,12 @@ def test_rank_two_roof_reproduces_the_ghz_w_roof(p):
 
 
 def test_mixed_tangle_never_goes_below_the_rank_two_roof():
-    # Both are exact decompositions, and the LP reaches the roof, so the search
-    # may not beat it beyond the LP's own residual. How far the search stays
-    # above it is not gated here.
+    # Both are exact decompositions, so a search value below the LP is no
+    # defect in itself: the LP is an upper bound, exact only to its grid
+    # refinement. The test therefore also pins the LP's accuracy, measured at
+    # no more than 3.3e-10 below the search on these states. If it ever
+    # fails, check the oracle's refinement before the search. How far the
+    # search stays above the LP is not gated here.
     rng = np.random.default_rng(2026)
     for _ in range(10):
         rho = random_density(rng, 8, 2)
