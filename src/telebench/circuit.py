@@ -372,20 +372,14 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
     device's ``single_qubit_error`` is nonzero; a C-Phase is a +-1 mask on
     the columns of the damping map. S is the product of the gate maps in
     circuit order, each applied one 4x4 factor at a time, permuted once to
-    row-major. Without a device, or for a gate of duration 0, there is no
-    noise map. Built once per distinct (circuit, device) pair, both frozen
-    and hashable, and kept read-only in a cache of 32 maps (64 KB each).
+    row-major. Without a device every damping map is the identity, and a
+    gate of duration 0 gives identity maps exactly. Built once per distinct
+    (circuit, device) pair, both frozen and hashable, and kept read-only in
+    a cache of 32 maps (64 KB each).
     """
-    decay = {}  # gate duration -> the three qubits' damping maps
     s = np.eye(64, dtype=complex)
     for gate in circuit.gates:
-        duration = 0.0 if device is None else _gate_duration(gate, device)
-        if duration <= 0.0:
-            maps = [np.eye(4)] * 3
-        else:
-            if duration not in decay:
-                decay[duration] = _decay_maps(device, duration)
-            maps = list(decay[duration])
+        maps = [np.eye(4)] * 3 if device is None else _decay_maps(device, _gate_duration(gate, device))
         if isinstance(gate, Rotation):
             u = rotation_unitary(gate.axis, gate.angle)
             rotated = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
@@ -423,9 +417,7 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     the single-state evolution of its input bit for bit (a BLAS matrix
     product would not, as BLAS blocks by B).
     """
-    m, single = state_stack(rho)
-    if m.shape[1] != 8:
-        raise ValueError(f"state dimension {m.shape[1]} does not match the 3-qubit circuit")
+    m, single = state_stack(rho, 8)
     # einsum's own loops, not BLAS: OpenBLAS runs a 64x64 complex
     # matrix-vector product on two threads, and that call stalls for a
     # scheduler time slice (about 4 ms) whenever the other core is busy.

@@ -127,8 +127,6 @@ def _print_bench_summary(report: dict) -> None:
     print(f"  {'input':<7}{'witness':>10}{'reference':>11}{'robustness':>12}{'reference':>11}{'tangle<=':>10}{'reference':>11}")
     for label in ENTANGLED_INPUT_LABELS:
         entry = report["states"][label]
-        if "witness" not in entry:
-            continue
         print(
             f"  {label:<7}"
             f"{_fmt(entry['witness']['expectation'])}{_fmt(ref['witness_expectation'], 11)}"

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qops import DensityMatrix, require_count, require_integer, require_normalized, state_fidelity_pure
+from .qops import DensityMatrix, require_count, require_integer, require_normalized, state_fidelity_pure, state_stack
 
 # Tolerance for deciding that a witness expectation is genuinely negative.
 _WITNESS_TOL = 1e-9
@@ -177,8 +177,7 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
     ``restarts`` is an integer in [1, :data:`MAX_RESTARTS`] and ``seed`` an
     integer (numpy integers are accepted; floats and booleans are not).
     """
-    if rho.num_qubits != 3:
-        raise ValueError("expected a three-qubit state")
+    state_stack(rho, 8)
     restarts = require_restarts(restarts)
     seed = require_integer("seed", seed)
     vals, vecs = np.linalg.eigh(rho.matrix)

@@ -8,6 +8,8 @@ basis index decomposes as ``4a + 2b + c``.
 Functions that take states take one state or a stack of them: one
 :class:`DensityMatrix` in gives one result out, and a sequence of B states
 gives a list or a (B, ...) array, computed in one batched pass.
+:func:`state_stack` turns either into one (B, d, d) array and is the one
+place a stage checks that its states have its register's size.
 :meth:`DensityMatrix.stack` validates a (B, d, d) stack member by member
 with one batched ``eigvalsh``, and errors from a stack name the member.
 """
@@ -30,32 +32,28 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class DensityMatrix:
-    """Validated n-qubit density matrix.
+    """Validated density matrix of any dimension d >= 2.
 
     Construction asserts the three structural invariants (Hermiticity,
     unit trace, positive semidefiniteness) to ``STRUCTURAL_TOL``, so any
-    value of this type can be consumed without re-checking.
+    value of this type can be consumed without re-checking. Whether its
+    size fits a stage is checked by the stage, through :func:`state_stack`.
 
     Attributes
     ----------
     matrix : numpy.ndarray
         The (d, d) complex matrix, marked read-only.
-    num_qubits : int or None
-        Number of qubits n when d = 2**n; None for non-qubit dimensions
-        (e.g. qutrit registers), which support only the generic operations.
     """
 
-    __slots__ = ("matrix", "num_qubits")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        n = _qubit_count(m.shape[0])
         _require_physical(m[np.newaxis], single=True)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "num_qubits", n)
 
     @classmethod
     def stack(cls, matrices) -> list["DensityMatrix"]:
@@ -69,14 +67,12 @@ class DensityMatrix:
         m = np.array(matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] < 1:
             raise ValueError(f"a density-matrix stack must have shape (B, d, d) with B >= 1, got {m.shape}")
-        n = _qubit_count(m.shape[1])
         _require_physical(m, single=False)
         m.setflags(write=False)
         states = []
         for member in m:
             state = object.__new__(cls)
             object.__setattr__(state, "matrix", member)
-            object.__setattr__(state, "num_qubits", n)
             states.append(state)
         return states
 
@@ -90,12 +86,8 @@ class DensityMatrix:
         require_normalized(v)
         return cls(np.outer(v, v.conj()))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def __repr__(self) -> str:
-        return f"DensityMatrix(num_qubits={self.num_qubits})"
+        return f"DensityMatrix(dim={len(self.matrix)})"
 
 
 def stack_error(message: str, index: int, single: bool) -> ValueError:
@@ -112,17 +104,11 @@ def check_members(values: np.ndarray, is_bad, describe, single: bool) -> None:
             raise stack_error(describe(value), index, single)
 
 
-def _qubit_count(dim: int) -> int | None:
-    """Qubits n of a dimension d = 2**n, None for other dimensions; raises below 2."""
-    if dim < 2:
-        raise ValueError(f"dimension {dim} is too small for a state")
-    n = dim.bit_length() - 1
-    return n if 1 << n == dim else None
-
-
 def _require_physical(m: np.ndarray, single: bool) -> None:
-    """Raise unless every member of the (B, d, d) stack ``m`` is finite,
-    Hermitian, of unit trace and positive semidefinite to ``STRUCTURAL_TOL``."""
+    """Raise unless d >= 2 and every member of the (B, d, d) stack ``m`` is
+    finite, Hermitian, of unit trace and positive semidefinite to ``STRUCTURAL_TOL``."""
+    if m.shape[1] < 2:
+        raise ValueError(f"dimension {m.shape[1]} is too small for a state")
     if not np.isfinite(m).all():
         bad = ~np.isfinite(m).all(axis=(1, 2))
         raise stack_error("density matrix contains non-finite entries", int(np.argmax(bad)), single)
@@ -135,35 +121,41 @@ def _require_physical(m: np.ndarray, single: bool) -> None:
     check_members(min_eig, lambda v: v < -STRUCTURAL_TOL, "matrix has negative eigenvalue {:.3e}".format, single)
 
 
-def state_stack(rho) -> tuple[np.ndarray, bool]:
+def state_stack(rho, dim: int | None = None) -> tuple[np.ndarray, bool]:
     """The matrices of one :class:`DensityMatrix`, or of a non-empty sequence
     of them, as a complex (B, d, d) array, and whether one state was given.
     The array is read-only: for one state it is a view of its matrix.
 
-    Raises ``TypeError`` for anything but DensityMatrix values and
-    ``ValueError`` for an empty sequence or members of different dimensions.
+    This is where a stage checks the size of its states: given ``dim``,
+    every member must be ``dim`` x ``dim``; without it, every member must
+    have the first member's size. Raises ``TypeError`` for anything but
+    DensityMatrix values and ``ValueError`` for an empty sequence or a
+    member of the wrong size, naming the member of a sequence.
     """
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix[np.newaxis], True
-    states = list(rho)
+    single = isinstance(rho, DensityMatrix)
+    states = [rho] if single else list(rho)
     if not states:
         raise ValueError("needs at least one state")
     for index, state in enumerate(states):
         if not isinstance(state, DensityMatrix):
             raise TypeError(f"expected DensityMatrix values, got {type(state).__name__}")
-        if state.matrix.shape != states[0].matrix.shape:
-            raise ValueError(f"state dimension {state.dim} of member {index} does not match {states[0].dim}")
+        if dim is None:
+            dim = len(state.matrix)
+        if len(state.matrix) != dim:
+            raise stack_error(f"state dimension {len(state.matrix)} does not match {dim}", index, single)
+    if single:
+        return rho.matrix[np.newaxis], True
     m = np.array([state.matrix for state in states])
     m.setflags(write=False)
     return m, False
 
 
-def require_normalized(psi, tol: float = INPUT_TOL) -> np.ndarray:
-    """Return ``psi`` as a complex vector, raising unless its norm is 1."""
+def require_normalized(psi) -> np.ndarray:
+    """Return ``psi`` as a complex vector, raising unless its norm is 1 to ``INPUT_TOL``."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(v))
     # A NaN norm compares false, so the tolerance test is negated rather than flipped.
-    if not abs(nrm - 1.0) <= tol:
+    if not abs(nrm - 1.0) <= INPUT_TOL:
         raise ValueError(f"ket is not normalized (norm {nrm:.9f})")
     return v
 

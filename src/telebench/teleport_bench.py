@@ -135,9 +135,7 @@ def conditional_output_state(rho_m, outcome: str):
     """
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    m, single = state_stack(rho_m)
-    if m.shape[1] != 8:
-        raise ValueError("conditional projection expects a three-qubit state")
+    m, single = state_stack(rho_m, 8)
     i, j = int(outcome[0]), int(outcome[1])
     blocks = m.reshape((len(m),) + (2,) * 6)[:, i, j, :, i, j, :]
     probabilities = blocks.trace(axis1=1, axis2=2).real
@@ -155,8 +153,8 @@ def process_tomography(output_states) -> np.ndarray:
     ``_CHI_SOLVE``; it is then hermitized, projected onto the positive cone
     by eigenvalue truncation, and renormalized to unit trace.
     """
-    outs, _ = state_stack(output_states)
-    if outs.shape != (len(INPUT_LABELS), 2, 2):
+    outs, _ = state_stack(output_states, 2)
+    if len(outs) != len(INPUT_LABELS):
         raise ValueError(f"need the {len(INPUT_LABELS)} single-qubit outputs of the inputs {INPUT_LABELS}")
     return np.array(nearest_physical((_CHI_SOLVE @ outs.reshape(-1)).reshape(4, 4)).matrix)
 

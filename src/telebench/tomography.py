@@ -156,9 +156,7 @@ def pauli_set(rho) -> np.ndarray:
     """Exact expectation values of all 63 nontrivial Pauli strings,
     ordered as :data:`PAULI_LABELS`: shape (63,) for one state, (B, 63) for
     a sequence of B states."""
-    m, single = state_stack(rho)
-    if m.shape[1] != 8:
-        raise ValueError("Pauli sets are defined for three-qubit states")
+    m, single = state_stack(rho, 8)
     values = (m[:, np.newaxis] @ PAULI_STACK).trace(axis1=2, axis2=3)
     worst = np.abs(values.imag).max(axis=1)
     describe = "expectation has non-negligible imaginary part {:.3e}".format

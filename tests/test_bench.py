@@ -165,9 +165,11 @@ def test_least_squares_oracle_rejects_degenerate_inputs():
 
 def test_process_tomography_takes_the_four_single_qubit_outputs():
     outputs = [DensityMatrix.from_ket(k) for k in canonical_inputs()]
-    for bad in (outputs[:3], outputs + outputs[:1], [DensityMatrix.from_ket(np.ones(4) / 2.0)] * 4):
+    for bad in (outputs[:3], outputs + outputs[:1]):
         with pytest.raises(ValueError, match="single-qubit outputs"):
             process_tomography(bad)
+    with pytest.raises(ValueError, match="^member 0: state dimension 4 does not match 2$"):
+        process_tomography([DensityMatrix.from_ket(np.ones(4) / 2.0)] * 4)
     with pytest.raises(TypeError, match="DensityMatrix"):
         process_tomography([o.matrix for o in outputs])
 

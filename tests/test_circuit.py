@@ -811,7 +811,7 @@ def test_device_evolution_needs_the_three_device_qubits(num_qubits):
     # B and C now, with or without a device.
     rho = DensityMatrix.from_ket(computational_ket(0, 2**num_qubits))
     for device in (reference_device(), None):
-        with pytest.raises(ValueError, match=f"dimension {2**num_qubits} does not match the 3-qubit circuit"):
+        with pytest.raises(ValueError, match=f"^state dimension {2**num_qubits} does not match 8$"):
             apply_circuit(build_teleport_circuit(), rho, device)
 
 

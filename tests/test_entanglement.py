@@ -420,7 +420,7 @@ def test_tangle_gradient_matches_central_differences(index):
 
 
 @pytest.mark.parametrize("state", ["rank3", "rank8", "ghz_w"])
-def test_refine_pairs_keeps_the_decomposition_and_never_raises_the_tangle(state):
+def test_refine_keeps_the_decomposition_and_never_raises_the_tangle(state):
     # Every accepted move is a unitary mix of all columns, so W W^dag must stay
     # the input's to 1e-12, and the direct tangle sum may only fall. The value
     # the descent returns is the tangle sum of the W it returns, bit for bit.

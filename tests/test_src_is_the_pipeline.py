@@ -25,7 +25,6 @@ UNREACHED = {
     "cli._load_config_file.<locals>.reject_constant": "error path: a config file with NaN or Infinity",
     "qops.DensityMatrix.__setattr__": "error path: a DensityMatrix is immutable",
     "qops.DensityMatrix.__repr__": "error path: shown in error messages and the debugger",
-    "qops.DensityMatrix.dim": "error path: the size of a state in an error message",
     "circuit.DeviceParams.scaled_coherence": "called by acceptance criterion 8",
     "circuit.Rotation.qubits": "public gate API: the qubits a gate acts on",
     "circuit.CPhase.qubits": "public gate API: the qubits a gate acts on",

@@ -13,13 +13,14 @@ from hypothesis.extra.numpy import arrays
 
 import telebench.teleport_bench as tb
 from oracles import kron_pauli, per_state_benchmark, per_state_entry, random_density, random_ket
-from telebench.circuit import DeviceParams
+from telebench.circuit import DeviceParams, apply_circuit, build_teleport_circuit
 from telebench.entanglement import three_tangle_mixed_upper
 from telebench.qops import DensityMatrix, nearest_physical, state_fidelity_pure
 from telebench.teleport_bench import (
     INPUT_LABELS,
     OUTCOMES,
     conditional_output_state,
+    process_tomography,
     report_json_text,
     run_benchmark,
     run_state,
@@ -198,6 +199,30 @@ def test_stacked_stages_name_the_bad_member():
         simulate_readout([rho, rho], 10, [1])
     with pytest.raises(ValueError, match="one seed per state"):
         simulate_readout([rho, rho], 10, 1)
+
+
+# Each stage's register size: 8x8 states, except process tomography, which
+# takes the 2x2 states of qubit C. The tangle bound takes one state only.
+STAGE_SIZES = {
+    "apply_circuit": (lambda rho: apply_circuit(build_teleport_circuit(), rho), 8),
+    "pauli_set": (pauli_set, 8),
+    "simulate_readout": (lambda rho: simulate_readout(rho, 10, 1 if isinstance(rho, DensityMatrix) else [1, 2]), 8),
+    "conditional_output_state": (lambda rho: conditional_output_state(rho, "00"), 8),
+    "three_tangle_mixed_upper": (three_tangle_mixed_upper, 8),
+    "process_tomography": (process_tomography, 2),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_SIZES)
+def test_every_stage_rejects_a_state_of_the_wrong_size(stage):
+    run, dim = STAGE_SIZES[stage]
+    good = DensityMatrix(np.eye(dim) / dim)
+    wrong = DensityMatrix(np.eye(4) / 4.0)
+    with pytest.raises(ValueError, match=f"^state dimension 4 does not match {dim}$"):
+        run(wrong)
+    if stage != "three_tangle_mixed_upper":
+        with pytest.raises(ValueError, match=f"^member 1: state dimension 4 does not match {dim}$"):
+            run([good, wrong])
 
 
 def test_every_member_of_a_stack_is_read_only():
