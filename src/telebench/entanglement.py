@@ -5,15 +5,17 @@ amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
 searching over pure-state decompositions: random restarts, cut from one
 Gaussian draw and scored in one batch, then conjugate-gradient descent over
-the unitaries that re-mix all columns of the best one. The eigendecomposition
-average is only the floor, never a descent start. Hdet is a quartic,
-so the gradient of the tangle sum is in closed form. The search is
-heuristic, so the value is never a certificate of separability, only of
-how much tangle a decomposition can avoid.
+the unitaries that re-mix all columns of the best one. The draw depends only
+on the seed, the restart count and the rank, so the last one is kept for the
+next search. The eigendecomposition average is only the floor, never a
+descent start. Hdet is a quartic, so the gradient of the tangle sum is in
+closed form. The search is heuristic, so the value is never a certificate of
+separability, only of how much tangle a decomposition can avoid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,17 +72,28 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real)[..., np.newaxis, :]
 
 
-def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Score the restart candidates m_root @ V_k^dag, k = 0 .. restarts - 1.
+@functools.lru_cache(maxsize=1)
+def _restart_isometries(restarts: int, rank: int, seed: int) -> np.ndarray:
+    """The read-only (restarts, r, 2r) stack of V_k^dag, k = 0 .. restarts - 1.
 
     One draw from ``default_rng(seed)`` gives a (2r, r) complex Gaussian
     block per restart, and V_k is the Haar isometry of block k. So V_k
-    depends only on (seed, k), not on the restart count or the batching.
+    depends only on (seed, k), not on the restart count or the batching,
+    and not on the state: the last stack is kept, so a second search with
+    the same seed, restart count and rank draws nothing.
+    """
+    g = np.random.default_rng(seed).standard_normal((restarts, 2 * rank, rank, 2)).view(complex)[..., 0]
+    v_dag = np.swapaxes(_haar_isometries(g).conj(), -1, -2)
+    v_dag.setflags(write=False)
+    return v_dag
+
+
+def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Score the restart candidates m_root @ V_k^dag of :func:`_restart_isometries`.
+
     Returns the values in k order and the (restarts, 8, 2r) candidates.
     """
-    r = m_root.shape[1]
-    g = np.random.default_rng(seed).standard_normal((restarts, 2 * r, r, 2)).view(complex)[..., 0]
-    candidates = m_root @ np.swapaxes(_haar_isometries(g).conj(), -1, -2)
+    candidates = m_root @ _restart_isometries(restarts, m_root.shape[1], seed)
     return _column_tangle_sum(candidates), candidates
 
 
@@ -94,7 +107,8 @@ _HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 _REFINE_STEPS = 30
 
 # Restarts of the tangle search when a run sets none, and the most it takes: its
-# candidates take about 7.4 KB per restart at rank 8, so at most about 75 MB.
+# candidates take about 7.4 KB per restart at rank 8, so at most about 75 MB, and
+# the one cached stack of restart isometries 2 KB per restart, so at most 20 MB.
 DEFAULT_RESTARTS = 200
 MAX_RESTARTS = 10_000
 
@@ -173,11 +187,13 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
     that re-mix all its columns at once. The eigendecomposition's average is
     the floor; the descent starts from the best restart. Deterministic for a
     given seed; the result is always a valid upper bound because every
-    candidate is an exact decomposition. Raises ``ValueError`` unless
-    ``restarts`` is an integer in [1, :data:`MAX_RESTARTS`] and ``seed`` an
-    integer (numpy integers are accepted; floats and booleans are not).
+    candidate is an exact decomposition. Raises ``TypeError`` for a sequence
+    of states and ``ValueError`` unless ``restarts`` is an integer in
+    [1, :data:`MAX_RESTARTS`] and ``seed`` an integer (numpy integers are
+    accepted; floats and booleans are not).
     """
-    state_stack(rho, 8)
+    if not state_stack(rho, 8)[1]:
+        raise TypeError("three_tangle_mixed_upper takes one DensityMatrix, not a sequence")
     restarts = require_restarts(restarts)
     seed = require_integer("seed", seed)
     vals, vecs = np.linalg.eigh(rho.matrix)

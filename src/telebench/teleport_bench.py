@@ -234,8 +234,11 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
     Checks the settings with :func:`check_run_settings` before any work, then evolution
     -> readout -> physical reconstruction -> state fidelities and Pauli
     sets, each one call on the whole stack of inputs, plus witness and
-    tangle bound for each entangled input. Returns the run metadata, the
-    figures of merit per input and the reconstructed states.
+    tangle bound for each entangled input. Each input reads out from its
+    own stream; the tangle bounds of a run share one seed, that of ``minus``,
+    so two inputs of the same rank share one restart draw.
+    Returns the run metadata, the figures of merit per input and the
+    reconstructed states.
     """
     shots, seed, noise, restarts = check_run_settings(shots, seed, noise, restarts)
     rhos_out = apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
@@ -243,7 +246,7 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
     rhos_m = mle_reconstruct(simulate_readout(rhos_out, shots, [_derived_seed(seed, 0, k) for k in indices]))
     fidelities = state_fidelity_pure(rhos_m, np.array([_IDEAL_KETS[label] for label in labels]))
     entries = []
-    for label, index, rho_m, fidelity, values in zip(labels, indices, rhos_m, fidelities, pauli_set(rhos_m)):
+    for label, rho_m, fidelity, values in zip(labels, rhos_m, fidelities, pauli_set(rhos_m)):
         entry: dict = {
             "state_fidelity": float(fidelity),
             "pauli_set": _pack_pauli_set(values),
@@ -252,7 +255,7 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
         if label in ENTANGLED_INPUT_LABELS:
             entry["witness"] = witness_evaluate(rho_m, _IDEAL_KETS[label], WITNESS_ALPHA).to_dict()
             entry["three_tangle_upper"] = three_tangle_mixed_upper(
-                rho_m, restarts=restarts, seed=_derived_seed(seed, 1, index)
+                rho_m, restarts=restarts, seed=_derived_seed(seed, 1, INPUT_LABELS.index("minus"))
             )
         entries.append(entry)
     return _metadata(device, shots, seed, noise, restarts), entries, rhos_m
@@ -271,7 +274,8 @@ def run_benchmark(
     state stage (:func:`_run_inputs`) as one stack. Then, per measurement
     outcome: one conditional projection of the stack -> process tomography
     -> process and average output fidelities. Deterministic for a given
-    seed; per-input substreams keep the four pipelines independent. Raises
+    seed: each input reads out from its own substream, and the two entangled
+    inputs bound their tangle from one substream of the run. Raises
     ``ValueError`` before any work for settings that :func:`check_run_settings` rejects.
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)

@@ -587,9 +587,9 @@ def per_state_entry(rho_out, label, shots, seed, restarts):
     }
     if label in tb.ENTANGLED_INPUT_LABELS:
         entry["witness"] = tb.witness_evaluate(rho_m, phi, tb.WITNESS_ALPHA).to_dict()
-        entry["three_tangle_upper"] = tb.three_tangle_mixed_upper(
-            rho_m, restarts=restarts, seed=tb._derived_seed(seed, 1, index)
-        )
+        # A run's entangled inputs share one tangle stream, that of minus.
+        tangle_seed = tb._derived_seed(seed, 1, tb.INPUT_LABELS.index("minus"))
+        entry["three_tangle_upper"] = tb.three_tangle_mixed_upper(rho_m, restarts=restarts, seed=tangle_seed)
     return entry, rho_m
 
 

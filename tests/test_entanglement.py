@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from telebench.entanglement import (
     _column_tangle_sum,
     _haar_isometries,
     _refine,
+    _restart_isometries,
     _restart_values,
     _tangle_gradient,
     _tangle_terms,
@@ -26,9 +29,9 @@ from telebench.entanglement import (
     three_tangle_pure,
     witness_evaluate,
 )
-from telebench.circuit import ideal_phi
+from telebench.circuit import DeviceParams, ideal_phi
 from telebench.qops import DensityMatrix, computational_ket, state_fidelity_pure
-from telebench.teleport_bench import ENTANGLED_INPUT_LABELS, INPUT_KETS, WITNESS_ALPHA
+from telebench.teleport_bench import ENTANGLED_INPUT_LABELS, INPUT_KETS, WITNESS_ALPHA, run_benchmark
 
 
 GHZ = np.zeros(8, dtype=complex)
@@ -260,20 +263,62 @@ def test_restart_candidates_depend_only_on_seed_and_index(rank):
             np.testing.assert_array_equal(few_candidates[k], w)
 
 
-def test_mixed_tangle_builds_one_generator_per_call(monkeypatch):
-    # One stream serves all restarts and the refine draws nothing. Building
-    # a generator per restart cost more than a third of the restart phase.
+@pytest.fixture
+def built_generators(monkeypatch):
+    """The argument tuples of every ``default_rng`` that ``entanglement``
+    builds from here on, with the restart draw of an earlier test dropped
+    from the cache."""
     built = []
     default_rng = np.random.default_rng
 
     def counting_rng(*args, **kwargs):
-        built.append(args)
+        if sys._getframe(1).f_globals["__name__"] == entanglement.__name__:
+            built.append(args)
         return default_rng(*args, **kwargs)
 
-    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
+    _restart_isometries.cache_clear()
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    return built
+
+
+def test_mixed_tangle_builds_one_generator_per_call(built_generators):
+    # One stream serves all restarts and the refine draws nothing. Building
+    # a generator per restart cost more than a third of the restart phase.
+    rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
     assert three_tangle_mixed_upper(rho, restarts=200, seed=4) > 1e-9
-    assert len(built) == 1
+    assert len(built_generators) == 1
+
+
+def test_a_noisy_run_draws_its_restarts_once(built_generators):
+    # Both entangled outputs of a noisy run at shots 0 have rank 8 and share
+    # the run's tangle seed, so the second search reuses the first one's
+    # isometries.
+    report = run_benchmark(DeviceParams.reference(), shots=0, seed=3, noise=True, restarts=20)
+    assert all(report["states"][label]["three_tangle_upper"] > 1e-9 for label in ENTANGLED_INPUT_LABELS)
+    assert len(built_generators) == 1
+
+
+def test_restart_draw_is_shared_only_by_states_of_one_rank(built_generators):
+    rng = np.random.default_rng(17)
+    rank_three, rank_eight, other_rank_eight = (DensityMatrix(random_density(rng, 8, r)) for r in (3, 8, 8))
+    for rho, built in ((rank_three, 1), (rank_eight, 2), (other_rank_eight, 2), (rank_three, 3)):
+        three_tangle_mixed_upper(rho, restarts=20, seed=6)
+        assert len(built_generators) == built
+
+
+def test_a_cached_restart_draw_gives_the_bound_of_a_fresh_one():
+    rng = np.random.default_rng(18)
+    rho, other = (DensityMatrix(random_density(rng, 8, 4)) for _ in range(2))
+    _restart_isometries.cache_clear()
+    cold = three_tangle_mixed_upper(rho, restarts=50, seed=8)
+    _restart_isometries.cache_clear()
+    three_tangle_mixed_upper(other, restarts=50, seed=8)
+    assert three_tangle_mixed_upper(rho, restarts=50, seed=8) == cold
+    assert _restart_isometries.cache_info().hits == 1
+    v_dag = _restart_isometries(50, 4, 8)
+    assert v_dag.shape == (50, 4, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        v_dag[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 8, 9, 10])

@@ -220,9 +220,12 @@ def test_every_stage_rejects_a_state_of_the_wrong_size(stage):
     wrong = DensityMatrix(np.eye(4) / 4.0)
     with pytest.raises(ValueError, match=f"^state dimension 4 does not match {dim}$"):
         run(wrong)
-    if stage != "three_tangle_mixed_upper":
-        with pytest.raises(ValueError, match=f"^member 1: state dimension 4 does not match {dim}$"):
-            run([good, wrong])
+    with pytest.raises(ValueError, match=f"^member 1: state dimension 4 does not match {dim}$"):
+        run([good, wrong])
+    if stage == "three_tangle_mixed_upper":
+        for states in ([good], [good, good]):
+            with pytest.raises(TypeError, match="^three_tangle_mixed_upper takes one DensityMatrix, not a sequence$"):
+                run(states)
 
 
 def test_every_member_of_a_stack_is_read_only():
