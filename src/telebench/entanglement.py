@@ -3,14 +3,15 @@
 The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
 amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
-searching over pure-state decompositions: random restarts, cut from one
-Gaussian draw and scored in one batch, then conjugate-gradient descent over
-the unitaries that re-mix all columns of the best one. The draw depends only
-on the seed, the restart count and the rank, so the last one is kept for the
-next search. The eigendecomposition average is only the floor, never a
-descent start. Hdet is a quartic, so the gradient of the tangle sum is in
-closed form. The search is heuristic, so the value is never a certificate of
-separability, only of how much tangle a decomposition can avoid.
+searching over pure-state decompositions: random restarts, scored in one
+batch, then conjugate-gradient descent over the unitaries that re-mix all
+columns of the best one. The restarts are one pool of Haar isometries, drawn
+from a fixed seed once per process for a restart count and rank, rotated by
+one Haar unitary drawn from the search's seed. The eigendecomposition
+average is only the floor, never a descent start. Hdet is a quartic, so the
+gradient of the tangle sum is in closed form. The search is heuristic, so the
+value is never a certificate of separability, only of how much tangle a
+decomposition can avoid.
 """
 
 from __future__ import annotations
@@ -72,28 +73,41 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real)[..., np.newaxis, :]
 
 
-@functools.lru_cache(maxsize=1)
-def _restart_isometries(restarts: int, rank: int, seed: int) -> np.ndarray:
-    """The read-only (restarts, r, 2r) stack of V_k^dag, k = 0 .. restarts - 1.
+# Seed of the one pool of restart isometries; each search's own seed only
+# rotates the pool (see _restart_values).
+_POOL_SEED = 0
 
-    One draw from ``default_rng(seed)`` gives a (2r, r) complex Gaussian
-    block per restart, and V_k is the Haar isometry of block k. So V_k
-    depends only on (seed, k), not on the restart count or the batching,
-    and not on the state: the last stack is kept, so a second search with
-    the same seed, restart count and rank draws nothing.
+
+@functools.lru_cache(maxsize=1)
+def _restart_isometries(restarts: int, rank: int) -> np.ndarray:
+    """The read-only (restarts, r, 2r) pool of V_k^dag, k = 0 .. restarts - 1.
+
+    One draw from ``default_rng(_POOL_SEED)`` gives a (2r, r) complex
+    Gaussian block per restart, and V_k is the Haar isometry of block k. So
+    V_k depends only on k, not on the restart count, the batching, the state
+    or the search's seed. The pool is drawn at the first search of a restart
+    count and rank, never at import, and kept: every later search of that
+    restart count and rank in the process draws only its rotation.
     """
-    g = np.random.default_rng(seed).standard_normal((restarts, 2 * rank, rank, 2)).view(complex)[..., 0]
+    g = np.random.default_rng(_POOL_SEED).standard_normal((restarts, 2 * rank, rank, 2)).view(complex)[..., 0]
     v_dag = np.swapaxes(_haar_isometries(g).conj(), -1, -2)
     v_dag.setflags(write=False)
     return v_dag
 
 
 def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Score the restart candidates m_root @ V_k^dag of :func:`_restart_isometries`.
+    """Score the restart candidates m_root R^dag V_k^dag, V_k^dag from :func:`_restart_isometries`.
 
-    Returns the values in k order and the (restarts, 8, 2r) candidates.
+    R is one Haar unitary of U(r) drawn from ``default_rng(seed)``. Haar
+    measure on isometries is invariant under right multiplication by a
+    unitary (Mezzadri, Notices AMS 54, 592 (2007)), so over the draw of the
+    pool the V_k R of one seed are again jointly iid Haar isometries, and
+    candidate k depends only on (seed, k). Returns the values in k order and the (restarts, 8, 2r)
+    candidates.
     """
-    candidates = m_root @ _restart_isometries(restarts, m_root.shape[1], seed)
+    rank = m_root.shape[1]
+    rotation = _haar_isometries(np.random.default_rng(seed).standard_normal((rank, rank, 2)).view(complex)[..., 0])
+    candidates = (m_root @ rotation.conj().T) @ _restart_isometries(restarts, rank)
     return _column_tangle_sum(candidates), candidates
 
 
@@ -108,7 +122,7 @@ _REFINE_STEPS = 30
 
 # Restarts of the tangle search when a run sets none, and the most it takes: its
 # candidates take about 7.4 KB per restart at rank 8, so at most about 75 MB, and
-# the one cached stack of restart isometries 2 KB per restart, so at most 20 MB.
+# the one kept pool of restart isometries 2 KB per restart, so at most 20 MB.
 DEFAULT_RESTARTS = 200
 MAX_RESTARTS = 10_000
 

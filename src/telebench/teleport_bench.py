@@ -235,16 +235,20 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
     -> readout -> physical reconstruction -> state fidelities and Pauli
     sets, each one call on the whole stack of inputs, plus witness and
     tangle bound for each entangled input. Each input reads out from its
-    own stream; the tangle bounds of a run share one seed, that of ``minus``,
-    so two inputs of the same rank share one restart draw.
+    own stream; the tangle bounds of a run share one seed, that of ``minus``.
+    Only the seeds a run uses are derived: readout seeds when ``shots > 0``,
+    the tangle seed once and when an entangled input is present.
     Returns the run metadata, the figures of merit per input and the
     reconstructed states.
     """
     shots, seed, noise, restarts = check_run_settings(shots, seed, noise, restarts)
     rhos_out = apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
     indices = [INPUT_LABELS.index(label) for label in labels]
-    rhos_m = mle_reconstruct(simulate_readout(rhos_out, shots, [_derived_seed(seed, 0, k) for k in indices]))
+    readout_seeds = [_derived_seed(seed, 0, k) for k in indices] if shots else [0] * len(indices)
+    rhos_m = mle_reconstruct(simulate_readout(rhos_out, shots, readout_seeds))
     fidelities = state_fidelity_pure(rhos_m, np.array([_IDEAL_KETS[label] for label in labels]))
+    entangled = any(label in ENTANGLED_INPUT_LABELS for label in labels)
+    tangle_seed = _derived_seed(seed, 1, INPUT_LABELS.index("minus")) if entangled else None
     entries = []
     for label, rho_m, fidelity, values in zip(labels, rhos_m, fidelities, pauli_set(rhos_m)):
         entry: dict = {
@@ -254,9 +258,7 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
         }
         if label in ENTANGLED_INPUT_LABELS:
             entry["witness"] = witness_evaluate(rho_m, _IDEAL_KETS[label], WITNESS_ALPHA).to_dict()
-            entry["three_tangle_upper"] = three_tangle_mixed_upper(
-                rho_m, restarts=restarts, seed=_derived_seed(seed, 1, INPUT_LABELS.index("minus"))
-            )
+            entry["three_tangle_upper"] = three_tangle_mixed_upper(rho_m, restarts=restarts, seed=tangle_seed)
         entries.append(entry)
     return _metadata(device, shots, seed, noise, restarts), entries, rhos_m
 

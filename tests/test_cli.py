@@ -504,6 +504,27 @@ def test_cli_import_builds_no_parser():
     assert proc.stdout.strip() == "0"
 
 
+def test_cli_import_draws_no_restart_pool():
+    # The tangle search draws its restart pool at its first search; drawn at
+    # import, its cost would land on every import of the CLI.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "built = []\n"
+        "default_rng = np.random.default_rng\n"
+        "def counting_rng(*args, **kwargs):\n"
+        "    built.append(sys._getframe(1).f_globals['__name__'])\n"
+        "    return default_rng(*args, **kwargs)\n"
+        "np.random.default_rng = counting_rng\n"
+        "import telebench.cli\n"
+        "from telebench import entanglement\n"
+        "print(entanglement._restart_isometries.cache_info().currsize, built.count(entanglement.__name__))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_noisy_sampled_run_does_not_load_numpy_fft():
     # numpy.fft costs resident memory on import; no stage needs it.
     script = (

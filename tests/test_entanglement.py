@@ -265,15 +265,16 @@ def test_restart_candidates_depend_only_on_seed_and_index(rank):
 
 @pytest.fixture
 def built_generators(monkeypatch):
-    """The argument tuples of every ``default_rng`` that ``entanglement``
-    builds from here on, with the restart draw of an earlier test dropped
+    """The (function, arguments) of every ``default_rng`` that ``entanglement``
+    builds from here on, with the restart pool of an earlier test dropped
     from the cache."""
     built = []
     default_rng = np.random.default_rng
 
     def counting_rng(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == entanglement.__name__:
-            built.append(args)
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] == entanglement.__name__:
+            built.append((caller.f_code.co_name, args))
         return default_rng(*args, **kwargs)
 
     _restart_isometries.cache_clear()
@@ -281,29 +282,45 @@ def built_generators(monkeypatch):
     return built
 
 
+def pool_draws(built):
+    return [args for name, args in built if name == "_restart_isometries"]
+
+
+def rotation_draws(built):
+    return [args for name, args in built if name == "_restart_values"]
+
+
 def test_mixed_tangle_builds_one_generator_per_call(built_generators):
-    # One stream serves all restarts and the refine draws nothing. Building
-    # a generator per restart cost more than a third of the restart phase.
+    # One rotation stream per call serves all restarts and the refine draws
+    # nothing; the pool comes from its fixed seed once, at the first call.
+    # Building a generator per restart cost more than a third of the restart
+    # phase.
     rho = DensityMatrix(random_density(np.random.default_rng(13), 8))
-    assert three_tangle_mixed_upper(rho, restarts=200, seed=4) > 1e-9
-    assert len(built_generators) == 1
+    for seed in (4, 5, 4):
+        assert three_tangle_mixed_upper(rho, restarts=200, seed=seed) > 1e-9
+    assert pool_draws(built_generators) == [(entanglement._POOL_SEED,)]
+    assert rotation_draws(built_generators) == [(4,), (5,), (4,)]
+    assert len(built_generators) == 4
 
 
 def test_a_noisy_run_draws_its_restarts_once(built_generators):
-    # Both entangled outputs of a noisy run at shots 0 have rank 8 and share
-    # the run's tangle seed, so the second search reuses the first one's
-    # isometries.
-    report = run_benchmark(DeviceParams.reference(), shots=0, seed=3, noise=True, restarts=20)
-    assert all(report["states"][label]["three_tangle_upper"] > 1e-9 for label in ENTANGLED_INPUT_LABELS)
-    assert len(built_generators) == 1
+    # Every entangled output of a noisy run at shots 0 has rank 8, so runs of
+    # any seed share one pool; each search draws only its rotation.
+    for seed in (3, 4, 5):
+        report = run_benchmark(DeviceParams.reference(), shots=0, seed=seed, noise=True, restarts=20)
+        assert all(report["states"][label]["three_tangle_upper"] > 1e-9 for label in ENTANGLED_INPUT_LABELS)
+    assert len(pool_draws(built_generators)) == 1
+    assert len(rotation_draws(built_generators)) == 3 * len(ENTANGLED_INPUT_LABELS)
+    assert _restart_isometries.cache_info().misses == 1
 
 
 def test_restart_draw_is_shared_only_by_states_of_one_rank(built_generators):
     rng = np.random.default_rng(17)
     rank_three, rank_eight, other_rank_eight = (DensityMatrix(random_density(rng, 8, r)) for r in (3, 8, 8))
-    for rho, built in ((rank_three, 1), (rank_eight, 2), (other_rank_eight, 2), (rank_three, 3)):
-        three_tangle_mixed_upper(rho, restarts=20, seed=6)
-        assert len(built_generators) == built
+    for seed, (rho, drawn) in enumerate(((rank_three, 1), (rank_eight, 2), (other_rank_eight, 2), (rank_three, 3))):
+        three_tangle_mixed_upper(rho, restarts=20, seed=seed)
+        assert len(pool_draws(built_generators)) == drawn
+    assert len(rotation_draws(built_generators)) == 4
 
 
 def test_a_cached_restart_draw_gives_the_bound_of_a_fresh_one():
@@ -312,13 +329,31 @@ def test_a_cached_restart_draw_gives_the_bound_of_a_fresh_one():
     _restart_isometries.cache_clear()
     cold = three_tangle_mixed_upper(rho, restarts=50, seed=8)
     _restart_isometries.cache_clear()
-    three_tangle_mixed_upper(other, restarts=50, seed=8)
+    three_tangle_mixed_upper(other, restarts=50, seed=9)
     assert three_tangle_mixed_upper(rho, restarts=50, seed=8) == cold
     assert _restart_isometries.cache_info().hits == 1
-    v_dag = _restart_isometries(50, 4, 8)
+    v_dag = _restart_isometries(50, 4)
     assert v_dag.shape == (50, 4, 8)
     with pytest.raises(ValueError, match="read-only"):
         v_dag[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("rank", [2, 8])
+def test_restart_candidates_are_the_pool_rotated_by_one_unitary_per_seed(rank):
+    # With the root [I_r; 0], candidate k is [R^dag V_k^dag; 0], and
+    # V_k^dag V_k = I_r gives R^dag back from every k: one R per seed,
+    # unitary to 1e-12, and another R for another seed.
+    root = np.eye(8, rank, dtype=complex)
+    pool = _restart_isometries(20, rank)
+    rotations = []
+    for seed in (3, 4):
+        candidates = _restart_values(root, 20, seed)[1]
+        np.testing.assert_array_equal(candidates[:, rank:], 0.0)
+        r_dag = candidates[:, :rank] @ np.swapaxes(pool.conj(), -1, -2)
+        assert np.max(np.abs(r_dag - r_dag[0])) <= 1e-12
+        assert np.max(np.abs(r_dag[0] @ r_dag[0].conj().T - np.eye(rank))) <= 1e-12
+        rotations.append(r_dag[0])
+    assert np.max(np.abs(rotations[0] - rotations[1])) > 0.1
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 8, 9, 10])
