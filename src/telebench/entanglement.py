@@ -4,14 +4,15 @@ The pure-state three-tangle is 4|Hdet|, the Cayley hyperdeterminant of the
 amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
 searching over pure-state decompositions: random restarts, scored in one
-batch, then conjugate-gradient descent over the unitaries that re-mix all
-columns of the best one. The restarts are one pool of Haar isometries, drawn
-from a fixed seed once per process for a restart count and rank, rotated by
-one Haar unitary drawn from the search's seed. The eigendecomposition
-average is only the floor, never a descent start. Hdet is a quartic, so the
-gradient of the tangle sum is in closed form. The search is heuristic, so the
-value is never a certificate of separability, only of how much tangle a
-decomposition can avoid.
+batch, then an L-BFGS descent (memory 3) over the unitaries that re-mix all
+columns of the best one, which accepts a step only when it lowers the tangle
+sum. The restarts are one pool of Haar isometries, drawn from a fixed seed
+once per process for a restart count and rank, rotated by one Haar unitary
+drawn from the search's seed. The eigendecomposition average is only the
+floor, never a descent start. Hdet is a quartic, so the gradient of the
+tangle sum is in closed form. The search is heuristic, so the value is never
+a certificate of separability, only of how much tangle a decomposition can
+avoid.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
 _POOL_SEED = 0
 
 
-@functools.lru_cache(maxsize=1)
+# One kept pool per rank 2-8; see MAX_RESTARTS for the memory this holds.
+@functools.lru_cache(maxsize=7)
 def _restart_isometries(restarts: int, rank: int) -> np.ndarray:
     """The read-only (restarts, r, 2r) pool of V_k^dag, k = 0 .. restarts - 1.
 
@@ -86,8 +88,9 @@ def _restart_isometries(restarts: int, rank: int) -> np.ndarray:
     Gaussian block per restart, and V_k is the Haar isometry of block k. So
     V_k depends only on k, not on the restart count, the batching, the state
     or the search's seed. The pool is drawn at the first search of a restart
-    count and rank, never at import, and kept: every later search of that
-    restart count and rank in the process draws only its rotation.
+    count and rank, never at import, and kept beside those of the other ranks:
+    every later search of that restart count and rank in the process draws
+    only its rotation.
     """
     g = np.random.default_rng(_POOL_SEED).standard_normal((restarts, 2 * rank, rank, 2)).view(complex)[..., 0]
     v_dag = np.swapaxes(_haar_isometries(g).conj(), -1, -2)
@@ -117,12 +120,18 @@ def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.nd
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])[:, np.newaxis]
 _HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 
-# Most accepted steps of the refine's conjugate-gradient descent.
-_REFINE_STEPS = 30
+# Most accepted steps of the refine's L-BFGS descent, and the (s, y) pairs it
+# keeps. The step count is the smallest whose mean bound on a held-out set (the
+# noisy reference outputs at shots 0, seeds 20-39; ``tests/tangle_table.py``) is
+# not above 0.093968, that of the 30-step conjugate-gradient descent it replaced.
+_REFINE_STEPS = 26
+_LBFGS_MEMORY = 3
 
 # Restarts of the tangle search when a run sets none, and the most it takes: its
-# candidates take about 7.4 KB per restart at rank 8, so at most about 75 MB, and
-# the one kept pool of restart isometries 2 KB per restart, so at most 20 MB.
+# candidates take about 7.4 KB per restart at rank 8, so at most about 75 MB. A
+# kept pool of restart isometries takes 32 r^2 bytes per restart at rank r, so one
+# pool for each rank 2-8 takes about 6.3 KB per restart, 1.3 MB at 200 restarts.
+# At most 7 pools are kept, so at most 7 x 20 MB at MAX_RESTARTS.
 DEFAULT_RESTARTS = 200
 MAX_RESTARTS = 10_000
 
@@ -150,45 +159,61 @@ def _tangle_gradient(w: np.ndarray, terms: tuple) -> np.ndarray:
 
 
 def _refine(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Conjugate-gradient descent of the tangle sum over W -> W U, U in U(m).
+    """L-BFGS descent of the tangle sum over W -> W U, U in U(m).
 
     Every W U with U unitary is an exact decomposition of the same state
     (Hughston-Jozsa-Wootters), so the descent runs on U(m), as in
     Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009). With
-    A = W^dag G the Riemannian gradient is D = A - A^dag; the direction is
-    Polak-Ribiere+ and resets to D when it stops descending. The trial
-    W (I + X)^-1 (I - X), X = step/4 * direction, is a Cayley transform, so
-    W W^dag is kept. A trial that lowers the sum by more than 1e-12 is
-    accepted and grows the step by 1.5; otherwise the step halves and the
-    same direction is tried again. Stops after ``_REFINE_STEPS`` accepted
-    steps or once the step is below 1e-9. Returns the last accepted W and
-    its tangle sum, which is never above that of the start.
+    A = W^dag G the gradient is g = A - A^dag in the Lie algebra u(m) of
+    anti-Hermitian matrices, with the inner product Re vdot. The direction r
+    is limited-memory BFGS (Huang, Gallivan and Absil, SIAM J. Optim. 25,
+    1660 (2015)): the two-loop recursion over the last ``_LBFGS_MEMORY``
+    pairs s = -t r, y = g_new - g, with no vector transport and scaled by
+    s.y / y.y; the first direction is g scaled to norm 1/8. A pair is kept
+    only when s.y > 1e-12. The trial W (I + X)^-1 (I - X), X = t/2 * r, is a
+    Cayley transform, so W W^dag is kept. It tries t = 1 first; a trial that
+    lowers the sum by more than 1e-12 is accepted, otherwise t halves.
+    Stops after ``_REFINE_STEPS`` accepted steps or once t is below 1e-9.
+    Returns the last accepted W and its tangle sum, which is never above
+    that of the start.
     """
     eye = np.eye(w.shape[1])
     value, terms = _tangle_terms(w)
     value = float(value)
-    step = 0.5
-    d_prev = direction = None
+    pairs = []
+    g = None
     for _ in range(_REFINE_STEPS):
         a = w.conj().T @ _tangle_gradient(w, terms)
-        d = a - a.conj().T
-        if direction is not None:
-            direction = d + max(0.0, np.vdot(d, d - d_prev).real / np.vdot(d_prev, d_prev).real) * direction
-        if direction is None or np.vdot(direction, d).real <= 0.0:
-            direction = d
-        d_prev = d
+        g_new = a - a.conj().T
+        if g is not None:
+            y = g_new - g
+            if (sy := np.vdot(s, y).real) > 1e-12:
+                pairs = [*pairs, (s, y, 1.0 / sy)][-_LBFGS_MEMORY:]
+        g = r = g_new
+        alphas = []
+        for s_k, y_k, rho_k in reversed(pairs):
+            alphas.append(rho_k * np.vdot(s_k, r).real)
+            r = r - alphas[-1] * y_k
+        if pairs:
+            _, y_k, rho_k = pairs[-1]
+            r = r / (rho_k * np.vdot(y_k, y_k).real)
+        else:
+            r = r * (0.125 / np.linalg.norm(g))
+        for (s_k, y_k, rho_k), alpha in zip(pairs, reversed(alphas)):
+            r = r + (alpha - rho_k * np.vdot(y_k, r).real) * s_k
+        t = 1.0
         while True:
-            x = (step / 4.0) * direction
+            x = (t / 2.0) * r
             trial = w @ np.linalg.solve(eye + x, eye - x)
             trial_value, trial_terms = _tangle_terms(trial)
             trial_value = float(trial_value)
             if trial_value < value - 1e-12:
                 break
-            step *= 0.5
-            if step < 1e-9:
+            t *= 0.5
+            if t < 1e-9:
                 return w, value
+        s = -t * r
         w, value, terms = trial, trial_value, trial_terms
-        step *= 1.5
     return w, value
 
 
@@ -197,8 +222,8 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
 
     Pure-state decompositions are generated by mixing the eigendecomposition
     through random isometries with twice the rank many components, and the
-    best candidate is refined by conjugate-gradient descent over unitaries
-    that re-mix all its columns at once. The eigendecomposition's average is
+    best candidate is refined by L-BFGS descent over unitaries that re-mix
+    all its columns at once. The eigendecomposition's average is
     the floor; the descent starts from the best restart. Deterministic for a
     given seed; the result is always a valid upper bound because every
     candidate is an exact decomposition. Raises ``TypeError`` for a sequence

@@ -10,6 +10,9 @@ It prints:
   ``run_benchmark(DeviceParams.reference(), shots, seed, noise=True)`` with
   shots in {0, 10000} and seeds 0-9, 40 inputs, as a mean with per-input
   means and the shots-0 ranges;
+- the held-out set, on which ``_REFINE_STEPS`` is chosen: the same inputs at
+  shots 0 and seeds 20-39, 40 inputs, as a mean, with the mean trials (tangle
+  sums the descent evaluates after its start) and gradients per search;
 - the excess over the GHZ/W roof (``test_entanglement.ghz_w_roof``) at
   p in {0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9}, seeds 0-9, with W built as
   ``1/np.sqrt(3.0)`` and as ``3**-0.5``: per p the largest excess and how
@@ -23,9 +26,13 @@ All searches run in one process with the default restart count. The rank-2
 part solves 40 LPs and needs SciPy, like the rest of the oracles.
 """
 
+import sys
+from collections import Counter
+
 import numpy as np
 
 from oracles import random_density, rank_two_roof
+import telebench.entanglement as entanglement
 from telebench.circuit import DeviceParams
 from telebench.entanglement import three_tangle_mixed_upper
 from telebench.qops import DensityMatrix
@@ -49,6 +56,34 @@ def seed_table() -> None:
         column = values[label, 0] + values[label, 10_000]
         zero = values[label, 0]
         print(f"  {label}: mean {np.mean(column):.6f}; shots 0 range {min(zero):.4f}-{max(zero):.4f}")
+
+
+def held_out() -> None:
+    counts = Counter()
+    originals = {name: getattr(entanglement, name) for name in ("_refine", "_tangle_terms", "_tangle_gradient")}
+
+    def counted(name):
+        def call(*args):
+            if name != "_tangle_terms" or sys._getframe(1).f_code.co_name == "_refine":
+                counts[name] += 1
+            return originals[name](*args)
+
+        return call
+
+    for name in originals:
+        setattr(entanglement, name, counted(name))
+    try:
+        values = []
+        for seed in range(20, 40):
+            report = run_benchmark(DeviceParams.reference(), shots=0, seed=seed, noise=True)
+            values += [report["states"][label]["three_tangle_upper"] for label in ENTANGLED_INPUT_LABELS]
+    finally:
+        for name, function in originals.items():
+            setattr(entanglement, name, function)
+    searches = counts["_refine"]
+    trials = (counts["_tangle_terms"] - searches) / searches
+    print(f"held-out set, seeds 20-39, shots 0: mean {np.mean(values):.6f} over {len(values)} inputs")
+    print(f"  per search: {trials:.2f} trials, {counts['_tangle_gradient'] / searches:.2f} gradients")
 
 
 def ghz_w_excess() -> None:
@@ -80,5 +115,6 @@ def rank_two_excess() -> None:
 
 if __name__ == "__main__":
     seed_table()
+    held_out()
     ghz_w_excess()
     rank_two_excess()
