@@ -119,12 +119,12 @@ def _fmt(value, width: int = 10) -> str:
 def _print_bench_summary(report: dict) -> None:
     ref = report["paper_reference"]
     print("three-qubit output states")
-    print(f"  {'input':<7}{'fidelity':>10}{'reference':>11}")
+    print(f"  {'input':<7}{'fidelity':>10}{'paper':>11}")
     for label in INPUT_LABELS:
         sim = report["states"][label]["state_fidelity"]
         print(f"  {label:<7}{_fmt(sim)}{_fmt(ref['state_fidelity'][label], 11)}")
     print("entanglement (entangled inputs)")
-    print(f"  {'input':<7}{'witness':>10}{'reference':>11}{'robustness':>12}{'reference':>11}{'tangle<=':>10}{'reference':>11}")
+    print(f"  {'input':<7}{'witness':>10}{'paper':>11}{'robustness':>12}{'paper':>11}{'tangle<=':>10}{'paper':>11}")
     for label in ENTANGLED_INPUT_LABELS:
         entry = report["states"][label]
         print(
@@ -134,7 +134,7 @@ def _print_bench_summary(report: dict) -> None:
             f"{_fmt(entry['three_tangle_upper'])}{_fmt(ref['three_tangle'][label], 11)}"
         )
     print("conditional processes")
-    print(f"  {'outcome':<8}{'Fp':>10}{'reference':>11}{'Fbar':>10}{'reference':>11}")
+    print(f"  {'outcome':<8}{'Fp':>10}{'paper':>11}{'Fbar':>10}{'paper':>11}")
     for outcome in OUTCOMES:
         proc = report["processes"][outcome]
         if proc.get("skipped"):
@@ -146,7 +146,7 @@ def _print_bench_summary(report: dict) -> None:
             f"{_fmt(proc['average_output_fidelity'])}{_fmt(ref['average_output_fidelity'][outcome], 11)}"
         )
     mean_fbar = report["averages"]["mean_average_output_fidelity"]
-    print(f"mean Fbar: {_fmt(mean_fbar, 0).strip()} (reference {ref['mean_average_output_fidelity']})")
+    print(f"mean Fbar: {_fmt(mean_fbar, 0).strip()} (paper {ref['mean_average_output_fidelity']})")
 
 
 def _write(result: dict, out: str, files: dict) -> list[Path]:
@@ -183,7 +183,7 @@ def command_state(args: argparse.Namespace) -> int:
     if "witness" in result:
         print(
             f"witness expectation {result['witness']['expectation']:.4f}"
-            f" (reference {PAPER_REFERENCE['witness_expectation']})"
+            f" (paper {PAPER_REFERENCE['witness_expectation']})"
         )
     print(f"wrote {path}")
     return EXIT_OK

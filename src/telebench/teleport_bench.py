@@ -285,8 +285,6 @@ def run_benchmark(
     for entry in entries:
         entry["outcomes"] = {}
     processes_block: dict[str, dict] = {}
-    fps = []
-    fbars = []
     for outcome in OUTCOMES:
         rhos_c, probabilities = conditional_output_state(rhos_m, outcome)
         fidelities = state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome])
@@ -301,17 +299,15 @@ def run_benchmark(
             continue
         chi = process_tomography(rhos_c)
         fp = process_fidelity(chi, ideal_chi(outcome))
-        fbar = average_output_fidelity(fp)
         processes_block[outcome] = {
             "skipped": False,
             "chi": _pack_matrix(chi),
             "process_fidelity": fp,
-            "average_output_fidelity": fbar,
+            "average_output_fidelity": average_output_fidelity(fp),
         }
-        fps.append(fp)
-        fbars.append(fbar)
 
     states_block = dict(zip(INPUT_LABELS, entries))
+    done = [proc for proc in processes_block.values() if not proc["skipped"]]
     report = {
         "schema": SCHEMA_VERSION,
         "metadata": metadata,
@@ -319,8 +315,10 @@ def run_benchmark(
         "processes": processes_block,
         "averages": {
             "mean_state_fidelity": float(np.mean([states_block[l]["state_fidelity"] for l in INPUT_LABELS])),
-            "mean_process_fidelity": float(np.mean(fps)) if fps else None,
-            "mean_average_output_fidelity": float(np.mean(fbars)) if fbars else None,
+            "mean_process_fidelity": float(np.mean([p["process_fidelity"] for p in done])) if done else None,
+            "mean_average_output_fidelity": (
+                float(np.mean([p["average_output_fidelity"] for p in done])) if done else None
+            ),
         },
         "paper_reference": PAPER_REFERENCE,
     }
@@ -409,29 +407,26 @@ def report_json_text(report: dict) -> str:
     return "".join(out) + "\n"
 
 
+def _numeric_leaves(tree: dict, path: tuple = ()):
+    """(key path, value) of each int or float leaf but bools, in insertion order; lists are not walked."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,), value
+
+
 def report_csv_rows(report: dict) -> list[tuple[str, str, str, float]]:
-    """Flatten the report's scalar metrics to (input, outcome, metric, value)."""
+    """Flatten the report to (input, outcome, metric, value): each numeric leaf of ``states/<input>``,
+    its ``outcomes/<outcome>``, ``processes/<outcome>`` and ``averages``, in the report's order, named
+    by its key path below the input and outcome joined with ``_`` (``witness/alpha`` is ``witness_alpha``)."""
     rows: list[tuple[str, str, str, float]] = []
-    for label in INPUT_LABELS:
-        entry = report["states"][label]
-        rows.append((label, "", "state_fidelity", entry["state_fidelity"]))
-        if "witness" in entry:
-            for key in ("alpha", "expectation", "robustness_lower_bound"):
-                rows.append((label, "", f"witness_{key}", entry["witness"][key]))
-            rows.append((label, "", "three_tangle_upper", entry["three_tangle_upper"]))
-        for outcome in OUTCOMES:
-            o = entry["outcomes"][outcome]
-            rows.append((label, outcome, "probability", o["probability"]))
-            rows.append((label, outcome, "conditional_fidelity", o["conditional_fidelity"]))
-    for outcome in OUTCOMES:
-        proc = report["processes"][outcome]
-        if proc.get("skipped"):
-            continue
-        rows.append(("", outcome, "process_fidelity", proc["process_fidelity"]))
-        rows.append(("", outcome, "average_output_fidelity", proc["average_output_fidelity"]))
-    for key, value in report["averages"].items():
-        if value is not None:
-            rows.append(("", "", key, value))
+    for label, entry in report["states"].items():
+        for path, value in _numeric_leaves(entry):
+            outcome, path = (path[1], path[2:]) if path[0] == "outcomes" else ("", path)
+            rows.append((label, outcome, "_".join(path), value))
+    for outcome, block in (*report["processes"].items(), ("", report["averages"])):
+        rows += (("", outcome, "_".join(path), value) for path, value in _numeric_leaves(block))
     return rows
 
 

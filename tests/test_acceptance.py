@@ -186,14 +186,14 @@ def test_criterion_8_noisy_benchmark_properties(capsys):
             np.mean([scaled_report["states"][l]["state_fidelity"] for l in INPUT_LABELS])
         )
     assert fidelity_by_scale[0.25] <= fidelity_by_scale[0.5] <= fidelity_by_scale[1.0]
-    # reference column printed beside simulated values
+    # the paper's column printed beside simulated values
     assert cli_main(["bench", "--noise=on", "--shots=0", "--restarts", "5", "--out", "/tmp/acceptance8"]) == 0
     out = capsys.readouterr().out
-    assert "reference" in out and "0.88" in out
+    assert "paper" in out and "0.88" in out
     print(f"\nACCEPTANCE 8 PASS: noisy benchmark has all Fp in (0.5, 1), mean Fbar "
           f"{report['averages']['mean_average_output_fidelity']:.3f} > 2/3, negative witnesses, "
           f"monotone degradation {fidelity_by_scale[0.25]:.3f} <= {fidelity_by_scale[0.5]:.3f} "
-          f"<= {fidelity_by_scale[1.0]:.3f}, and prints the reference column")
+          f"<= {fidelity_by_scale[1.0]:.3f}, and prints the paper column")
 
 
 def test_criterion_9_byte_identical_reports(tmp_path):

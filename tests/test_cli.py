@@ -31,7 +31,7 @@ def test_bench_noiseless_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("1.0000") >= 8  # all four state fidelities and Fp/Fbar columns
-    assert "reference" in out
+    assert "paper" in out
     assert (tmp_path / "report.json").exists()
 
 

@@ -1,11 +1,12 @@
 """Golden reports: the CLI must keep writing the committed bytes.
 
 ``tests/data/golden/<config>/`` holds the files one CLI run wrote for each
-configuration below. A refactor that keeps the arithmetic keeps every file
-byte-identical once the timestamp line is removed (with criterion 9's
-pattern); a mismatch means the numbers changed. A change that is meant to
-change report values regenerates the goldens on purpose, from the repository
-root::
+configuration below, plus ``stdout.txt``, the run's printed summary with the
+output directory spelled :data:`OUT_TOKEN`. A refactor that keeps the
+arithmetic keeps every file byte-identical once the timestamp line is removed
+(with criterion 9's pattern); a mismatch means the numbers or the summary
+text changed. A change that is meant to change report values or the summary
+regenerates the goldens on purpose, from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -46,6 +47,19 @@ CONFIGS = {
     "bench_sampled": ["bench", *_SAMPLED, "--format", "both"],
     **{f"state_{label}": ["state", label, *_SAMPLED] for label in ("0", "1", "minus", "plus")},
 }
+
+
+OUT_TOKEN = "<out>"
+
+
+def run_config(args: list[str], out: Path) -> int:
+    """Run the CLI with ``args`` into ``out`` and write its stdout there as ``stdout.txt``,
+    with ``out`` spelled :data:`OUT_TOKEN`; returns the exit status."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = cli_main(args + ["--out", str(out)])
+    (out / "stdout.txt").write_text(stdout.getvalue().replace(str(out), OUT_TOKEN))
+    return status
 
 
 def stripped_reports(directory: Path) -> dict[str, str]:
@@ -127,7 +141,7 @@ def test_change_summary_counts_numbers_and_names_figures_of_merit(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cli_reports_match_golden(name, tmp_path):
-    assert cli_main(CONFIGS[name] + ["--out", str(tmp_path)]) == 0
+    assert run_config(CONFIGS[name], tmp_path) == 0
     assert differing_files(GOLDEN_DIR / name, tmp_path) == [], f"{name} differs from its golden copy"
 
 
@@ -143,9 +157,7 @@ def sync_goldens(golden_dir: Path = GOLDEN_DIR, configs: dict = CONFIGS, check: 
     for name, args in configs.items():
         out = golden_dir / name
         with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli_main(args + ["--out", tmp])
-            if status != 0:
+            if run_config(args, Path(tmp)) != 0:
                 sys.exit(f"golden config {name} failed")
             files = differing_files(out, Path(tmp))
             if not files and not check:

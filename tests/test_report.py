@@ -63,6 +63,28 @@ def test_csv_values_are_repr_of_12_digit_rounding(values):
         assert line.rsplit(",", 1)[1] == repr(float(f"{value:.12g}"))
 
 
+def test_csv_rows_walk_the_reports_numeric_leaves_in_insertion_order():
+    # A new int or float leaf becomes a row where it sits in the report, named
+    # by its key path below the input and outcome; bools, None and lists do not.
+    report = run_benchmark(DeviceParams.reference(), noise=True, restarts=5)
+    rows = report_csv_rows(report)
+    report["states"]["minus"]["witness"]["extra"] = 0.25
+    report["processes"]["00"]["steps"] = 7
+    report["processes"]["01"]["flag"] = False
+    report["states"]["plus"]["outcomes"]["10"]["note"] = None
+    report["averages"]["values"] = [0.5, 1.0]
+    keys = [row[:3] for row in rows]
+    expected = list(rows)
+    for after, row in [
+        (("", "00", "average_output_fidelity"), ("", "00", "steps", 7)),
+        (("minus", "", "witness_robustness_lower_bound"), ("minus", "", "witness_extra", 0.25)),
+    ]:
+        expected.insert(keys.index(after) + 1, row)
+    walked = report_csv_rows(report)
+    assert walked == expected
+    assert len({row[:3] for row in walked}) == len(walked)
+
+
 @pytest.mark.parametrize(
     "value",
     [np.zeros(2), np.int64(3), np.float32(0.5), np.bool_(True), {1, 2}, object()],
