@@ -6,14 +6,16 @@ on one of the adjacent pairs AB and BC, the device's native gates; each
 checks its fields on construction, and neither can name a qubit or a pair
 the device does not have. Gate unitaries are ideal. With a device, each gate
 is followed by amplitude damping plus pure dephasing of every qubit for the
-gate's duration. On a given device the whole noisy circuit is therefore one
-linear map S on the 64 entries of rho (:func:`circuit_superoperator`),
-the product of each gate's Kronecker product of three 4x4 single-qubit
-maps. S is built once per (circuit, device) pair, in under a millisecond, and
-kept read-only in a cache of 32 maps; evolving a stack of states is one
-product with it. Its build is the one place a gate becomes numbers: a
-rotation's 2x2 unitary comes from :func:`rotation_unitary`, and a C-Phase is
-a +-1 mask on S's entries. S's cache is the evolution's only cache.
+gate's duration, which the device alone sets: its single-qubit gate time
+for a rotation, its C-Phase time of the pair for a C-Phase. On a given
+device the whole noisy circuit is therefore one linear map S on the 64
+entries of rho (:func:`circuit_superoperator`), the product of each gate's
+Kronecker product of three 4x4 single-qubit maps. S is built once per
+(circuit, device) pair, in under a millisecond, and kept read-only in a
+cache of 32 maps; evolving a stack of states is one product with it. Its
+build is the one place a gate becomes numbers: a rotation's 2x2 unitary
+comes from :func:`rotation_unitary`, and a C-Phase is a +-1 mask on S's
+entries. S's cache is the evolution's only cache.
 """
 
 from __future__ import annotations
@@ -75,26 +77,17 @@ def _check_angle(angle) -> None:
         raise ValueError(f"rotation angle must be a finite number, got {angle!r}")
 
 
-def _check_duration(d) -> None:
-    """A negative or NaN gate duration would skip decoherence silently, and a bool would read as 1 s."""
-    if d is not None and not (_is_real(d) and 0.0 <= d < math.inf):
-        raise ValueError(f"gate duration must be None or a finite number >= 0, got {d!r}")
-
-
 @dataclass(frozen=True)
 class Rotation:
     """A rotation of ``qubit`` (an integer, 0, 1 or 2 for A, B or C) by a
-    finite ``angle`` about a real unit ``axis``, stored as floats. A
-    ``duration`` of ``None`` takes the device's single-qubit gate time when
-    applied; 0.0 marks a virtual gate that adds no decoherence."""
+    finite ``angle`` about a real unit ``axis``, stored as floats. It lasts
+    the device's single-qubit gate time."""
 
     axis: tuple[float, float, float]
     angle: float
     qubit: int
-    duration: float | None = None
 
     def __post_init__(self):
-        _check_duration(self.duration)
         # int() would turn qubit 1.7 into 1 and True into 1.
         qubit = require_integer("gate qubit", self.qubit)
         if not 0 <= qubit < 3:
@@ -105,27 +98,17 @@ class Rotation:
         _check_angle(self.angle)
         object.__setattr__(self, "angle", float(self.angle))
 
-    @property
-    def qubits(self) -> tuple[int]:
-        return (self.qubit,)
-
 
 @dataclass(frozen=True)
 class CPhase:
-    """A C-Phase on an adjacent ``pair`` of device qubits, "AB" or "BC". A
-    ``duration`` of ``None`` takes the pair's C-Phase time when applied."""
+    """A C-Phase on an adjacent ``pair`` of device qubits, "AB" or "BC". It
+    lasts the device's C-Phase time of that pair."""
 
     pair: str
-    duration: float | None = None
 
     def __post_init__(self):
-        _check_duration(self.duration)
         if not isinstance(self.pair, str) or self.pair not in CPHASE_PAIRS:
             raise ValueError(f"C-Phase pair must be one of {sorted(CPHASE_PAIRS)}, got {self.pair!r}")
-
-    @property
-    def qubits(self) -> tuple[int, int]:
-        return CPHASE_PAIRS[self.pair]
 
 
 # A native gate of either kind: ``isinstance(g, Gate)`` accepts both.
@@ -308,14 +291,6 @@ def ideal_phi(psi_a) -> np.ndarray:
     return out
 
 
-def _gate_duration(gate: Gate, device: DeviceParams) -> float:
-    if gate.duration is not None:
-        return gate.duration
-    if isinstance(gate, Rotation):
-        return device.single_qubit_gate_time
-    return device.cphase_time(gate.pair)
-
-
 def _decay_maps(device: DeviceParams, duration: float) -> list[np.ndarray]:
     """Each qubit's 4x4 Liouville map of amplitude damping plus pure dephasing
     over ``duration`` on its (ket, bra) entries 00, 01, 10, 11: b00 += gamma*b11,
@@ -372,14 +347,18 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
     device's ``single_qubit_error`` is nonzero; a C-Phase is a +-1 mask on
     the columns of the damping map. S is the product of the gate maps in
     circuit order, each applied one 4x4 factor at a time, permuted once to
-    row-major. Without a device every damping map is the identity, and a
-    gate of duration 0 gives identity maps exactly. Built once per distinct
-    (circuit, device) pair, both frozen and hashable, and kept read-only in
-    a cache of 32 maps (64 KB each).
+    row-major. Without a device every damping map is the identity. Built
+    once per distinct (circuit, device) pair, both frozen and hashable, and
+    kept read-only in a cache of 32 maps (64 KB each).
     """
     s = np.eye(64, dtype=complex)
     for gate in circuit.gates:
-        maps = [np.eye(4)] * 3 if device is None else _decay_maps(device, _gate_duration(gate, device))
+        if device is None:
+            maps = [np.eye(4)] * 3
+        elif isinstance(gate, Rotation):
+            maps = _decay_maps(device, device.single_qubit_gate_time)
+        else:
+            maps = _decay_maps(device, device.cphase_time(gate.pair))
         if isinstance(gate, Rotation):
             u = rotation_unitary(gate.axis, gate.angle)
             rotated = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)

@@ -1,7 +1,9 @@
 """Dense complex linear algebra and quantum-state primitives.
 
-Everything operates on small dense numpy arrays; the largest matrix in the
-package is 8x8 (three qubits) so clarity always wins over scalability.
+Everything operates on small dense numpy arrays: a state is at most 8x8
+(three qubits), the circuit map S is 64x64, the process-tomography inverse
+16x16 and the tangle search's candidates a (restarts, 8, 2r) stack, so
+clarity always wins over scalability.
 Qubit A is the most significant tensor factor throughout: a three-qubit
 basis index decomposes as ``4a + 2b + c``.
 

@@ -79,6 +79,9 @@ CHI_BASIS = (ID2, PAULI_X, -1j * PAULI_Y, PAULI_Z)
 # requires a minimum number of effective counts.
 ANALYTIC_PROBABILITY_FLOOR = 1e-6
 SAMPLED_MIN_COUNTS = 10
+# Below this probability an outcome has no conditional state to renormalize:
+# :func:`conditional_output_state` refuses it, and a run skips the outcome.
+VANISHING_PROBABILITY = 1e-12
 
 # Published measurements for the modeled device, reported alongside the
 # simulated values. The device's full error budget (readout imperfections,
@@ -139,7 +142,9 @@ def conditional_output_state(rho_m, outcome: str):
     i, j = int(outcome[0]), int(outcome[1])
     blocks = m.reshape((len(m),) + (2,) * 6)[:, i, j, :, i, j, :]
     probabilities = blocks.trace(axis1=1, axis2=2).real
-    check_members(probabilities, lambda p: p < 1e-12, lambda p: "outcome has vanishing probability", single)
+    check_members(
+        probabilities, lambda p: p < VANISHING_PROBABILITY, lambda p: "outcome has vanishing probability", single
+    )
     states = DensityMatrix.stack(blocks / probabilities[:, np.newaxis, np.newaxis])
     return (states[0], float(probabilities[0])) if single else (states, probabilities)
 
@@ -275,26 +280,34 @@ def run_benchmark(
     The four canonical inputs are evolved as one stack and go through the
     state stage (:func:`_run_inputs`) as one stack. Then, per measurement
     outcome: one conditional projection of the stack -> process tomography
-    -> process and average output fidelities. Deterministic for a given
-    seed: each input reads out from its own substream, and the two entangled
-    inputs bound their tangle from one substream of the run. Raises
-    ``ValueError`` before any work for settings that :func:`check_run_settings` rejects.
+    -> process and average output fidelities. An outcome whose probability
+    is below the floor for some input is skipped; one that vanishes for some
+    input is not projected either, and its conditional fidelities are
+    ``None``. Deterministic for a given seed: each input reads out from its
+    own substream, and the two entangled inputs bound their tangle from one
+    substream of the run. Raises ``ValueError`` before any work for settings
+    that :func:`check_run_settings` rejects.
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
     shots = metadata["shots"]
     for entry in entries:
         entry["outcomes"] = {}
+    # Outcome ij's probability is the sum of the two diagonal entries with A, B in ij.
+    diagonals = np.array([rho.matrix.diagonal().real for rho in rhos_m])
     processes_block: dict[str, dict] = {}
-    for outcome in OUTCOMES:
-        rhos_c, probabilities = conditional_output_state(rhos_m, outcome)
-        fidelities = state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome])
+    for outcome, probabilities in zip(OUTCOMES, diagonals.reshape(-1, 4, 2).sum(axis=2).T):
+        vanishing = bool(np.any(probabilities < VANISHING_PROBABILITY))
+        fidelities = [None] * len(entries)
+        if not vanishing:
+            rhos_c, _ = conditional_output_state(rhos_m, outcome)
+            fidelities = [float(f) for f in state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome])]
         for entry, probability, fidelity in zip(entries, probabilities, fidelities):
-            entry["outcomes"][outcome] = {"probability": float(probability), "conditional_fidelity": float(fidelity)}
+            entry["outcomes"][outcome] = {"probability": float(probability), "conditional_fidelity": fidelity}
         floor_hit = any(
             (p < ANALYTIC_PROBABILITY_FLOOR) if shots == 0 else (p * shots < SAMPLED_MIN_COUNTS)
             for p in probabilities
         )
-        if floor_hit:
+        if vanishing or floor_hit:
             processes_block[outcome] = {"skipped": True}
             continue
         chi = process_tomography(rhos_c)

@@ -30,7 +30,7 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 import telebench.teleport_bench as tb
-from telebench.circuit import Rotation
+from telebench.circuit import CPHASE_PAIRS, Rotation
 from telebench.qops import DensityMatrix, state_stack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -325,7 +325,7 @@ def kron_gate_unitary(gate, num_qubits):
     if isinstance(gate, Rotation):
         generator = sum(a * p for a, p in zip(gate.axis, (SX, SY, SZ)))
         return embed_1q(expm(-0.5j * gate.angle * generator), gate.qubit, num_qubits)
-    a, b = gate.qubits
+    a, b = CPHASE_PAIRS[gate.pair]
     both_one = embed_1q(ONE, a, num_qubits) @ embed_1q(ONE, b, num_qubits)
     return np.eye(2**num_qubits, dtype=complex) - 2.0 * both_one
 
@@ -453,11 +453,9 @@ def apply_kraus(arr, ops, qubits, num_qubits):
 
 
 def gate_duration(gate, device):
-    """A gate's own duration, else the device's: the single-qubit gate time
-    for a rotation, the pair's C-Phase time for a C-Phase, by default the
-    full avoided-crossing period 1/(2J)."""
-    if gate.duration is not None:
-        return gate.duration
+    """A gate's duration on the device: the single-qubit gate time for a
+    rotation, the pair's C-Phase time for a C-Phase, by default the full
+    avoided-crossing period 1/(2J)."""
     if isinstance(gate, Rotation):
         return device.single_qubit_gate_time
     time, j = (device.cphase_time_ab, device.j_ab) if gate.pair == "AB" else (device.cphase_time_bc, device.j_bc)
@@ -472,11 +470,10 @@ def kraus_apply_circuit(circuit, rho, device):
     for gate in circuit.gates:
         arr = apply_kraus(arr, [kron_gate_unitary(gate, 3)], (0, 1, 2), 3)
         duration = gate_duration(gate, device)
-        if duration > 0.0:
-            for q in range(3):
-                arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), 3)
+        for q in range(3):
+            arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), 3)
         if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
-            arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), gate.qubits, 3)
+            arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), (gate.qubit,), 3)
     return arr
 
 
@@ -527,9 +524,8 @@ def block_apply_circuit(circuit, rho, device=None):
             continue
         t = m.reshape((len(m),) + (2,) * 6)
         duration = gate_duration(gate, device)
-        if duration > 0.0:
-            for q in range(3):
-                decohere_qubit(t, duration, device, q)
+        for q in range(3):
+            decohere_qubit(t, duration, device, q)
         if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
             depolarize_qubit(t, device.single_qubit_error, gate.qubit)
     return m
@@ -597,7 +593,9 @@ def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
     """``run_benchmark`` one state at a time: each input is evolved, read
     out, reconstructed and projected onto each outcome on its own, then the
     four conditional states of an outcome go to the least-squares process
-    tomography reference."""
+    tomography reference. An outcome's probability is the trace of its dense
+    projection; one that vanishes for some input is skipped, with no
+    conditional fidelity for any input."""
     states = {}
     conditionals = {outcome: [] for outcome in tb.OUTCOMES}
     for label in tb.INPUT_LABELS:
@@ -605,18 +603,24 @@ def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
         entry, rho_m = per_state_entry(rho_out, label, shots, seed, restarts)
         entry["outcomes"] = {}
         for outcome in tb.OUTCOMES:
-            rho_c, probability = tb.conditional_output_state(rho_m, outcome)
-            branch = tb.TELEPORT_BRANCH_OPS[outcome] @ tb.INPUT_KETS[label]
-            entry["outcomes"][outcome] = {
-                "probability": probability,
-                "conditional_fidelity": tb.state_fidelity_pure(rho_c, branch),
-            }
-            conditionals[outcome].append(rho_c)
+            projector = np.kron(np.diag(np.eye(4)[int(outcome, 2)]), np.eye(2))
+            probability = float(np.trace(projector @ rho_m.matrix @ projector).real)
+            fidelity = None
+            if probability >= tb.VANISHING_PROBABILITY:
+                rho_c, _ = tb.conditional_output_state(rho_m, outcome)
+                fidelity = tb.state_fidelity_pure(rho_c, tb.TELEPORT_BRANCH_OPS[outcome] @ tb.INPUT_KETS[label])
+                conditionals[outcome].append(rho_c)
+            entry["outcomes"][outcome] = {"probability": probability, "conditional_fidelity": fidelity}
         states[label] = entry
 
     processes, fps, fbars = {}, [], []
     for outcome in tb.OUTCOMES:
         probabilities = [states[label]["outcomes"][outcome]["probability"] for label in tb.INPUT_LABELS]
+        if min(probabilities) < tb.VANISHING_PROBABILITY:
+            for label in tb.INPUT_LABELS:
+                states[label]["outcomes"][outcome]["conditional_fidelity"] = None
+            processes[outcome] = {"skipped": True}
+            continue
         if any(
             (p < tb.ANALYTIC_PROBABILITY_FLOOR) if shots == 0 else (p * shots < tb.SAMPLED_MIN_COUNTS)
             for p in probabilities

@@ -168,7 +168,7 @@ def test_criterion_7_tomography_round_trip():
           f"{successes}/100 sampled reconstructions above 0.95 fidelity ({elapsed:.2f} s)")
 
 
-def test_criterion_8_noisy_benchmark_properties(capsys):
+def test_criterion_8_noisy_benchmark_properties(capsys, tmp_path):
     device = DeviceParams.reference()
     report = run_benchmark(device, shots=0, seed=0, noise=True, restarts=30)
     for outcome in OUTCOMES:
@@ -187,7 +187,7 @@ def test_criterion_8_noisy_benchmark_properties(capsys):
         )
     assert fidelity_by_scale[0.25] <= fidelity_by_scale[0.5] <= fidelity_by_scale[1.0]
     # the paper's column printed beside simulated values
-    assert cli_main(["bench", "--noise=on", "--shots=0", "--restarts", "5", "--out", "/tmp/acceptance8"]) == 0
+    assert cli_main(["bench", "--noise=on", "--shots=0", "--restarts", "5", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "paper" in out and "0.88" in out
     print(f"\nACCEPTANCE 8 PASS: noisy benchmark has all Fp in (0.5, 1), mean Fbar "

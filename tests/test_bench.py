@@ -551,6 +551,26 @@ def test_benchmark_skips_outcomes_below_count_floor():
     assert '"skipped": true' in report_json_text(rep)
 
 
+def test_benchmark_skips_outcomes_that_vanish_for_some_input():
+    # With coherence scaled by 1e-3 the output is near |000>: outcomes 01 and
+    # 11 have probabilities of 5.6e-16 and 8e-40 for some input, too small to
+    # renormalize a conditional state. The run used to raise "outcome has
+    # vanishing probability"; those outcomes are now skipped with no
+    # conditional fidelity, and 10 (1.7e-10) is skipped by the floor alone.
+    rep = run_benchmark(DeviceParams.reference().scaled_coherence(1e-3), noise=True, restarts=5)
+    assert [rep["processes"][o]["skipped"] for o in OUTCOMES] == [False, True, True, True]
+    assert rep["processes"]["00"]["process_fidelity"] == pytest.approx(0.25, abs=1e-12)
+    for label in INPUT_LABELS:
+        outcomes = rep["states"][label]["outcomes"]
+        assert outcomes["01"]["conditional_fidelity"] is None and outcomes["11"]["conditional_fidelity"] is None
+        assert isinstance(outcomes["00"]["conditional_fidelity"], float)
+        assert isinstance(outcomes["10"]["conditional_fidelity"], float)
+        assert sum(outcomes[o]["probability"] for o in OUTCOMES) == pytest.approx(1.0, abs=1e-9)
+    assert min(rep["states"][label]["outcomes"]["01"]["probability"] for label in INPUT_LABELS) < 1e-12
+    assert all(r[2] != "conditional_fidelity" for r in report_csv_rows(rep) if r[1] in ("01", "11"))
+    assert '"conditional_fidelity": null' in report_json_text(rep)
+
+
 def test_benchmark_seed_changes_sampled_results():
     device = DeviceParams.reference()
     a = run_benchmark(device, shots=300, seed=1, noise=False, restarts=5)

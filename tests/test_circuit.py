@@ -25,6 +25,7 @@ from oracles import (
 import telebench
 import telebench.circuit as circuit_module
 from telebench.circuit import (
+    CPHASE_PAIRS,
     CPhase,
     Circuit,
     DeviceParams,
@@ -77,17 +78,17 @@ def reduced_qubit(rho, q):
 def textbook_circuit():
     """The textbook circuit of Fig. 1a in native gates. Each Hadamard is a pi
     rotation about (x + z)/sqrt(2), which is -i H; each CNOT is a C-Phase
-    between Hadamards on its target. Two virtual z flips (duration 0) end it,
-    as in :func:`oracles.textbook_teleport_unitary`."""
+    between Hadamards on its target. Two z flips end it, as in
+    :func:`oracles.textbook_teleport_unitary`."""
     x_plus_z = (1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
     h = [Rotation(x_plus_z, math.pi, qubit=q) for q in range(3)]
-    flips = [Rotation((0.0, 0.0, 1.0), math.pi, qubit=q, duration=0.0) for q in (0, 1)]
+    flips = [Rotation((0.0, 0.0, 1.0), math.pi, qubit=q) for q in (0, 1)]
     cnot_bc, cnot_ab = (h[2], CPhase("BC"), h[2]), (h[1], CPhase("AB"), h[1])
     return Circuit((h[1], *cnot_bc, *cnot_ab, h[0], *flips))
 
 
 # The evolution tests run the compiled circuit and a second, textbook-shaped
-# one with other rotation axes, repeated gates and virtual gates.
+# one with other rotation axes and repeated gates.
 CIRCUITS = {"compiled_fig1b": build_teleport_circuit(), "standard_fig1a": textbook_circuit()}
 
 
@@ -415,7 +416,7 @@ def test_depolarizing_knob_reduces_fidelity():
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    duration=st.floats(0.0, 200e-9),
+    duration=st.floats(0.0, 200e-9, exclude_min=True),
     t1=st.floats(0.1e-6, 5e-6),
     t2_ratio=st.floats(0.01, 2.0),
     p=st.floats(0.0, 1.0),
@@ -423,10 +424,17 @@ def test_depolarizing_knob_reduces_fidelity():
 def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, p):
     # The oracles' block updates and the one-qubit factors of a gate's map in
     # circuit_superoperator act on one qubit's indices at a time; both must
-    # equal the channels with every Kraus operator embedded densely.
+    # equal the channels with every Kraus operator embedded densely. Every
+    # gate of the device lasts ``duration``.
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 8)
-    device = dataclasses.replace(uniform_device(t1, t2_ratio * t1), single_qubit_error=min(p, 0.99))
+    device = dataclasses.replace(
+        uniform_device(t1, t2_ratio * t1),
+        single_qubit_gate_time=duration,
+        cphase_time_ab=duration,
+        cphase_time_bc=duration,
+        single_qubit_error=min(p, 0.99),
+    )
     for q in range(3):
         expected = dense_kraus(rho, damping_channels(duration, device, q), (q,), 3)
         assert np.max(np.abs(decohered(rho, duration, device, q) - expected)) < 1e-13
@@ -435,13 +443,13 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
         assert np.max(np.abs(t.reshape(8, 8) - dense_kraus(rho, depolarizing_kraus(p), (q,), 3))) < 1e-13
     axis = rng.normal(size=3)
     rotation = Rotation(axis / np.linalg.norm(axis), rng.uniform(-2.0 * math.pi, 2.0 * math.pi), int(rng.integers(3)))
-    for gate in (dataclasses.replace(rotation, duration=duration), CPhase(str(rng.choice(["AB", "BC"])), duration)):
+    for gate in (rotation, CPhase(str(rng.choice(["AB", "BC"])))):
         u = kron_gate_unitary(gate, 3)
         expected = u @ rho @ u.conj().T
         for q in range(3):
             expected = dense_kraus(expected, damping_channels(duration, device, q), (q,), 3)
         if isinstance(gate, Rotation):
-            expected = dense_kraus(expected, depolarizing_kraus(device.single_qubit_error), gate.qubits, 3)
+            expected = dense_kraus(expected, depolarizing_kraus(device.single_qubit_error), (gate.qubit,), 3)
         out = apply_circuit(Circuit((gate,)), DensityMatrix(rho), device)
         assert np.max(np.abs(out.matrix - expected)) < 1e-13
 
@@ -614,31 +622,12 @@ def test_damping_channels_dephase_every_reference_qubit():
         assert coherence == pytest.approx(expected[0, 1].real, abs=1e-15)
 
 
-@pytest.mark.parametrize("duration", [-1e-6, math.nan, math.inf, -math.inf, True])
-def test_gate_rejects_negative_non_finite_and_bool_duration(duration):
-    builders = (
-        lambda: Rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=duration),
-        lambda: CPhase("AB", duration=duration),
-        lambda: CPhase("BC", duration=duration),
-        lambda: Rotation(axis=(1.0, 0.0, 0.0), angle=0.1, qubit=2, duration=duration),
-        lambda: CPhase("BC", duration),
-    )
-    for build in builders:
-        with pytest.raises(ValueError, match="gate duration"):
-            build()
-
-
-def test_gate_duration_accepts_none_zero_and_positive():
-    for duration in (None, 0.0, 0, 12e-9, np.float64(1e-6)):
-        assert CPhase("AB", duration=duration).duration == duration
-        assert Rotation((0.0, 0.0, 1.0), 0.1, qubit=1, duration=duration).duration == duration
-
-
 def test_gate_duration_decoheres_idle_excited_state():
     # |111> through an identity rotation of 1 us must decay on every qubit.
-    circuit = Circuit((Rotation((0.0, 0.0, 1.0), 0.0, qubit=0, duration=1e-6),))
-    out = apply_circuit(circuit, DensityMatrix.from_ket(computational_ket(7, 8)), reference_device())
-    t1 = reference_device().t1
+    device = dataclasses.replace(reference_device(), single_qubit_gate_time=1e-6)
+    circuit = Circuit((Rotation((0.0, 0.0, 1.0), 0.0, qubit=0),))
+    out = apply_circuit(circuit, DensityMatrix.from_ket(computational_ket(7, 8)), device)
+    t1 = device.t1
     assert out.matrix[7, 7].real == pytest.approx(math.prod(math.exp(-1e-6 / t) for t in t1), abs=1e-12)
 
 
@@ -663,7 +652,7 @@ def test_rotation_rejects_a_qubit_outside_the_register(qubit):
 def test_cphase_qubits_must_be_its_pairs():
     # (0, 2) with pair AB used to build a C-Phase between A and C, decohered for
     # AB's duration. A C-Phase's qubits are now read from its pair, never given.
-    assert CPhase("AB").qubits == (0, 1) and CPhase("BC").qubits == (1, 2)
+    assert CPHASE_PAIRS == {"AB": (0, 1), "BC": (1, 2)}
     for pair, qubits in (("AB", (0, 2)), ("BC", (2, 1))):
         with pytest.raises(TypeError, match="unexpected keyword argument 'qubits'"):
             CPhase(pair, qubits=qubits)
@@ -742,8 +731,7 @@ def test_gate_accepts_numpy_integer_qubits_as_ints():
     y = (0.0, 1.0, 0.0)
     gates = tuple(Rotation(y, 0.3, qubit=q) for q in (np.int64(2), np.int32(1), np.uint8(0)))
     assert [g.qubit for g in gates] == [2, 1, 0]
-    assert [g.qubits for g in gates] == [(2,), (1,), (0,)]
-    assert all(type(q) is int for g in (*gates, CPhase("AB"), CPhase("BC")) for q in g.qubits)
+    assert all(type(g.qubit) is int for g in gates)
     assert gates[0] == Rotation(y, 0.3, qubit=2)
     assert circuit_superoperator(Circuit(gates[:1])) is circuit_superoperator(Circuit((Rotation(y, 0.3, qubit=2),)))
 
@@ -785,10 +773,15 @@ def test_gate_rejects_repeated_qubits_and_unknown_kinds():
 def test_gate_is_the_union_of_the_two_native_types():
     assert telebench.Gate is Gate and telebench.Rotation is Rotation and telebench.CPhase is CPhase
     assert isinstance(Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), Gate) and isinstance(CPhase("AB"), Gate)
-    for name in ("_GATE_ARITY", "_pair_qubits", "gate_operator", "cphase_ideal"):
+    for name in ("_GATE_ARITY", "_pair_qubits", "gate_operator", "cphase_ideal", "_check_duration", "_gate_duration"):
         assert not hasattr(circuit_module, name)
-    for name in ("rotation", "cphase", "kind"):
+    for name in ("rotation", "cphase", "kind", "duration", "qubits"):
         assert not hasattr(Gate, name) and not hasattr(Rotation, name) and not hasattr(CPhase, name)
+    # A gate is what the device runs: its duration is the device's, never the gate's.
+    assert [f.name for f in dataclasses.fields(Rotation)] == ["axis", "angle", "qubit"]
+    assert [f.name for f in dataclasses.fields(CPhase)] == ["pair"]
+    with pytest.raises(TypeError, match="unexpected keyword argument 'duration'"):
+        CPhase("AB", duration=0.0)
 
 
 @pytest.mark.parametrize("num_qubits", [2.5, 3.0, True, 0, -1, "3", None])

@@ -61,6 +61,18 @@ def test_bench_empty_config_runs_analytic_noiseless(tmp_path, capsys):
     assert report["states"]["minus"]["state_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_bench_on_a_strongly_decohering_device_exits_0(tmp_path, capsys):
+    # Outcomes that vanish for some input used to end the run with exit 1.
+    config = tmp_path / "decohering.json"
+    config.write_text(json.dumps({"device": DeviceParams.reference().scaled_coherence(1e-3).to_dict()}))
+    code = run_cli(["bench", "--config", str(config), "--noise=on", "--restarts", "5", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [report["processes"][o]["skipped"] for o in ("00", "01", "10", "11")] == [False, True, True, True]
+    assert out.count("skipped") == 3
+
+
 def test_bench_missing_config_exits_2(tmp_path, capsys):
     code = run_cli(["bench", "--config", str(tmp_path / "nope.json")])
     err = capsys.readouterr().err

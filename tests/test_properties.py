@@ -21,7 +21,9 @@ seeds = st.integers(0, 2**32 - 1)
 @st.composite
 def devices(draw):
     """Valid devices: T2* <= 2*T1 per qubit, couplings and gate times in a
-    physically plausible range, optional single-qubit depolarizing error."""
+    physically plausible range, optional single-qubit depolarizing error.
+    Each C-Phase time is drawn, or left to the coupling's period 1/(2J), so
+    the gates of a circuit last random durations."""
     t1 = tuple(draw(st.floats(0.2e-6, 5e-6)) for _ in range(3))
     t2_star = tuple(draw(st.floats(0.05, 2.0)) * t for t in t1)
     return DeviceParams(
@@ -30,6 +32,8 @@ def devices(draw):
         j_ab=draw(st.floats(5e6, 100e6)),
         j_bc=draw(st.floats(5e6, 100e6)),
         single_qubit_gate_time=draw(st.floats(1e-9, 50e-9)),
+        cphase_time_ab=draw(st.one_of(st.none(), st.floats(1e-9, 100e-9))),
+        cphase_time_bc=draw(st.one_of(st.none(), st.floats(1e-9, 100e-9))),
         single_qubit_error=draw(st.sampled_from([0.0, 0.01, 0.2])),
     )
 
@@ -77,15 +81,13 @@ def test_stacked_evolution_matches_per_gate_kraus_oracle(device, seed, size, cir
 
 @st.composite
 def gates(draw):
-    """Rotations and C-Phases on a three-qubit register, with the device's
-    duration, a virtual (zero) one or an explicit one."""
-    duration = draw(st.one_of(st.none(), st.just(0.0), st.floats(1e-9, 100e-9)))
+    """Rotations and C-Phases on a three-qubit register; each lasts the drawn device's time for it."""
     if draw(st.booleans()):
-        return CPhase(draw(st.sampled_from(["AB", "BC"])), duration)
+        return CPhase(draw(st.sampled_from(["AB", "BC"])))
     v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(a * a for a in v) > 0.01))
     norm = math.sqrt(sum(a * a for a in v))
     axis = tuple(a / norm for a in v)
-    return Rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)), duration)
+    return Rotation(axis, draw(st.floats(-2 * math.pi, 2 * math.pi)), draw(st.integers(0, 2)))
 
 
 def random_inputs(seed, size):

@@ -26,8 +26,6 @@ UNREACHED = {
     "qops.DensityMatrix.__setattr__": "error path: a DensityMatrix is immutable",
     "qops.DensityMatrix.__repr__": "error path: shown in error messages and the debugger",
     "circuit.DeviceParams.scaled_coherence": "called by acceptance criterion 8",
-    "circuit.Rotation.qubits": "public gate API: the qubits a gate acts on",
-    "circuit.CPhase.qubits": "public gate API: the qubits a gate acts on",
 }
 
 # bench with noise off, noise on, and sampled with a config that sets the
