@@ -7,10 +7,10 @@ checks its fields on construction, and neither can name a qubit or a pair
 the device does not have. Gate unitaries are ideal. With a device, each gate
 is followed by amplitude damping plus pure dephasing of every qubit for the
 gate's duration, which the device alone sets: its single-qubit gate time
-for a rotation, its C-Phase time of the pair for a C-Phase. On a given
-device the whole noisy circuit is therefore one linear map S on the 64
-entries of rho (:func:`circuit_superoperator`), the product of each gate's
-Kronecker product of three 4x4 single-qubit maps. S is built once per
+for a rotation, the period 1/(2J) of the pair's coupling for a C-Phase.
+On a given device the whole noisy circuit is therefore one linear map S on
+the 64 entries of rho (:func:`circuit_superoperator`), the product of each
+gate's Kronecker product of three 4x4 single-qubit maps. S is built once per
 (circuit, device) pair, in under a millisecond, and kept read-only in a
 cache of 32 maps; evolving a stack of states is one product with it. Its
 build is the one place a gate becomes numbers: a rotation's 2x2 unitary
@@ -102,7 +102,7 @@ class Rotation:
 @dataclass(frozen=True)
 class CPhase:
     """A C-Phase on an adjacent ``pair`` of device qubits, "AB" or "BC". It
-    lasts the device's C-Phase time of that pair."""
+    lasts the period 1/(2J) of that pair's coupling on the device."""
 
     pair: str
 
@@ -134,8 +134,8 @@ class DeviceParams:
     """Device timing and coherence parameters, normally read from config.
 
     Times are in seconds, couplings in Hz (coupling strength divided by
-    2*pi). C-Phase durations default to the full avoided-crossing period
-    1/(2*J) of their pair.
+    2*pi). Each C-Phase lasts the full avoided-crossing period 1/(2*J) of
+    its pair's coupling, the one time at which it is a C-Phase.
     """
 
     t1: tuple[float, float, float]
@@ -143,8 +143,6 @@ class DeviceParams:
     j_ab: float
     j_bc: float
     single_qubit_gate_time: float = 12e-9
-    cphase_time_ab: float | None = None
-    cphase_time_bc: float | None = None
     single_qubit_error: float = 0.0
 
     def __post_init__(self):
@@ -161,9 +159,6 @@ class DeviceParams:
         # decoherence.
         checked = [(f"{name}[{q}]", v) for name in ("t1", "t2_star") for q, v in enumerate(getattr(self, name))]
         checked += [(name, getattr(self, name)) for name in ("j_ab", "j_bc", "single_qubit_gate_time")]
-        checked += [
-            (name, v) for name in ("cphase_time_ab", "cphase_time_bc") if (v := getattr(self, name)) is not None
-        ]
         for name, v in checked:
             if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
@@ -172,16 +167,20 @@ class DeviceParams:
         # Every number is stored as a Python float: a NumPy scalar would reach the
         # report's metadata, which JSON cannot serialize.
         for name, v in list(vars(self).items()):
-            v = tuple(map(float, v)) if name in ("t1", "t2_star") else None if v is None else float(v)
+            v = tuple(map(float, v)) if name in ("t1", "t2_star") else float(v)
             object.__setattr__(self, name, v)
+        # Each C-Phase time 1/(2J) must be finite and positive too: 2J
+        # overflows near J = 1e308, and 1/(2J) does for a subnormal J.
+        for pair, name, j in (("AB", "j_ab", self.j_ab), ("BC", "j_bc", self.j_bc)):
+            if not 0.0 < (t := self.cphase_time(pair)) < math.inf:
+                raise ValueError(f"C-Phase time 1/(2*{name}) must be finite and positive, got {t!r} for {name}={j!r}")
         for q, (t1, t2) in enumerate(zip(self.t1, self.t2_star)):
             if t2 > 2.0 * t1 * (1.0 + 1e-12):
                 raise ValueError(f"unphysical dephasing: T2*={t2} exceeds 2*T1={2 * t1} on qubit {q}")
 
     def cphase_time(self, pair: str) -> float:
-        """The C-Phase time of pair "AB" or "BC"; any other pair raises ``KeyError``."""
-        time, j = {"AB": (self.cphase_time_ab, self.j_ab), "BC": (self.cphase_time_bc, self.j_bc)}[pair]
-        return time if time is not None else 1.0 / (2.0 * j)
+        """The C-Phase time 1/(2J) of pair "AB" or "BC"; any other pair raises ``KeyError``."""
+        return 1.0 / (2.0 * {"AB": self.j_ab, "BC": self.j_bc}[pair])
 
     def scaled_coherence(self, factor: float) -> "DeviceParams":
         """Copy with all T1 and T2* multiplied by ``factor``."""

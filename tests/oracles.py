@@ -454,12 +454,11 @@ def apply_kraus(arr, ops, qubits, num_qubits):
 
 def gate_duration(gate, device):
     """A gate's duration on the device: the single-qubit gate time for a
-    rotation, the pair's C-Phase time for a C-Phase, by default the full
-    avoided-crossing period 1/(2J)."""
+    rotation, the full avoided-crossing period 1/(2J) of its pair's
+    coupling for a C-Phase."""
     if isinstance(gate, Rotation):
         return device.single_qubit_gate_time
-    time, j = (device.cphase_time_ab, device.j_ab) if gate.pair == "AB" else (device.cphase_time_bc, device.j_bc)
-    return time if time is not None else 1.0 / (2.0 * j)
+    return 1.0 / (2.0 * (device.j_ab if gate.pair == "AB" else device.j_bc))
 
 
 def kraus_apply_circuit(circuit, rho, device):

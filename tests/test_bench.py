@@ -430,8 +430,6 @@ def test_device_params_store_numpy_scalars_as_floats():
         "j_ab": np.int64(36_000_000),
         "j_bc": np.float32(23e6),
         "single_qubit_gate_time": np.float32(12e-9),
-        "cphase_time_ab": np.float64(14e-9),
-        "cphase_time_bc": np.float32(25e-9),
         "single_qubit_error": np.float32(0.01),
     }
     reference = DeviceParams.reference().to_dict()

@@ -14,6 +14,7 @@ from oracles import (
     dense_kraus,
     depolarize_qubit,
     depolarizing_kraus,
+    gate_duration,
     kron_gate_unitary,
     partial_trace_index_sum,
     qutrit_pair_leakage,
@@ -424,15 +425,14 @@ def test_depolarizing_knob_reduces_fidelity():
 def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, p):
     # The oracles' block updates and the one-qubit factors of a gate's map in
     # circuit_superoperator act on one qubit's indices at a time; both must
-    # equal the channels with every Kraus operator embedded densely. Every
-    # gate of the device lasts ``duration``.
+    # equal the channels with every Kraus operator embedded densely. A
+    # rotation on the device lasts ``duration``, a C-Phase its coupling's
+    # period 1/(2J).
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 8)
     device = dataclasses.replace(
         uniform_device(t1, t2_ratio * t1),
         single_qubit_gate_time=duration,
-        cphase_time_ab=duration,
-        cphase_time_bc=duration,
         single_qubit_error=min(p, 0.99),
     )
     for q in range(3):
@@ -447,7 +447,7 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
         u = kron_gate_unitary(gate, 3)
         expected = u @ rho @ u.conj().T
         for q in range(3):
-            expected = dense_kraus(expected, damping_channels(duration, device, q), (q,), 3)
+            expected = dense_kraus(expected, damping_channels(gate_duration(gate, device), device, q), (q,), 3)
         if isinstance(gate, Rotation):
             expected = dense_kraus(expected, depolarizing_kraus(device.single_qubit_error), (gate.qubit,), 3)
         out = apply_circuit(Circuit((gate,)), DensityMatrix(rho), device)
@@ -515,9 +515,7 @@ def test_device_params_validation():
         DeviceParams(t1=(1e-6, 1e-6, 1e-6), t2_star=(1e-6, 1e-6, 1e-6), j_ab=-1.0, j_bc=23e6)
 
 
-CHECKED_DEVICE_FIELDS = (
-    "t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time", "cphase_time_ab", "cphase_time_bc",
-)
+CHECKED_DEVICE_FIELDS = ("t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time")
 
 
 def device_dict_with(field, value, qubit=0):
@@ -536,6 +534,15 @@ def test_device_params_rejects_non_finite_bool_and_non_positive(field, value):
     for qubit in range(3) if field in ("t1", "t2_star") else (0,):
         with pytest.raises(ValueError, match=f"{field}.* must be a finite positive number"):
             DeviceParams.from_dict(device_dict_with(field, value, qubit))
+
+
+@pytest.mark.parametrize("j", [1e308, 5e-324])
+@pytest.mark.parametrize("field", ["j_ab", "j_bc"])
+def test_device_params_reject_a_coupling_whose_cphase_time_is_not_finite_positive(field, j):
+    # Unchecked, 2J overflows at J = 1e308, so that C-Phase lasts 0 s and skips
+    # its decoherence; at J = 5e-324 it lasts forever, and inf * 0 makes S NaN.
+    with pytest.raises(ValueError, match=rf"C-Phase time 1/\(2\*{field}\) must be finite and positive"):
+        DeviceParams.from_dict(device_dict_with(field, j))
 
 
 def test_device_params_rejects_bool_single_qubit_error():
@@ -581,7 +588,7 @@ def test_device_params_dict_round_trip_and_scaling():
     device = reference_device()
     assert DeviceParams.from_dict(device.to_dict()) == device
     # to_dict is asdict's dict, key order included, with t1 and t2_star as lists.
-    for d in (device, dataclasses.replace(device, cphase_time_ab=3e-8, single_qubit_error=0.01)):
+    for d in (device, dataclasses.replace(device, j_ab=3.3e7, single_qubit_error=0.01)):
         expected = {**dataclasses.asdict(d), "t1": list(d.t1), "t2_star": list(d.t2_star)}
         assert list(d.to_dict().items()) == list(expected.items())
         assert type(d.to_dict()["t1"]) is list and type(d.to_dict()["t2_star"]) is list
@@ -604,8 +611,6 @@ def test_device_default_cphase_times_from_couplings():
     assert device.cphase_time("BC") == pytest.approx(1.0 / (2.0 * 23e6))
     assert device.cphase_time("AB") == pytest.approx(13.89e-9, rel=1e-3)
     assert device.cphase_time("BC") == pytest.approx(21.74e-9, rel=1e-3)
-    explicit = dataclasses.replace(device, cphase_time_bc=30e-9)
-    assert (explicit.cphase_time("AB"), explicit.cphase_time("BC")) == (device.cphase_time("AB"), 30e-9)
     with pytest.raises(KeyError):
         device.cphase_time("AC")
 

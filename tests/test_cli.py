@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,9 @@ from telebench.entanglement import MAX_RESTARTS
 from telebench.qops import DensityMatrix
 from telebench.tomography import pauli_set
 from test_circuit import CHECKED_DEVICE_FIELDS
+
+# Names of the C-Phase time overrides: a C-Phase lasts its coupling's period 1/(2J), so no field sets it.
+REMOVED_DEVICE_FIELDS = ("cphase_time_ab", "cphase_time_bc")
 
 
 def run_cli(args):
@@ -115,8 +119,10 @@ def test_bench_malformed_json_reports_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "true"])
-@pytest.mark.parametrize("field", CHECKED_DEVICE_FIELDS)
+@pytest.mark.parametrize("field", CHECKED_DEVICE_FIELDS + REMOVED_DEVICE_FIELDS)
 def test_bench_non_finite_or_bool_device_value_exits_2(field, token, tmp_path, capsys):
+    # A config naming a removed field exits 2 as well: the parse rejects a
+    # non-finite token, and "true" is an unknown device field.
     device = DeviceParams.reference().to_dict()
     if field in ("t1", "t2_star"):
         device[field][1] = "BAD"
@@ -128,6 +134,35 @@ def test_bench_non_finite_or_bool_device_value_exits_2(field, token, tmp_path, c
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("j", [1e308, 5e-324])
+@pytest.mark.parametrize("field", ["j_ab", "j_bc"])
+def test_bench_coupling_whose_cphase_time_is_not_finite_positive_exits_2(field, j, tmp_path, capsys):
+    # Unchecked, these exit 0: 2J overflows at 1e308, so that C-Phase lasts 0 s
+    # with no decoherence, and at 5e-324 it lasts forever.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"device": {**DeviceParams.reference().to_dict(), field: j}}))
+    code = run_cli(["bench", "--config", str(config), "--noise=on", "--restarts", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(rf"config error: invalid device config: .*{field}", err)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_device_fields_are_pinned_and_a_removed_cphase_time_exits_2(tmp_path, capsys):
+    names = [f.name for f in dataclasses.fields(DeviceParams)]
+    assert names == ["t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time", "single_qubit_error"]
+    for name in REMOVED_DEVICE_FIELDS:
+        device = {**DeviceParams.reference().to_dict(), name: 1.5e-8}
+        message = f"unknown device field(s): ['{name}']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeviceParams.from_dict(device)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"device": device}))
+        assert run_cli(["bench", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"config error: invalid device config: {message}" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
