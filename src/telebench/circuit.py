@@ -4,8 +4,8 @@ The register is the device's three qubits, ordered A, B, C with qubit A most
 significant. A gate is a :class:`Rotation` of one qubit or a :class:`CPhase`
 on one of the adjacent pairs AB and BC, the device's native gates; each
 checks its fields on construction, and neither can name a qubit or a pair
-the device does not have. Gate unitaries are ideal. With a device, each gate
-is followed by amplitude damping plus pure dephasing of every qubit for the
+the device does not have. Gate unitaries are ideal. On a device, a gate's
+only error is amplitude damping plus pure dephasing of every qubit for the
 gate's duration, which the device alone sets: its single-qubit gate time
 for a rotation, the period 1/(2J) of the pair's coupling for a C-Phase.
 On a given device the whole noisy circuit is therefore one linear map S on
@@ -143,7 +143,6 @@ class DeviceParams:
     j_ab: float
     j_bc: float
     single_qubit_gate_time: float = 12e-9
-    single_qubit_error: float = 0.0
 
     def __post_init__(self):
         for name in ("t1", "t2_star"):
@@ -162,8 +161,6 @@ class DeviceParams:
         for name, v in checked:
             if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-        if not (_is_real(self.single_qubit_error) and 0.0 <= self.single_qubit_error < 1.0):
-            raise ValueError(f"single_qubit_error must be a number in [0, 1), got {self.single_qubit_error!r}")
         # Every number is stored as a Python float: a NumPy scalar would reach the
         # report's metadata, which JSON cannot serialize.
         for name, v in list(vars(self).items()):
@@ -310,12 +307,6 @@ def _decay_maps(device: DeviceParams, duration: float) -> list[np.ndarray]:
     return maps
 
 
-def _depolarizing_map(p: float) -> np.ndarray:
-    """4x4 Liouville map of (1 - p) rho + p Tr(rho) I/2 on one qubit's (ket, bra) entries."""
-    h = 0.5 * p
-    return np.array([[1.0 - h, 0.0, 0.0, h], [0.0, 1.0 - p, 0.0, 0.0], [0.0, 0.0, 1.0 - p, 0.0], [h, 0.0, 0.0, 1.0 - h]])
-
-
 # Qubit-factor order indexes the 64 entries of rho by (ket A, bra A, ket B,
 # bra B, ket C, bra C), so a map on each qubit's (ket, bra) pair is a
 # Kronecker product of three 4x4 maps. Entry k of this array is the
@@ -342,13 +333,12 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
     Each gate's map is the Kronecker product of the three qubits' 4x4
     Liouville maps in qubit-factor order: a rotation's U (x) conj(U) on its
     own qubit, followed by every qubit's damping and dephasing for the
-    gate's duration, then depolarizing on the rotated qubit when the
-    device's ``single_qubit_error`` is nonzero; a C-Phase is a +-1 mask on
-    the columns of the damping map. S is the product of the gate maps in
-    circuit order, each applied one 4x4 factor at a time, permuted once to
-    row-major. Without a device every damping map is the identity. Built
-    once per distinct (circuit, device) pair, both frozen and hashable, and
-    kept read-only in a cache of 32 maps (64 KB each).
+    gate's duration; a C-Phase is a +-1 mask on the columns of the damping
+    map. S is the product of the gate maps in circuit order, each applied
+    one 4x4 factor at a time, permuted once to row-major. Without a device
+    every damping map is the identity. Built once per distinct (circuit,
+    device) pair, both frozen and hashable, and kept read-only in a cache of
+    32 maps (64 KB each).
     """
     s = np.eye(64, dtype=complex)
     for gate in circuit.gates:
@@ -360,10 +350,7 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
             maps = _decay_maps(device, device.cphase_time(gate.pair))
         if isinstance(gate, Rotation):
             u = rotation_unitary(gate.axis, gate.angle)
-            rotated = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
-            if device is not None and device.single_qubit_error > 0.0:
-                rotated = _depolarizing_map(device.single_qubit_error) @ rotated
-            maps[gate.qubit] = rotated
+            maps[gate.qubit] = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
         if isinstance(gate, CPhase):
             s = _cphase_signs(gate.pair)[:, None] * s
         # (A (x) B (x) C) @ s one 4x4 factor at a time: small products that
@@ -386,14 +373,13 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     (:func:`circuit_superoperator`): every gate is an ideal unitary
     conjugation and, with a device, is followed by amplitude damping and
     pure dephasing of all qubits for that gate's duration (idle qubits
-    decohere too), plus an optional depolarizing channel on the qubit of
-    each rotation when the device's ``single_qubit_error`` is nonzero.
-    Without a device, the evolution is noiseless. The first call for a
-    (circuit, device) pair builds the map, in under a millisecond; later
-    calls reuse it. A sequence of B states is one product of (B, 64) rows
-    with S^T that computes each member on its own, so every output equals
-    the single-state evolution of its input bit for bit (a BLAS matrix
-    product would not, as BLAS blocks by B).
+    decohere too), the model's only gate error. Without a device, the
+    evolution is noiseless. The first call for a (circuit, device) pair
+    builds the map, in under a millisecond; later calls reuse it. A sequence
+    of B states is one product of (B, 64) rows with S^T that computes each
+    member on its own, so every output equals the single-state evolution of
+    its input bit for bit (a BLAS matrix product would not, as BLAS blocks
+    by B).
     """
     m, single = state_stack(rho, 8)
     # einsum's own loops, not BLAS: OpenBLAS runs a 64x64 complex

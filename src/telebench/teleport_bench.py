@@ -236,10 +236,10 @@ def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts
 def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool, restarts: int):
     """The settings checks and state stage shared by :func:`run_benchmark` and :func:`run_state`.
 
-    Checks the settings with :func:`check_run_settings` before any work, then evolution
-    -> readout -> physical reconstruction -> state fidelities and Pauli
-    sets, each one call on the whole stack of inputs, plus witness and
-    tangle bound for each entangled input. Each input reads out from its
+    Checks the settings (:func:`check_run_settings`) and the device's type before any work,
+    then evolution -> readout -> physical reconstruction -> state fidelities
+    and Pauli sets, each one call on the whole stack of inputs, plus witness
+    and tangle bound for each entangled input. Each input reads out from its
     own stream; the tangle bounds of a run share one seed, that of ``minus``.
     Only the seeds a run uses are derived: readout seeds when ``shots > 0``,
     the tangle seed once and when an entangled input is present.
@@ -247,6 +247,8 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
     reconstructed states.
     """
     shots, seed, noise, restarts = check_run_settings(shots, seed, noise, restarts)
+    if not isinstance(device, DeviceParams):
+        raise TypeError(f"device must be a DeviceParams, got {type(device).__name__}")
     rhos_out = apply_circuit(_CIRCUIT, [_INPUT_STATES[label] for label in labels], device if noise else None)
     indices = [INPUT_LABELS.index(label) for label in labels]
     readout_seeds = [_derived_seed(seed, 0, k) for k in indices] if shots else [0] * len(indices)
@@ -285,8 +287,8 @@ def run_benchmark(
     input is not projected either, and its conditional fidelities are
     ``None``. Deterministic for a given seed: each input reads out from its
     own substream, and the two entangled inputs bound their tangle from one
-    substream of the run. Raises ``ValueError`` before any work for settings
-    that :func:`check_run_settings` rejects.
+    substream of the run. Raises before any work: ``ValueError`` for settings
+    that :func:`check_run_settings` rejects, ``TypeError`` unless ``device`` is a :class:`DeviceParams`.
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
     shots = metadata["shots"]

@@ -433,10 +433,6 @@ def damping_channels(duration, device, qubit):
     return [d @ a for d in deph for a in amp]
 
 
-def depolarizing_kraus(p):
-    return [math.sqrt(1.0 - 0.75 * p) * np.eye(2, dtype=complex)] + [math.sqrt(0.25 * p) * s for s in (SX, SY, SZ)]
-
-
 def apply_kraus(arr, ops, qubits, num_qubits):
     """sum_k K rho K^dag with each K contracted on ``qubits`` of the (2,)*2n tensor."""
     k = len(qubits)
@@ -463,16 +459,13 @@ def gate_duration(gate, device):
 
 def kraus_apply_circuit(circuit, rho, device):
     """Noisy evolution as one Kraus list per gate and channel: the gate, then
-    damping and dephasing on every qubit for the gate's duration, then
-    depolarizing on the qubit of each rotation."""
+    damping and dephasing on every qubit for the gate's duration."""
     arr = np.array(rho, dtype=complex)
     for gate in circuit.gates:
         arr = apply_kraus(arr, [kron_gate_unitary(gate, 3)], (0, 1, 2), 3)
         duration = gate_duration(gate, device)
         for q in range(3):
             arr = apply_kraus(arr, damping_channels(duration, device, q), (q,), 3)
-        if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
-            arr = apply_kraus(arr, depolarizing_kraus(device.single_qubit_error), (gate.qubit,), 3)
     return arr
 
 
@@ -500,21 +493,11 @@ def decohere_qubit(t, duration, device, q):
     b[1, 0] *= math.sqrt(1.0 - gamma) * (1.0 - 2.0 * p)
 
 
-def depolarize_qubit(t, p, q):
-    """(1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q`` of a (B,) + (2,)*2n stack, in place."""
-    b = qubit_blocks(t, q)
-    mixed = 0.5 * p * (b[0, 0] + b[1, 1])
-    t *= 1.0 - p
-    b[0, 0] += mixed
-    b[1, 1] += mixed
-
-
 def block_apply_circuit(circuit, rho, device=None):
     """Noisy evolution of a state or a sequence of states as one block update
     per qubit per gate, on strided views of the (B,) + (2,)*6 stack: the
     gate's conjugation by :func:`closed_form_gate_unitary`, then
-    ``decohere_qubit`` on every qubit in order, then ``depolarize_qubit`` on
-    the qubit of each rotation. Returns the (B, 8, 8) array."""
+    ``decohere_qubit`` on every qubit in order. Returns the (B, 8, 8) array."""
     m, _ = state_stack(rho)
     for gate in circuit.gates:
         u = closed_form_gate_unitary(gate)
@@ -525,8 +508,6 @@ def block_apply_circuit(circuit, rho, device=None):
         duration = gate_duration(gate, device)
         for q in range(3):
             decohere_qubit(t, duration, device, q)
-        if device.single_qubit_error > 0.0 and isinstance(gate, Rotation):
-            depolarize_qubit(t, device.single_qubit_error, gate.qubit)
     return m
 
 

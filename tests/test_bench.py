@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,25 @@ def test_runs_reject_non_bool_noise_before_any_work(noise, monkeypatch):
         run_state(DeviceParams.reference(), "plus", noise=noise)
 
 
+@pytest.mark.parametrize("noise", [False, True], ids=["noise_off", "noise_on"])
+@pytest.mark.parametrize(
+    "device", [None, DeviceParams.reference().to_dict(), "paper_device"], ids=["none", "dict", "string"]
+)
+def test_runs_reject_a_device_that_is_not_device_params_before_any_work(device, noise, monkeypatch):
+    # Unchecked, a run evolved, read out and searched the tangle before its
+    # metadata failed on device.to_dict(); with noise on, a dict failed in S's
+    # cache as unhashable and a string once apply_circuit read its gate time.
+    calls = []
+    evolve = tb.apply_circuit
+    monkeypatch.setattr(tb, "apply_circuit", lambda *a, **k: calls.append(a) or evolve(*a, **k))
+    message = re.escape(f"device must be a DeviceParams, got {type(device).__name__}")
+    with pytest.raises(TypeError, match=message):
+        run_benchmark(device, noise=noise, restarts=5)
+    with pytest.raises(TypeError, match=message):
+        run_state(device, "plus", noise=noise, restarts=5)
+    assert calls == []
+
+
 def test_runs_accept_numpy_bool_noise():
     kwargs = dict(shots=100, seed=3, restarts=5)
     for noise in (np.True_, np.False_):
@@ -430,7 +450,6 @@ def test_device_params_store_numpy_scalars_as_floats():
         "j_ab": np.int64(36_000_000),
         "j_bc": np.float32(23e6),
         "single_qubit_gate_time": np.float32(12e-9),
-        "single_qubit_error": np.float32(0.01),
     }
     reference = DeviceParams.reference().to_dict()
     device = DeviceParams(**{**reference, **numpy_fields})

@@ -12,8 +12,6 @@ from oracles import (
     damping_channels,
     decohere_qubit,
     dense_kraus,
-    depolarize_qubit,
-    depolarizing_kraus,
     gate_duration,
     kron_gate_unitary,
     partial_trace_index_sum,
@@ -347,7 +345,6 @@ STACK_DEVICES = {
     "none": None,
     "reference": reference_device(),
     "scaled_coherence_0.3": reference_device().scaled_coherence(0.3),
-    "single_qubit_error_0.01": dataclasses.replace(reference_device(), single_qubit_error=0.01),
 }
 
 
@@ -381,9 +378,8 @@ def test_stacked_evolution_rejects_a_wrong_dimension_member():
         None,
         reference_device(),
         reference_device().scaled_coherence(2.0),
-        dataclasses.replace(reference_device(), single_qubit_error=0.02),
     ],
-    ids=["none", "reference", "scaled_coherence_2", "single_qubit_error_0.02"],
+    ids=["none", "reference", "scaled_coherence_2"],
 )
 def test_transfer_matrices_give_the_exact_conditional_channel(device):
     # T_ij, read off the columns of the circuit's map, takes rho_A to the
@@ -401,28 +397,14 @@ def test_transfer_matrices_give_the_exact_conditional_channel(device):
             assert np.max(np.abs(channel - probability * rho_c.matrix.reshape(-1))) < 1e-12
 
 
-def test_depolarizing_knob_reduces_fidelity():
-    base = reference_device()
-    knobbed = DeviceParams(
-        t1=base.t1, t2_star=base.t2_star, j_ab=base.j_ab, j_bc=base.j_bc,
-        single_qubit_gate_time=base.single_qubit_gate_time, single_qubit_error=0.05,
-    )
-    circuit = build_teleport_circuit()
-    rho_in = DensityMatrix.from_ket(embed_input(INPUT_KETS["plus"]))
-    fid_base = state_fidelity_pure(apply_circuit(circuit, rho_in, base), ideal_phi(INPUT_KETS["plus"]))
-    fid_knob = state_fidelity_pure(apply_circuit(circuit, rho_in, knobbed), ideal_phi(INPUT_KETS["plus"]))
-    assert fid_knob < fid_base
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     duration=st.floats(0.0, 200e-9, exclude_min=True),
     t1=st.floats(0.1e-6, 5e-6),
     t2_ratio=st.floats(0.01, 2.0),
-    p=st.floats(0.0, 1.0),
 )
-def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, p):
+def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio):
     # The oracles' block updates and the one-qubit factors of a gate's map in
     # circuit_superoperator act on one qubit's indices at a time; both must
     # equal the channels with every Kraus operator embedded densely. A
@@ -430,17 +412,10 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
     # period 1/(2J).
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 8)
-    device = dataclasses.replace(
-        uniform_device(t1, t2_ratio * t1),
-        single_qubit_gate_time=duration,
-        single_qubit_error=min(p, 0.99),
-    )
+    device = dataclasses.replace(uniform_device(t1, t2_ratio * t1), single_qubit_gate_time=duration)
     for q in range(3):
         expected = dense_kraus(rho, damping_channels(duration, device, q), (q,), 3)
         assert np.max(np.abs(decohered(rho, duration, device, q) - expected)) < 1e-13
-        t = rho.astype(complex).reshape((1,) + (2,) * 6)
-        depolarize_qubit(t, p, q)
-        assert np.max(np.abs(t.reshape(8, 8) - dense_kraus(rho, depolarizing_kraus(p), (q,), 3))) < 1e-13
     axis = rng.normal(size=3)
     rotation = Rotation(axis / np.linalg.norm(axis), rng.uniform(-2.0 * math.pi, 2.0 * math.pi), int(rng.integers(3)))
     for gate in (rotation, CPhase(str(rng.choice(["AB", "BC"])))):
@@ -448,8 +423,6 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio, 
         expected = u @ rho @ u.conj().T
         for q in range(3):
             expected = dense_kraus(expected, damping_channels(gate_duration(gate, device), device, q), (q,), 3)
-        if isinstance(gate, Rotation):
-            expected = dense_kraus(expected, depolarizing_kraus(device.single_qubit_error), (gate.qubit,), 3)
         out = apply_circuit(Circuit((gate,)), DensityMatrix(rho), device)
         assert np.max(np.abs(out.matrix - expected)) < 1e-13
 
@@ -545,29 +518,23 @@ def test_device_params_reject_a_coupling_whose_cphase_time_is_not_finite_positiv
         DeviceParams.from_dict(device_dict_with(field, j))
 
 
-def test_device_params_rejects_bool_single_qubit_error():
-    with pytest.raises(ValueError, match="single_qubit_error"):
-        DeviceParams.from_dict(device_dict_with("single_qubit_error", True))
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("single_qubit_error", "0.1"),
-        ("single_qubit_error", None),
-        ("single_qubit_error", [0.1]),
-        ("single_qubit_error", math.nan),
+        ("single_qubit_gate_time", "0.1"),
+        ("single_qubit_gate_time", None),
+        ("single_qubit_gate_time", [0.1]),
+        ("single_qubit_gate_time", math.nan),
         ("t1", 5),
         ("t1", None),
         ("t2_star", "abc"),
         ("t2_star", [4.5e-7, 6e-7]),
         ("j_ab", "3.6e7"),
-        ("single_qubit_gate_time", None),
     ],
 )
 def test_device_params_type_errors_name_the_field(field, value):
-    # A string, null or list single_qubit_error, and a number t1, used to
-    # raise TypeError from a comparison or len() without naming the field.
+    # Each fails naming its field, not with a bare TypeError from a
+    # comparison or len().
     d = reference_device().to_dict()
     d[field] = value
     with pytest.raises(ValueError, match=field):
@@ -588,7 +555,7 @@ def test_device_params_dict_round_trip_and_scaling():
     device = reference_device()
     assert DeviceParams.from_dict(device.to_dict()) == device
     # to_dict is asdict's dict, key order included, with t1 and t2_star as lists.
-    for d in (device, dataclasses.replace(device, j_ab=3.3e7, single_qubit_error=0.01)):
+    for d in (device, dataclasses.replace(device, j_ab=3.3e7, single_qubit_gate_time=2e-8)):
         expected = {**dataclasses.asdict(d), "t1": list(d.t1), "t2_star": list(d.t2_star)}
         assert list(d.to_dict().items()) == list(expected.items())
         assert type(d.to_dict()["t1"]) is list and type(d.to_dict()["t2_star"]) is list

@@ -18,8 +18,9 @@ from telebench.qops import DensityMatrix
 from telebench.tomography import pauli_set
 from test_circuit import CHECKED_DEVICE_FIELDS
 
-# Names of the C-Phase time overrides: a C-Phase lasts its coupling's period 1/(2J), so no field sets it.
-REMOVED_DEVICE_FIELDS = ("cphase_time_ab", "cphase_time_bc")
+# Removed device fields: a C-Phase lasts its coupling's period 1/(2J), so no field sets it, and a
+# gate's only error is its decoherence, so no field sets a depolarizing error.
+REMOVED_DEVICE_FIELDS = ("cphase_time_ab", "cphase_time_bc", "single_qubit_error")
 
 
 def run_cli(args):
@@ -121,8 +122,9 @@ def test_bench_malformed_json_reports_line(tmp_path, capsys):
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "true"])
 @pytest.mark.parametrize("field", CHECKED_DEVICE_FIELDS + REMOVED_DEVICE_FIELDS)
 def test_bench_non_finite_or_bool_device_value_exits_2(field, token, tmp_path, capsys):
-    # A config naming a removed field exits 2 as well: the parse rejects a
-    # non-finite token, and "true" is an unknown device field.
+    # The config parse rejects NaN, Infinity and -Infinity on any field. 1e400
+    # parses to inf and true to True, so those two reach DeviceParams: a kept
+    # field's own check names it, and a removed field is an unknown one.
     device = DeviceParams.reference().to_dict()
     if field in ("t1", "t2_star"):
         device[field][1] = "BAD"
@@ -133,7 +135,12 @@ def test_bench_non_finite_or_bool_device_value_exits_2(field, token, tmp_path, c
     code = run_cli(["bench", "--config", str(config), "--noise=on", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "config error" in err
+    if token not in ("1e400", "true"):
+        assert f"config error: config file {config} contains the non-finite number {token}\n" == err
+    elif field in REMOVED_DEVICE_FIELDS:
+        assert f"config error: invalid device config: unknown device field(s): ['{field}']\n" == err
+    else:
+        assert re.match(rf"config error: invalid device config: {field}(\[1\])? must be a finite positive number", err)
     assert not (tmp_path / "report.json").exists()
 
 
@@ -153,9 +160,9 @@ def test_bench_coupling_whose_cphase_time_is_not_finite_positive_exits_2(field, 
 
 def test_device_fields_are_pinned_and_a_removed_cphase_time_exits_2(tmp_path, capsys):
     names = [f.name for f in dataclasses.fields(DeviceParams)]
-    assert names == ["t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time", "single_qubit_error"]
+    assert names == ["t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time"]
     for name in REMOVED_DEVICE_FIELDS:
-        device = {**DeviceParams.reference().to_dict(), name: 1.5e-8}
+        device = {**DeviceParams.reference().to_dict(), name: 0.0}
         message = f"unknown device field(s): ['{name}']"
         with pytest.raises(ValueError, match=re.escape(message)):
             DeviceParams.from_dict(device)
@@ -168,7 +175,7 @@ def test_device_fields_are_pinned_and_a_removed_cphase_time_exits_2(tmp_path, ca
 
 @pytest.mark.parametrize(
     "field, value",
-    [("single_qubit_error", "0.1"), ("single_qubit_error", None), ("single_qubit_error", [0.1]), ("t1", 5)],
+    [("single_qubit_gate_time", "0.1"), ("single_qubit_gate_time", None), ("single_qubit_gate_time", [0.1]), ("t1", 5)],
 )
 def test_bench_device_value_of_the_wrong_type_exits_2_naming_the_field(field, value, tmp_path, capsys):
     # These used to exit 2 with a bare TypeError message such as

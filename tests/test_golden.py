@@ -13,8 +13,8 @@ regenerates the goldens on purpose, from the repository root::
 Regeneration rewrites only the configurations whose reports differ beyond
 the timestamp line, so its diff names exactly the goldens whose values moved.
 For each rewritten golden it prints how many numbers in its JSON reports
-changed, the old -> new figures of merit (:data:`MERIT_KEYS`) and the
-largest absolute change.
+changed, the old -> new figures of merit (:data:`MERIT_KEYS`), each number
+added or removed, and the largest absolute change.
 
 To compare without writing, for example as proof that a refactor kept every
 report byte-identical::
@@ -107,14 +107,20 @@ def report_numbers(directory: Path) -> dict[tuple, float]:
 
 
 def change_summary(golden: Path, actual: Path) -> list[str]:
-    """The count of changed numbers, one line per changed figure of merit,
-    then the largest absolute change among the numbers on both sides."""
+    """The count of changed numbers, one line per changed figure of merit
+    and per number present on only one side, then the largest absolute
+    change among the numbers on both sides."""
     old, new = report_numbers(golden), report_numbers(actual)
     changed = sorted((k for k in old.keys() | new.keys() if old.get(k) != new.get(k)), key=str)
     lines = [f"{len(changed)} of {len(new)} numbers changed"]
     for key in changed:
+        path = "/".join(map(str, key))
         if key[-1] in MERIT_KEYS:
-            lines.append(f"{'/'.join(map(str, key))}: {old.get(key)} -> {new.get(key)}")
+            lines.append(f"{path}: {old.get(key)} -> {new.get(key)}")
+        if key not in new:
+            lines.append(f"removed {path} ({old[key]})")
+        elif key not in old:
+            lines.append(f"added {path} ({new[key]})")
     both = [key for key in changed if key in old and key in new]
     if both:
         key = max(both, key=lambda k: abs(new[k] - old[k]))
@@ -126,17 +132,25 @@ def test_change_summary_counts_numbers_and_names_figures_of_merit(tmp_path):
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
-    report = {"states": {"0": {"state_fidelity": 0.9, "pauli_set": {"values": [0.5, 1.0]}}}, "noise": True}
+    report = {
+        "states": {"0": {"state_fidelity": 0.9, "pauli_set": {"values": [0.5, 1.0]}}},
+        "device": {"gate_error": 0.0},
+        "noise": True,
+    }
     (old / "report.json").write_text(json.dumps(report))
     report["states"]["0"]["state_fidelity"] = 0.8
     report["states"]["0"]["pauli_set"]["values"][1] = 0.75
+    del report["device"]["gate_error"]
+    report["device"]["gate_time"] = 1.2e-08
     (new / "report.json").write_text(json.dumps(report))
     assert change_summary(old, new) == [
-        "2 of 3 numbers changed",
+        "4 of 4 numbers changed",
+        "removed report.json/device/gate_error (0.0)",
+        "added report.json/device/gate_time (1.2e-08)",
         "report.json/states/0/state_fidelity: 0.9 -> 0.8",
         "largest change 0.25 at report.json/states/0/pauli_set/values/1",
     ]
-    assert change_summary(old, old) == ["0 of 3 numbers changed"]
+    assert change_summary(old, old) == ["0 of 4 numbers changed"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

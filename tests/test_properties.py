@@ -21,9 +21,9 @@ seeds = st.integers(0, 2**32 - 1)
 @st.composite
 def devices(draw):
     """Valid devices: T2* <= 2*T1 per qubit, couplings and gate times in a
-    physically plausible range, optional single-qubit depolarizing error.
-    Couplings of 5-500 MHz make each C-Phase time 1/(2J) span 1-100 ns, so
-    the gates of a circuit last random durations."""
+    physically plausible range. Couplings of 5-500 MHz make each C-Phase
+    time 1/(2J) span 1-100 ns, so the gates of a circuit last random
+    durations."""
     t1 = tuple(draw(st.floats(0.2e-6, 5e-6)) for _ in range(3))
     t2_star = tuple(draw(st.floats(0.05, 2.0)) * t for t in t1)
     return DeviceParams(
@@ -32,7 +32,6 @@ def devices(draw):
         j_ab=draw(st.floats(5e6, 500e6)),
         j_bc=draw(st.floats(5e6, 500e6)),
         single_qubit_gate_time=draw(st.floats(1e-9, 50e-9)),
-        single_qubit_error=draw(st.sampled_from([0.0, 0.01, 0.2])),
     )
 
 

@@ -28,8 +28,8 @@ UNREACHED = {
     "circuit.DeviceParams.scaled_coherence": "called by acceptance criterion 8",
 }
 
-# bench with noise off, noise on, and sampled with a config that sets the
-# depolarizing error and a coupling; state for all four inputs.
+# bench with noise off, noise on, and sampled with a config that sets a
+# coupling; state for all four inputs.
 SCRIPT = """
 import json, sys
 import numpy
@@ -46,7 +46,7 @@ from telebench.cli import main
 
 config = out + "/run.json"
 with open(config, "w") as f:
-    device = {**DeviceParams.reference().to_dict(), "single_qubit_error": 0.01, "j_ab": 3.3e7}
+    device = {**DeviceParams.reference().to_dict(), "j_ab": 3.3e7}
     json.dump({"device": device}, f)
 small = ["--restarts", "2", "--out", out]
 runs = [
