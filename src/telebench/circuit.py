@@ -2,20 +2,23 @@
 
 The register is the device's three qubits, ordered A, B, C with qubit A most
 significant. A gate is a :class:`Rotation` of one qubit or a :class:`CPhase`
-on one of the adjacent pairs AB and BC, the device's native gates; each
-checks its fields on construction, and neither can name a qubit or a pair
-the device does not have. Gate unitaries are ideal. On a device, a gate's
-only error is amplitude damping plus pure dephasing of every qubit for the
-gate's duration, which the device alone sets: its single-qubit gate time
-for a rotation, the period 1/(2J) of the pair's coupling for a C-Phase.
+on one of the adjacent pairs AB and BC, the device's native gates. Each type
+checks its fields once, on construction, and stores them; neither gate can
+name a qubit or a pair the device does not have. An ordered input (a
+rotation's axis, a device's T1 and T2*, a circuit's gates) must be a list or
+a tuple, as a set has no order. Gate unitaries are ideal. On a device, a
+gate's only error is amplitude damping plus pure dephasing of every qubit
+for the gate's duration, which the device alone sets: its single-qubit gate
+time for a rotation, the period 1/(2J) of the pair's coupling for a C-Phase.
 On a given device the whole noisy circuit is therefore one linear map S on
 the 64 entries of rho (:func:`circuit_superoperator`), the product of each
 gate's Kronecker product of three 4x4 single-qubit maps. S is built once per
 (circuit, device) pair, in under a millisecond, and kept read-only in a
 cache of 32 maps; evolving a stack of states is one product with it. Its
 build is the one place a gate becomes numbers: a rotation's 2x2 unitary
-comes from :func:`rotation_unitary`, and a C-Phase is a +-1 mask on S's
-entries. S's cache is the evolution's only cache.
+comes from :func:`rotation_unitary`, which reads the gate's checked floats,
+and a C-Phase is a +-1 mask on S's entries. S's cache is the evolution's
+only cache.
 """
 
 from __future__ import annotations
@@ -59,29 +62,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _unit_axis(axis) -> tuple[float, float, float]:
-    """``axis`` as a tuple of three floats, raising unless it is a real unit 3-vector."""
-    try:
-        ax = tuple(axis)
-    except TypeError:
-        ax = ()
-    # A NaN norm compares false, so the tolerance test is negated rather than flipped.
-    if len(ax) != 3 or not all(map(_is_real, ax)) or not abs(math.hypot(*ax) - 1.0) <= STRUCTURAL_TOL:
-        raise ValueError(f"rotation axis must be a unit 3-vector, got {axis!r}")
-    return tuple(float(a) for a in ax)
-
-
-def _check_angle(angle) -> None:
-    """A NaN or infinite rotation angle would make every entry of the unitary NaN."""
-    if not (_is_real(angle) and math.isfinite(angle)):
-        raise ValueError(f"rotation angle must be a finite number, got {angle!r}")
-
-
 @dataclass(frozen=True)
 class Rotation:
     """A rotation of ``qubit`` (an integer, 0, 1 or 2 for A, B or C) by a
-    finite ``angle`` about a real unit ``axis``, stored as floats. It lasts
-    the device's single-qubit gate time."""
+    finite ``angle`` about a real unit ``axis`` (a list or tuple of three),
+    stored as floats. It lasts the device's single-qubit gate time."""
 
     axis: tuple[float, float, float]
     angle: float
@@ -93,9 +78,14 @@ class Rotation:
         if not 0 <= qubit < 3:
             raise ValueError(f"gate qubit must be 0, 1 or 2 (A, B or C), got {qubit}")
         object.__setattr__(self, "qubit", qubit)
-        # A list axis would make the gate, and so its circuit, unhashable, and S caches by circuit.
-        object.__setattr__(self, "axis", _unit_axis(self.axis))
-        _check_angle(self.angle)
+        # Only a list or tuple has an order; a NaN norm compares false, so the test is negated.
+        three = isinstance(self.axis, (list, tuple)) and len(self.axis) == 3 and all(map(_is_real, self.axis))
+        if not (three and abs(math.hypot(*self.axis) - 1.0) <= STRUCTURAL_TOL):
+            raise ValueError(f"rotation axis must be a unit 3-vector, got {self.axis!r}")
+        if not (_is_real(self.angle) and math.isfinite(self.angle)):  # a NaN angle makes a NaN unitary
+            raise ValueError(f"rotation angle must be a finite number, got {self.angle!r}")
+        # A tuple keeps the gate, and so its circuit, hashable: S caches by circuit.
+        object.__setattr__(self, "axis", tuple(map(float, self.axis)))
         object.__setattr__(self, "angle", float(self.angle))
 
 
@@ -117,16 +107,17 @@ Gate = Rotation | CPhase
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gates on the device's qubits A, B and C, stored as a tuple."""
+    """Ordered gates on the device's qubits A, B and C: a list or tuple, stored as a tuple."""
 
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        gates = tuple(self.gates)
-        for g in gates:
+        if not isinstance(self.gates, (list, tuple)):  # a set or a generator has no fixed order
+            raise TypeError(f"a circuit's gates must be a list or tuple, got {type(self.gates).__name__}")
+        for g in self.gates:
             if not isinstance(g, Gate):
                 raise TypeError(f"a circuit holds Gate values, got {type(g).__name__}")
-        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "gates", tuple(self.gates))
 
 
 @dataclass(frozen=True)
@@ -134,8 +125,9 @@ class DeviceParams:
     """Device timing and coherence parameters, normally read from config.
 
     Times are in seconds, couplings in Hz (coupling strength divided by
-    2*pi). Each C-Phase lasts the full avoided-crossing period 1/(2*J) of
-    its pair's coupling, the one time at which it is a C-Phase.
+    2*pi); ``t1`` and ``t2_star`` are lists or tuples of qubits A, B and C.
+    Each C-Phase lasts the full avoided-crossing period 1/(2*J) of its
+    pair's coupling, the one time at which it is a C-Phase.
     """
 
     t1: tuple[float, float, float]
@@ -147,11 +139,7 @@ class DeviceParams:
     def __post_init__(self):
         for name in ("t1", "t2_star"):
             value = getattr(self, name)
-            try:
-                three = len(value) == 3
-            except TypeError:  # a number or another unsized value
-                three = False
-            if not three:
+            if not (isinstance(value, (list, tuple)) and len(value) == 3):  # a set has no qubit order
                 raise ValueError(f"{name} must list exactly three qubits (A, B, C), got {value!r}")
         # Times and couplings must be finite positive reals: a NaN or infinite
         # one makes a gate duration NaN or 0, which silently skips that gate's
@@ -210,13 +198,11 @@ class DeviceParams:
         return cls.from_dict(json.loads(text)["device"])
 
 
-def rotation_unitary(axis, angle: float) -> np.ndarray:
-    """2x2 rotation exp(-i * angle/2 * axis.sigma) about a unit axis."""
-    ax = _unit_axis(axis)
-    _check_angle(angle)
-    generator = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
-    half = 0.5 * float(angle)
-    return math.cos(half) * ID2 - 1j * math.sin(half) * generator
+def rotation_unitary(gate: Rotation) -> np.ndarray:
+    """The 2x2 unitary exp(-i * angle/2 * axis.sigma) of a checked :class:`Rotation`."""
+    x, y, z = gate.axis
+    half = 0.5 * gate.angle
+    return math.cos(half) * ID2 - 1j * math.sin(half) * (x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
 
 def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, float]:
@@ -349,7 +335,7 @@ def circuit_superoperator(circuit: Circuit, device: DeviceParams | None = None) 
         else:
             maps = _decay_maps(device, device.cphase_time(gate.pair))
         if isinstance(gate, Rotation):
-            u = rotation_unitary(gate.axis, gate.angle)
+            u = rotation_unitary(gate)
             maps[gate.qubit] = maps[gate.qubit] @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
         if isinstance(gate, CPhase):
             s = _cphase_signs(gate.pair)[:, None] * s

@@ -98,8 +98,14 @@ def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
         raise ConfigError(str(exc))
     if not isinstance(settings["out"], str):
         raise ConfigError(f"'out' must be a directory path string, got {settings['out']!r}")
-    # The run makes the missing part of the path; a file on it would only fail after the run.
-    if not os.path.isdir(out := settings["out"]):
+    # The run makes the missing part of the path; a file on it, or a name the OS refuses, would fail after the run.
+    try:
+        os.stat(out := settings["out"])
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # the nearest existing parent is checked below
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"'out' is not a usable directory path: {getattr(exc, 'strerror', None) or exc}")
+    if not os.path.isdir(out):
         nearest = next(p for p in (Path(out), *Path(out).parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"'out' must be a directory path, but {nearest} is not a directory")

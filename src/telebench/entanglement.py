@@ -18,6 +18,7 @@ avoid.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -269,8 +270,8 @@ def witness_evaluate(rho: DensityMatrix, phi, alpha: float) -> WitnessResult:
     ``alpha`` is the maximal squared biseparable overlap with ``phi``; the
     robustness lower bound is max(0, -expectation/alpha).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be a real number strictly between 0 and 1, got {alpha!r}")
     overlap = state_fidelity_pure(rho, phi)
     exp_value = alpha - overlap
     return WitnessResult(

@@ -14,6 +14,7 @@ gives a list or a (B, ...) array, computed in one batched pass.
 place a stage checks that its states have its register's size.
 :meth:`DensityMatrix.stack` validates a (B, d, d) stack member by member
 with one batched ``eigvalsh``, and errors from a stack name the member.
+:func:`nearest_physical` takes matrices instead, and makes them states.
 """
 
 from __future__ import annotations
@@ -239,24 +240,24 @@ def nearest_physical(h):
     must be at least 1e-9: rescaling by a negative one would flip the
     spectrum and return the farthest state instead of the nearest.
 
-    One matrix (a :class:`DensityMatrix` or a 2-D array) gives a
-    DensityMatrix. A stack (a sequence of them or a (B, d, d) array) gives
-    a list, projected with one batched ``eigh``; each member's truncation
-    runs on its own, and each result equals the single-matrix projection
-    bit for bit.
+    One (d, d) array gives a :class:`DensityMatrix`. A stack (a (B, d, d)
+    array or a list of (d, d) arrays) gives a list, projected with one
+    batched ``eigh``; each member's truncation runs on its own, and each
+    result equals the single-matrix projection bit for bit. A non-finite
+    entry raises, naming the member of a stack.
     """
-    if isinstance(h, (list, tuple)):
-        h = [getattr(x, "matrix", x) for x in h]
-    m = np.asarray(getattr(h, "matrix", h), dtype=complex)
+    m = np.asarray(h, dtype=complex)
     single = m.ndim == 2
     if single:
         m = m[np.newaxis]
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    m = (m + m.conj().swapaxes(1, 2)) / 2.0
-    tr = m.trace(axis1=1, axis2=2).real
+    with np.errstate(invalid="ignore"):  # an infinite entry gives NaNs here, rejected just below
+        m = (m + m.conj().swapaxes(1, 2)) / 2.0
+        tr = m.trace(axis1=1, axis2=2).real
     bad_trace = "matrix trace is too close to zero or negative to rescale, got {}".format
     check_members(tr, lambda v: not v >= 1e-9, bad_trace, single)  # negated: a NaN trace raises too
+    check_members(~np.isfinite(m).all(axis=(1, 2)), bool, lambda _: "matrix contains non-finite entries", single)
     vals, vecs = np.linalg.eigh(m / tr[:, np.newaxis, np.newaxis])
     _truncate_spectra(vals)
     states = DensityMatrix.stack((vecs * vals[:, np.newaxis, :]) @ vecs.conj().swapaxes(1, 2))

@@ -119,14 +119,14 @@ def test_process_tomography_round_trip_against_kraus_expansion():
     # Amplitude damping composed with a rotation has a dense chi: recover it
     # from the four canonical in/out pairs and compare with the direct
     # basis expansion of the Kraus operators.
-    from telebench.circuit import rotation_unitary
+    from telebench.circuit import Rotation, rotation_unitary
 
     gamma = 0.3
     kraus = [
         np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
         np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
     ]
-    u = rotation_unitary((0.0, 1.0, 0.0), 0.7)
+    u = rotation_unitary(Rotation((0.0, 1.0, 0.0), 0.7, qubit=0))
     kraus = [u @ k for k in kraus]
     outputs = []
     for ket in canonical_inputs():

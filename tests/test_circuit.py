@@ -95,23 +95,10 @@ CIRCUITS = {"compiled_fig1b": build_teleport_circuit(), "standard_fig1a": textbo
 
 
 def test_rotation_unitary_examples():
-    assert np.allclose(rotation_unitary((0, 0, 1), 0.0), np.eye(2))
-    assert np.allclose(rotation_unitary((1, 0, 0), math.pi), -1j * PAULI_X, atol=1e-12)
+    assert np.allclose(rotation_unitary(Rotation((0, 0, 1), 0.0, qubit=0)), np.eye(2))
+    assert np.allclose(rotation_unitary(Rotation((1, 0, 0), math.pi, qubit=0)), -1j * PAULI_X, atol=1e-12)
     expected = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-    assert np.allclose(rotation_unitary((0, 1, 0), math.pi / 2.0), expected, atol=1e-12)
-
-
-def test_rotation_unitary_rejects_non_unit_axis():
-    for axis in ((1.0, 1.0, 0.0), (math.nan, 0.0, 1.0)):  # a NaN axis used to give a NaN unitary
-        with pytest.raises(ValueError):
-            rotation_unitary(axis, 0.3)
-
-
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, True, "0.3", None])
-def test_rotation_unitary_rejects_a_non_finite_or_non_real_angle(angle):
-    # A NaN angle used to give an all-NaN unitary.
-    with pytest.raises(ValueError, match="rotation angle must be a finite number"):
-        rotation_unitary((0, 0, 1), angle)
+    assert np.allclose(rotation_unitary(Rotation((0, 1, 0), math.pi / 2.0, qubit=0)), expected, atol=1e-12)
 
 
 def test_gate_unitaries_are_unitary():
@@ -119,12 +106,12 @@ def test_gate_unitaries_are_unitary():
     for _ in range(20):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        u = rotation_unitary(axis, rng.uniform(-2 * math.pi, 2 * math.pi))
+        u = rotation_unitary(Rotation(tuple(axis), rng.uniform(-2 * math.pi, 2 * math.pi), qubit=0))
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
     for circuit in CIRCUITS.values():
         for gate in circuit.gates:
             if isinstance(gate, Rotation):
-                u = rotation_unitary(gate.axis, gate.angle)
+                u = rotation_unitary(gate)
                 assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
         # Without a device, S is U (x) conj(U) of the whole circuit, C-Phases included.
         s = circuit_superoperator(circuit)
@@ -134,7 +121,7 @@ def test_gate_unitaries_are_unitary():
 def test_gate_unitary_matches_kron_embedding():
     # apply_circuit contracts each gate's operator on its own qubits' axes.
     rng = np.random.default_rng(3)
-    extra = [Rotation(a / np.linalg.norm(a), 0.7, qubit=q) for q, a in enumerate(rng.normal(size=(3, 3)))]
+    extra = [Rotation(tuple(a / np.linalg.norm(a)), 0.7, qubit=q) for q, a in enumerate(rng.normal(size=(3, 3)))]
     rho = random_density(rng, 8)
     for gate in [g for c in CIRCUITS.values() for g in c.gates] + extra:
         u = kron_gate_unitary(gate, 3)
@@ -242,7 +229,7 @@ def test_compiled_circuit_gate_inventory():
     assert {g.pair for g in gates if isinstance(g, CPhase)} == {"AB", "BC"}
 
 
-def test_unknown_variant_rejected():
+def test_build_teleport_circuit_takes_no_variant():
     # Only the compiled circuit is built; the function takes no variant at all.
     for variant in ("fancy", "compiled_fig1b", "standard_fig1a"):
         with pytest.raises(TypeError):
@@ -417,7 +404,8 @@ def test_contracted_kraus_matches_dense_embedding(seed, duration, t1, t2_ratio):
         expected = dense_kraus(rho, damping_channels(duration, device, q), (q,), 3)
         assert np.max(np.abs(decohered(rho, duration, device, q) - expected)) < 1e-13
     axis = rng.normal(size=3)
-    rotation = Rotation(axis / np.linalg.norm(axis), rng.uniform(-2.0 * math.pi, 2.0 * math.pi), int(rng.integers(3)))
+    angle = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+    rotation = Rotation(tuple(axis / np.linalg.norm(axis)), angle, int(rng.integers(3)))
     for gate in (rotation, CPhase(str(rng.choice(["AB", "BC"])))):
         u = kron_gate_unitary(gate, 3)
         expected = u @ rho @ u.conj().T
@@ -486,6 +474,29 @@ def test_device_params_validation():
         DeviceParams(t1=(1e-6, 1e-6), t2_star=(1e-6, 1e-6), j_ab=36e6, j_bc=23e6)
     with pytest.raises(ValueError):
         DeviceParams(t1=(1e-6, 1e-6, 1e-6), t2_star=(1e-6, 1e-6, 1e-6), j_ab=-1.0, j_bc=23e6)
+
+
+# Values that hold three items but are not a list or tuple: a set or a dict has
+# no order of its own, and a generator or an array is not a stored sequence.
+NOT_A_LIST_OR_TUPLE = {
+    "set": set,
+    "dict": dict.fromkeys,
+    "generator": lambda values: (v for v in values),
+    "array": np.array,
+}
+
+
+def test_device_coherence_times_must_be_a_list_or_tuple():
+    # A set of T1 values used to be stored in the set's own order: this one as
+    # T1 = (0.70, 0.55, 1.10) us, giving qubit A another qubit's T1.
+    with pytest.raises(ValueError, match=re.escape("t1 must list exactly three qubits (A, B, C)")):
+        DeviceParams(t1={5.5e-7, 7e-7, 1.1e-6}, t2_star=(4.5e-7, 6e-7, 9e-7), j_ab=36e6, j_bc=23e6)
+    for field in ("t1", "t2_star"):
+        for make in NOT_A_LIST_OR_TUPLE.values():
+            d = reference_device().to_dict()
+            d[field] = make(d[field])
+            with pytest.raises(ValueError, match=re.escape(f"{field} must list exactly three qubits (A, B, C)")):
+                DeviceParams.from_dict(d)
 
 
 CHECKED_DEVICE_FIELDS = ("t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time")
@@ -646,7 +657,14 @@ def test_rotation_needs_a_real_unit_axis(axis):
         Rotation(axis, 0.1, qubit=0)
 
 
-@pytest.mark.parametrize("angle", [None, math.nan, math.inf, True, "0.1", 1j])
+def test_rotation_axis_must_be_a_list_or_tuple():
+    # Each used to be read through tuple(): a set axis in the set's own order.
+    for make in NOT_A_LIST_OR_TUPLE.values():
+        with pytest.raises(ValueError, match="rotation axis must be a unit 3-vector"):
+            Rotation(make((0.0, 0.6, 0.8)), 0.1, qubit=0)
+
+
+@pytest.mark.parametrize("angle", [None, math.nan, math.inf, -math.inf, True, "0.1", 1j])
 def test_rotation_needs_a_finite_real_angle(angle):
     with pytest.raises(ValueError, match="rotation angle must be a finite number"):
         Rotation((0.0, 0.0, 1.0), angle, qubit=0)
@@ -679,6 +697,15 @@ def test_circuit_stores_its_gates_as_a_tuple_of_gates():
     assert circuit.gates == (CPhase("AB"),)
     with pytest.raises(TypeError, match="a circuit holds Gate values, got tuple"):
         Circuit((("cphase", (0, 1)),))
+
+
+def test_circuit_gates_must_be_a_list_or_tuple():
+    # A set of gates used to become a circuit in the set's own order.
+    gates = (Rotation((0.0, 1.0, 0.0), 0.3, qubit=0), CPhase("AB"))
+    for make in NOT_A_LIST_OR_TUPLE.values():
+        value = make(gates)
+        with pytest.raises(TypeError, match=f"^a circuit's gates must be a list or tuple, got {type(value).__name__}$"):
+            Circuit(value)
 
 
 @pytest.mark.parametrize(
@@ -729,7 +756,7 @@ def test_gate_rejects_qubit_count_other_than_its_kind(kind, qubits):
             Rotation((0.0, 1.0, 0.0), 0.3, qubit=qubits)
 
 
-def test_gate_rejects_repeated_qubits_and_unknown_kinds():
+def test_gates_take_no_qubits_and_gate_kinds_are_types():
     for qubits in ((1, 1), (np.int64(2), 2)):
         with pytest.raises(TypeError, match="unexpected keyword argument 'qubits'"):
             CPhase("BC", qubits=qubits)
@@ -763,7 +790,7 @@ def test_circuit_requires_a_positive_integer_register(num_qubits):
         Circuit(num_qubits=num_qubits, gates=())
 
 
-def test_circuit_accepts_a_numpy_integer_register():
+def test_circuit_stores_a_numpy_integer_qubit_as_an_int_and_has_no_register_size():
     circuit = Circuit(gates=(Rotation((0.0, 1.0, 0.0), 0.3, qubit=np.int64(2)),))
     assert circuit.gates[0].qubit == 2 and type(circuit.gates[0].qubit) is int
     assert not hasattr(circuit, "num_qubits")

@@ -246,6 +246,23 @@ def test_out_that_names_a_file_exits_2_before_any_work(command, source, below, t
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "run.json"]
 
 
+@pytest.mark.parametrize(
+    "out, reason", [("a\u0000b", "embedded null byte"), ("a" * 5000, "File name too long")], ids=["null_byte", "too_long"]
+)
+@pytest.mark.parametrize("command", [["bench"], ["state", "plus"]], ids=["bench", "state"])
+def test_out_that_the_os_refuses_exits_2_before_any_work(command, out, reason, tmp_path, capsys, monkeypatch):
+    # A null byte used to run the whole pipeline, then exit 1 from mkdir; a
+    # 5000-character name exited 1 with OSError before the run.
+    monkeypatch.setattr(cli, "run_benchmark", lambda *a: pytest.fail("ran the benchmark"))
+    monkeypatch.setattr(cli, "run_state", lambda *a: pytest.fail("ran the state"))
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps({"out": out}))
+    code = run_cli([*command, "--noise=on", "--config", "run.json"])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: 'out' is not a usable directory path: {reason}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_bench_seed_required_with_shots(tmp_path, capsys):
     code = run_cli(["bench", "--shots", "100", "--out", str(tmp_path)])
     err = capsys.readouterr().err

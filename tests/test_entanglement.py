@@ -619,9 +619,11 @@ def test_witness_separable_state_not_flagged():
 def test_witness_rejects_bad_alpha():
     phi = ideal_phi(MINUS)
     rho = DensityMatrix.from_ket(phi)
-    for alpha in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
+    # A string, None or a list used to raise a bare TypeError from the range comparison.
+    for alpha in (0.0, 1.0, -0.2, 1.5, True, False, "0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
             witness_evaluate(rho, phi, alpha=alpha)
+    assert witness_evaluate(rho, phi, alpha=np.float64(0.5)) == witness_evaluate(rho, phi, alpha=0.5)
 
 
 def test_witness_result_serializes():

@@ -10,8 +10,9 @@ regenerates the goldens on purpose, from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 
-Regeneration rewrites only the configurations whose reports differ beyond
-the timestamp line, so its diff names exactly the goldens whose values moved.
+Regeneration rewrites only the files whose text differs beyond the timestamp
+line, and keeps the committed timestamp line in each, so its diff names
+exactly the lines whose values moved.
 For each rewritten golden it prints how many numbers in its JSON reports
 changed, the old -> new figures of merit (:data:`MERIT_KEYS`), each number
 added or removed, and the largest absolute change.
@@ -67,6 +68,12 @@ def stripped_reports(directory: Path) -> dict[str, str]:
     if not directory.is_dir():
         return {}
     return {p.name: TIMESTAMP_LINE.sub("", p.read_text()) for p in directory.iterdir()}
+
+
+def with_timestamp_of(committed: str, text: str) -> str:
+    """``text`` with its timestamp line replaced by the one ``committed`` has, if any."""
+    line = TIMESTAMP_LINE.search(committed)
+    return TIMESTAMP_LINE.sub(lambda _: line.group(0), text, count=1) if line else text
 
 
 def differing_files(golden: Path, actual: Path) -> list[str]:
@@ -164,8 +171,8 @@ def sync_goldens(golden_dir: Path = GOLDEN_DIR, configs: dict = CONFIGS, check: 
 
     Prints a change summary per golden. With ``check``, nothing is written
     (the summary line of every golden is printed) and the result is 1 if any
-    golden differs; without, each differing golden is rewritten and the
-    result is 0.
+    golden differs; without, each differing file is rewritten, keeping its
+    committed timestamp line, and the result is 0.
     """
     differs = False
     for name, args in configs.items():
@@ -181,8 +188,14 @@ def sync_goldens(golden_dir: Path = GOLDEN_DIR, configs: dict = CONFIGS, check: 
             if check:
                 print(f"{name}: {summary[0]}" + (f"; differing files: {', '.join(files)}" if files else ""))
             else:
-                shutil.rmtree(out, ignore_errors=True)
-                shutil.copytree(tmp, out)
+                out.mkdir(parents=True, exist_ok=True)
+                for file in files:
+                    golden, new = out / file, Path(tmp) / file
+                    if not new.exists():
+                        golden.unlink()
+                        continue
+                    committed = golden.read_text() if golden.exists() else ""
+                    golden.write_text(with_timestamp_of(committed, new.read_text()))
                 print(f"rewrote {out}: {summary[0]}")
             for line in summary[1:]:
                 print(f"  {line}")
@@ -226,6 +239,18 @@ def test_regeneration_rewrites_only_differing_goldens(tmp_path, capsys):
     assert differing_files(GOLDEN_DIR / "state_1", tmp_path / "state_1") == []
     assert (tmp_path / "state_0" / "state_0.json").stat().st_mtime_ns == untouched
     assert sync_goldens(tmp_path, configs, check=True) == 0
+    capsys.readouterr()
+
+    # A golden with one edited number comes back as the committed bytes, timestamp line included.
+    report = tmp_path / "state_0" / "state_0.json"
+    edited = report.read_text().replace('"state_fidelity": 0.', '"state_fidelity": 1.', 1)
+    report.write_text(edited)
+    assert edited != (GOLDEN_DIR / "state_0" / "state_0.json").read_text()
+    assert sync_goldens(tmp_path, configs) == 0
+    count = len(report_numbers(GOLDEN_DIR / "state_0"))
+    assert capsys.readouterr().out.splitlines()[0] == f"rewrote {tmp_path / 'state_0'}: 1 of {count} numbers changed"
+    committed = {p.name: p.read_bytes() for p in (GOLDEN_DIR / "state_0").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "state_0").iterdir()} == committed
 
 
 def main(argv=None) -> int:

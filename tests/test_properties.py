@@ -144,7 +144,7 @@ def test_nearest_physical_is_idempotent(seed):
     h = (g + g.conj().T) / 2.0
     h += (1.0 - np.trace(h).real) / 8.0 * np.eye(8)  # unit trace, generally indefinite
     once = nearest_physical(h)
-    twice = nearest_physical(once)
+    twice = nearest_physical(once.matrix)
     assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-9
 
 

@@ -78,13 +78,13 @@ def test_partial_trace_matches_index_sum_oracle():
 # --- Pauli expectations (kron-built operators and a trace against pauli_set) ---
 
 
-def test_pauli_operator_examples():
+def test_kron_pauli_examples():
     assert np.array_equal(kron_pauli("III"), np.eye(8))
     assert np.array_equal(kron_pauli("ZII"), np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex))
     assert np.array_equal(kron_pauli("IXI"), np.kron(ID2, np.kron(PAULI_X, ID2)))
 
 
-def test_expectation_examples():
+def test_kron_pauli_and_pauli_set_expectation_examples():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     ket000, ket_plus00 = computational_ket(0, 8), np.kron(plus, computational_ket(0, 4))
     for ket, label, value in ((ket000, "ZII", 1.0), (ket000, "XII", 0.0), (ket_plus00, "XII", 1.0)):
@@ -94,7 +94,7 @@ def test_expectation_examples():
     assert np.all(np.abs(pauli_set(DensityMatrix(np.eye(8) / 8.0))) < 1e-15)
 
 
-def test_expectation_identity_is_one_for_any_state():
+def test_kron_pauli_identity_has_unit_expectation_in_any_state():
     rng = np.random.default_rng(3)
     for _ in range(10):
         rho = DensityMatrix(random_density(rng, 8))
@@ -118,7 +118,7 @@ def test_state_fidelity_dimension_mismatch():
 # --- projection onto an outcome of qubits A, B (conditional_output_state) ----
 
 
-def test_project_and_renormalize_examples():
+def test_conditional_output_state_examples():
     psi000 = computational_ket(0, 8)
     rho = DensityMatrix.from_ket(psi000)
     out, prob = conditional_output_state(rho, "00")
@@ -128,7 +128,7 @@ def test_project_and_renormalize_examples():
         conditional_output_state(rho, "11")
 
 
-def test_project_and_renormalize_maximally_mixed():
+def test_conditional_output_state_of_the_maximally_mixed_state():
     rho = DensityMatrix(np.eye(8) / 8.0)
     p = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), ID2)
     out, prob = conditional_output_state(rho, "01")
@@ -184,7 +184,7 @@ def test_nearest_physical_is_idempotent_and_trace_preserving():
         h = (g + g.conj().T) / 2.0 + np.eye(4)
         h = h / np.trace(h).real
         once = nearest_physical(h)
-        twice = nearest_physical(once)
+        twice = nearest_physical(once.matrix)
         assert np.max(np.abs(once.matrix - twice.matrix)) < 1e-9
         assert np.trace(once.matrix).real == pytest.approx(1.0, abs=1e-12)
 
@@ -214,12 +214,36 @@ def test_nearest_physical_rejects_a_negative_trace():
     assert np.allclose(nearest_physical(np.diag([2e-9, 0.0])).matrix, np.diag([1.0, 0.0]))
 
 
+def test_nearest_physical_takes_matrices_not_states():
+    # A state is physical already: the projection is for estimates that may not be.
+    state = DensityMatrix(np.eye(2) / 2.0)
+    for value in (state, [state, state]):
+        with pytest.raises(TypeError):
+            nearest_physical(value)
+
+
+def test_nearest_physical_rejects_a_non_finite_entry_before_dividing():
+    # These used to warn "invalid value encountered in divide" (an error in this
+    # suite), then name member 0 of a single matrix.
+    good = np.eye(2) / 2.0
+    for bad in (
+        np.diag([np.inf, 1.0]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.array([[0.5, np.inf], [-np.inf, 0.5]]),
+        np.array([[0.5, np.nan], [0.0, 0.5]]),
+    ):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            nearest_physical(bad)
+        with pytest.raises(ValueError, match="^member 1: matrix contains non-finite entries$"):
+            nearest_physical(np.array([good, bad, good]))
+
+
 def test_stacked_nearest_physical_names_the_member_with_a_negative_trace():
     good = np.eye(2) / 2.0
     with pytest.raises(ValueError, match=r"member 2: matrix trace is too close to zero or negative to rescale"):
         nearest_physical(np.array([good, good, np.diag([0.5, -1.5]), good]))
     with pytest.raises(ValueError, match=r"member 0: matrix trace is too close to zero or negative"):
-        nearest_physical([-good, DensityMatrix(good)])
+        nearest_physical([-good, good])
 
 
 def test_spectrum_walk_equals_the_argmin_loop_byte_for_byte():

@@ -118,8 +118,8 @@ def test_stacked_reconstruction_equals_single_calls(values):
     projected = nearest_physical(mus)
     assert all(np.array_equal(p.matrix, nearest_physical(mu).matrix) for p, mu in zip(projected, mus))
     assert all(np.array_equal(p.matrix, s.matrix) for p, s in zip(projected, stacked))
-    again = nearest_physical(stacked)  # a sequence of DensityMatrix values
-    assert all(np.array_equal(p.matrix, nearest_physical(s).matrix) for p, s in zip(again, stacked))
+    again = nearest_physical([s.matrix for s in stacked])  # a list of arrays
+    assert all(np.array_equal(p.matrix, nearest_physical(s.matrix).matrix) for p, s in zip(again, stacked))
 
 
 @settings(max_examples=20, deadline=None)
