@@ -39,13 +39,23 @@ import pytest
 from telebench.cli import main as cli_main
 from test_acceptance import TIMESTAMP_LINE
 
-GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+DATA_DIR = Path(__file__).parent / "data"
+GOLDEN_DIR = DATA_DIR / "golden"
 
 _SAMPLED = ["--noise=on", "--shots=10000", "--seed", "7"]
 CONFIGS = {
     "bench_noise_off": ["bench", "--noise=off", "--shots=0", "--format", "both"],
     "bench_noise_on": ["bench", "--noise=on", "--shots=0", "--restarts", "200", "--format", "both"],
     "bench_sampled": ["bench", *_SAMPLED, "--format", "both"],
+    # The reference device with every T1 and T2* scaled by 1e-3: outcome 00 is kept; 10 (p = 1.7e-10)
+    # is below the analytic floor, so its process is skipped but its conditional fidelities stay; 01 and
+    # 11 vanish and report null. Their probabilities (5.6e-16 and 8e-40) are float noise, so any
+    # float-level change upstream of the projection moves them, and this golden with them.
+    "bench_decohering": [
+        "bench", "--config", str(DATA_DIR / "decohering_device.json"), "--noise=on", "--shots=0", "--format", "both"
+    ],
+    # 20 shots leave every outcome under the 10-count floor: four skipped processes and null means.
+    "bench_few_shots": ["bench", "--noise=on", "--shots=20", "--seed", "7", "--format", "both"],
     **{f"state_{label}": ["state", label, *_SAMPLED] for label in ("0", "1", "minus", "plus")},
 }
 
