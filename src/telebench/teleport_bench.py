@@ -270,6 +270,10 @@ def _run_inputs(device: DeviceParams, labels, shots: int, seed: int, noise: bool
     return _metadata(device, shots, seed, noise, restarts), entries, rhos_m
 
 
+def _mean(values: list[float]) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
 def run_benchmark(
     device: DeviceParams,
     shots: int = 0,
@@ -279,65 +283,47 @@ def run_benchmark(
 ) -> dict:
     """Run the full benchmark and return the report as a plain dict.
 
-    The four canonical inputs are evolved as one stack and go through the
-    state stage (:func:`_run_inputs`) as one stack. Then, per measurement
-    outcome: one conditional projection of the stack -> process tomography
-    -> process and average output fidelities. An outcome whose probability
-    is below the floor for some input is skipped; one that vanishes for some
-    input is not projected either, and its conditional fidelities are
-    ``None``. Deterministic for a given seed: each input reads out from its
-    own substream, and the two entangled inputs bound their tangle from one
-    substream of the run. Raises before any work: ``ValueError`` for settings
-    that :func:`check_run_settings` rejects, ``TypeError`` unless ``device`` is a :class:`DeviceParams`.
+    The four inputs go through the state stage (:func:`_run_inputs`) as one stack. Then one pass
+    per outcome decides from its least probability over the inputs whether it is *projected* (not
+    below :data:`VANISHING_PROBABILITY`), with conditional fidelities, else ``None``, and whether it
+    is *kept* (projected, and not below the run's floor: 1e-6 at ``shots == 0``, else 10 counts),
+    with a process matrix and fidelities, else ``{"skipped": True}``. Deterministic for a given seed:
+    each input reads out from its own substream, and the two entangled inputs bound their tangle from
+    one substream. Raises before any work: ``ValueError`` for settings that :func:`check_run_settings`
+    rejects, ``TypeError`` unless ``device`` is a :class:`DeviceParams`.
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
-    shots = metadata["shots"]
-    for entry in entries:
-        entry["outcomes"] = {}
-    # Outcome ij's probability is the sum of the two diagonal entries with A, B in ij.
-    diagonals = np.array([rho.matrix.diagonal().real for rho in rhos_m])
-    processes_block: dict[str, dict] = {}
-    for outcome, probabilities in zip(OUTCOMES, diagonals.reshape(-1, 4, 2).sum(axis=2).T):
-        vanishing = bool(np.any(probabilities < VANISHING_PROBABILITY))
-        fidelities = [None] * len(entries)
-        if not vanishing:
+    scale, floor = (metadata["shots"], SAMPLED_MIN_COUNTS) if metadata["shots"] else (1, ANALYTIC_PROBABILITY_FLOOR)
+    # Row ij holds outcome ij's probability per input: the sum of the two diagonal entries with A, B in ij.
+    table = np.array([rho.matrix.diagonal().real for rho in rhos_m]).reshape(-1, 4, 2).sum(axis=2).T.tolist()
+    records, processes = [{} for _ in entries], {}
+    for outcome, probabilities in zip(OUTCOMES, table):
+        projected = (least := min(probabilities)) >= VANISHING_PROBABILITY
+        kept = projected and least * scale >= floor
+        fidelities, processes[outcome] = [None] * len(entries), {"skipped": True}
+        if projected:
             rhos_c, _ = conditional_output_state(rhos_m, outcome)
-            fidelities = [float(f) for f in state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome])]
-        for entry, probability, fidelity in zip(entries, probabilities, fidelities):
-            entry["outcomes"][outcome] = {"probability": float(probability), "conditional_fidelity": fidelity}
-        floor_hit = any(
-            (p < ANALYTIC_PROBABILITY_FLOOR) if shots == 0 else (p * shots < SAMPLED_MIN_COUNTS)
-            for p in probabilities
-        )
-        if vanishing or floor_hit:
-            processes_block[outcome] = {"skipped": True}
-            continue
-        chi = process_tomography(rhos_c)
-        fp = process_fidelity(chi, ideal_chi(outcome))
-        processes_block[outcome] = {
-            "skipped": False,
-            "chi": _pack_matrix(chi),
-            "process_fidelity": fp,
-            "average_output_fidelity": average_output_fidelity(fp),
-        }
-
-    states_block = dict(zip(INPUT_LABELS, entries))
-    done = [proc for proc in processes_block.values() if not proc["skipped"]]
-    report = {
+            fidelities = state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome]).tolist()
+        if kept:
+            chi = process_tomography(rhos_c)
+            fp = process_fidelity(chi, ideal_chi(outcome))
+            fps = {"process_fidelity": fp, "average_output_fidelity": average_output_fidelity(fp)}
+            processes[outcome] = {"skipped": False, "chi": _pack_matrix(chi), **fps}
+        for record, probability, fidelity in zip(records, probabilities, fidelities):
+            record[outcome] = {"probability": probability, "conditional_fidelity": fidelity}
+    done = [process for process in processes.values() if not process["skipped"]]
+    return {
         "schema": SCHEMA_VERSION,
         "metadata": metadata,
-        "states": states_block,
-        "processes": processes_block,
+        "states": {label: {**entry, "outcomes": rec} for label, entry, rec in zip(INPUT_LABELS, entries, records)},
+        "processes": processes,
         "averages": {
-            "mean_state_fidelity": float(np.mean([states_block[l]["state_fidelity"] for l in INPUT_LABELS])),
-            "mean_process_fidelity": float(np.mean([p["process_fidelity"] for p in done])) if done else None,
-            "mean_average_output_fidelity": (
-                float(np.mean([p["average_output_fidelity"] for p in done])) if done else None
-            ),
+            "mean_state_fidelity": _mean([entry["state_fidelity"] for entry in entries]),
+            "mean_process_fidelity": _mean([process["process_fidelity"] for process in done]),
+            "mean_average_output_fidelity": _mean([process["average_output_fidelity"] for process in done]),
         },
         "paper_reference": PAPER_REFERENCE,
     }
-    return report
 
 
 def run_state(
