@@ -160,6 +160,10 @@ class DeviceParams:
             if not 0.0 < (t := self.cphase_time(pair)) < math.inf:
                 raise ValueError(f"C-Phase time 1/(2*{name}) must be finite and positive, got {t!r} for {name}={j!r}")
         for q, (t1, t2) in enumerate(zip(self.t1, self.t2_star)):
+            # 1/(2*T1) overflows for a T1 below about 2.8e-309, and the dephasing rate
+            # 1/T2* - 1/(2*T1) would then be inf - inf = NaN. An infinite 1/T2* alone is full dephasing.
+            if not (rate := 1.0 / (2.0 * t1)) < math.inf:
+                raise ValueError(f"decay rate 1/(2*t1[{q}]) must be finite, got {rate!r} for t1[{q}]={t1!r}")
             if t2 > 2.0 * t1 * (1.0 + 1e-12):
                 raise ValueError(f"unphysical dephasing: T2*={t2} exceeds 2*T1={2 * t1} on qubit {q}")
 

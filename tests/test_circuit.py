@@ -39,7 +39,7 @@ from telebench.circuit import (
     rotation_unitary,
 )
 from telebench.qops import DensityMatrix, PAULI_X, computational_ket, state_fidelity_pure
-from telebench.teleport_bench import conditional_output_state
+from telebench.teleport_bench import conditional_output_state, run_state
 
 
 INPUT_KETS = {
@@ -527,6 +527,27 @@ def test_device_params_reject_a_coupling_whose_cphase_time_is_not_finite_positiv
     # its decoherence; at J = 5e-324 it lasts forever, and inf * 0 makes S NaN.
     with pytest.raises(ValueError, match=rf"C-Phase time 1/\(2\*{field}\) must be finite and positive"):
         DeviceParams.from_dict(device_dict_with(field, j))
+
+
+@pytest.mark.parametrize("qubit", range(3))
+def test_device_params_reject_a_t1_whose_decay_rate_overflows(qubit):
+    # Unchecked, 1/T2* - 1/(2*T1) is inf - inf = NaN at T1 = T2* = 1e-310, and
+    # the noisy run fails after evolving its inputs, with non-finite states.
+    d = device_dict_with("t1", 1e-310, qubit)
+    d["t2_star"][qubit] = 1e-310
+    with pytest.raises(ValueError, match=re.escape(f"decay rate 1/(2*t1[{qubit}]) must be finite")):
+        DeviceParams.from_dict(d)
+
+
+def test_device_with_a_subnormal_t2_star_alone_runs_fully_dephased():
+    # 1/(2*T1) stays finite down to T1 = 2.8e-309; an infinite 1/T2* is full dephasing.
+    for t1, t2_star in ((2.8e-309, 2.8e-309), (5.5e-7, 1e-310)):
+        d = device_dict_with("t1", t1)
+        d["t2_star"][0] = t2_star
+        rho = run_state(DeviceParams.from_dict(d), "plus", noise=True)["rho"]
+        m = np.array(rho["real"]) + 1j * np.array(rho["imag"])
+        assert np.isfinite(m).all()
+        assert not m.reshape(2, 4, 2, 4)[0, :, 1, :].any()  # no coherence between A = 0 and A = 1
 
 
 @pytest.mark.parametrize(

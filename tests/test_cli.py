@@ -158,6 +158,20 @@ def test_bench_coupling_whose_cphase_time_is_not_finite_positive_exits_2(field, 
     assert not (tmp_path / "report.json").exists()
 
 
+def test_bench_t1_whose_decay_rate_overflows_exits_2(tmp_path, capsys):
+    # Unchecked, this exits 1 after evolving the inputs: the dephasing rate
+    # 1/T2* - 1/(2*T1) of qubit A is inf - inf = NaN.
+    device = DeviceParams.reference().to_dict()
+    device["t1"][0] = device["t2_star"][0] = 1e-310
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"device": device}))
+    code = run_cli(["bench", "--config", str(config), "--noise=on", "--restarts", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(r"config error: invalid device config: decay rate 1/(2*t1[0]) must be finite")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_device_fields_are_pinned_and_a_removed_cphase_time_exits_2(tmp_path, capsys):
     names = [f.name for f in dataclasses.fields(DeviceParams)]
     assert names == ["t1", "t2_star", "j_ab", "j_bc", "single_qubit_gate_time"]
