@@ -238,7 +238,8 @@ def nearest_physical(h):
     none are negative. This reproduces the exact Frobenius-norm projection
     onto the physical set and is idempotent on physical inputs. The trace
     must be at least 1e-9: rescaling by a negative one would flip the
-    spectrum and return the farthest state instead of the nearest.
+    spectrum and return the farthest state instead of the nearest. Entries
+    up to the float limit project without overflow.
 
     One (d, d) array gives a :class:`DensityMatrix`. A stack (a (B, d, d)
     array or a list of (d, d) arrays) gives a list, projected with one
@@ -252,11 +253,19 @@ def nearest_physical(h):
         m = m[np.newaxis]
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    with np.errstate(invalid="ignore"):  # an infinite entry gives NaNs here, rejected just below
+    # Dividing by the trace makes the projection invariant under positive scaling, so each member is
+    # first scaled, exactly, by the power of two that brings its largest part into [0.5, 1): near 1e308
+    # the sums below would overflow. The trace floor is checked on the trace before scaling.
+    parts = np.ascontiguousarray(m).view(float)
+    exponents = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]  # 0 for a non-finite part
+    m = np.ldexp(parts, -exponents[:, np.newaxis, np.newaxis]).view(complex)
+    # An infinite entry gives NaNs here, rejected just below; a trace beyond 1.8e308 is infinite, above the floor.
+    with np.errstate(invalid="ignore", over="ignore"):
         m = (m + m.conj().swapaxes(1, 2)) / 2.0
         tr = m.trace(axis1=1, axis2=2).real
+        unscaled = np.ldexp(tr, exponents)
     bad_trace = "matrix trace is too close to zero or negative to rescale, got {}".format
-    check_members(tr, lambda v: not v >= 1e-9, bad_trace, single)  # negated: a NaN trace raises too
+    check_members(unscaled, lambda v: not v >= 1e-9, bad_trace, single)  # negated: a NaN trace raises too
     check_members(~np.isfinite(m).all(axis=(1, 2)), bool, lambda _: "matrix contains non-finite entries", single)
     vals, vecs = np.linalg.eigh(m / tr[:, np.newaxis, np.newaxis])
     _truncate_spectra(vals)

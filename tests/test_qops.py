@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,17 @@ def test_nearest_physical_rejects_a_non_finite_entry_before_dividing():
             nearest_physical(bad)
         with pytest.raises(ValueError, match="^member 1: matrix contains non-finite entries$"):
             nearest_physical(np.array([good, bad, good]))
+
+
+def test_nearest_physical_projects_matrices_near_the_float_limit():
+    # The projection divides by the trace, so scaling the input changes nothing. Hermitizing
+    # diag(1e308, 1e308) used to overflow: a warning (an error in this suite), then a non-finite error.
+    good = np.eye(2) / 2.0
+    huge = np.diag([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(nearest_physical(huge).matrix, good)
+        assert np.array_equal(nearest_physical(np.array([good, huge]))[1].matrix, good)
 
 
 def test_stacked_nearest_physical_names_the_member_with_a_negative_trace():
