@@ -767,7 +767,7 @@ def test_gate_accepts_numpy_integer_qubits_as_ints():
         ("cphase", (0, 1, 2)),
     ],
 )
-def test_gate_rejects_qubit_count_other_than_its_kind(kind, qubits):
+def test_neither_gate_takes_qubits_and_a_rotation_takes_no_qubit_tuple(kind, qubits):
     # A rotation on (0, 1) used to rotate qubit 0 alone and pass for a valid
     # state. A rotation takes one qubit and a C-Phase none: its pair names them.
     with pytest.raises(TypeError, match="unexpected keyword argument 'qubits'"):
@@ -805,7 +805,7 @@ def test_gate_is_the_union_of_the_two_native_types():
 
 
 @pytest.mark.parametrize("num_qubits", [2.5, 3.0, True, 0, -1, "3", None])
-def test_circuit_requires_a_positive_integer_register(num_qubits):
+def test_circuit_takes_no_register_size(num_qubits):
     # The register is the device's A, B and C, so a circuit takes no size at all.
     with pytest.raises(TypeError, match="unexpected keyword argument 'num_qubits'"):
         Circuit(num_qubits=num_qubits, gates=())
