@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
@@ -39,6 +38,7 @@ from .qops import (
     PAULI_Y,
     PAULI_Z,
     STRUCTURAL_TOL,
+    is_real,
     require_integer,
     require_normalized,
     state_stack,
@@ -55,11 +55,6 @@ TELEPORT_BRANCH_OPS = {
     "10": -PAULI_Z,
     "11": -1j * PAULI_Y,
 }
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; bool is an int subclass, so it is rejected by name."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,10 +74,10 @@ class Rotation:
             raise ValueError(f"gate qubit must be 0, 1 or 2 (A, B or C), got {qubit}")
         object.__setattr__(self, "qubit", qubit)
         # Only a list or tuple has an order; a NaN norm compares false, so the test is negated.
-        three = isinstance(self.axis, (list, tuple)) and len(self.axis) == 3 and all(map(_is_real, self.axis))
+        three = isinstance(self.axis, (list, tuple)) and len(self.axis) == 3 and all(map(is_real, self.axis))
         if not (three and abs(math.hypot(*self.axis) - 1.0) <= STRUCTURAL_TOL):
             raise ValueError(f"rotation axis must be a unit 3-vector, got {self.axis!r}")
-        if not (_is_real(self.angle) and math.isfinite(self.angle)):  # a NaN angle makes a NaN unitary
+        if not (is_real(self.angle) and math.isfinite(self.angle)):  # a NaN angle makes a NaN unitary
             raise ValueError(f"rotation angle must be a finite number, got {self.angle!r}")
         # A tuple keeps the gate, and so its circuit, hashable: S caches by circuit.
         object.__setattr__(self, "axis", tuple(map(float, self.axis)))
@@ -147,7 +142,7 @@ class DeviceParams:
         checked = [(f"{name}[{q}]", v) for name in ("t1", "t2_star") for q, v in enumerate(getattr(self, name))]
         checked += [(name, getattr(self, name)) for name in ("j_ab", "j_bc", "single_qubit_gate_time")]
         for name, v in checked:
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
+            if not (is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
         # Every number is stored as a Python float: a NumPy scalar would reach the
         # report's metadata, which JSON cannot serialize.
@@ -226,9 +221,9 @@ def cphase_avoided_crossing(j_over_2pi: float, t: float) -> tuple[np.ndarray, fl
         and the leakage probability sin^2(2*pi*J*t).
     """
     # NaN compares false, so each test is negated rather than flipped.
-    if not (_is_real(j_over_2pi) and 0.0 < j_over_2pi < math.inf):
+    if not (is_real(j_over_2pi) and 0.0 < j_over_2pi < math.inf):
         raise ValueError(f"coupling strength must be a finite positive number, got {j_over_2pi!r}")
-    if not (_is_real(t) and 0.0 <= t < math.inf):
+    if not (is_real(t) and 0.0 <= t < math.inf):
         raise ValueError(f"interaction time must be a finite number >= 0, got {t!r}")
     phase = 2.0 * math.pi * j_over_2pi * t
     amp11 = math.cos(phase)
@@ -375,6 +370,5 @@ def apply_circuit(circuit: Circuit, rho, device: DeviceParams | None = None):
     # einsum's own loops, not BLAS: OpenBLAS runs a 64x64 complex
     # matrix-vector product on two threads, and that call stalls for a
     # scheduler time slice (about 4 ms) whenever the other core is busy.
-    out = np.einsum("bk,jk->bj", m.reshape(len(m), 64), circuit_superoperator(circuit, device))
-    out = DensityMatrix.stack(out.reshape(len(m), 8, 8))
-    return out[0] if single else out
+    out = np.einsum("bk,jk->bj", m.reshape(len(m), 64), circuit_superoperator(circuit, device)).reshape(len(m), 8, 8)
+    return DensityMatrix(out[0]) if single else DensityMatrix.stack(out)

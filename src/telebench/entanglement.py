@@ -18,12 +18,12 @@ avoid.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qops import DensityMatrix, require_count, require_integer, require_normalized, state_fidelity_pure, state_stack
+from .qops import (DensityMatrix, is_real, require_count, require_integer, require_normalized, state_fidelity_pure,
+                   state_stack)
 
 # Tolerance for deciding that a witness expectation is genuinely negative.
 _WITNESS_TOL = 1e-9
@@ -270,7 +270,7 @@ def witness_evaluate(rho: DensityMatrix, phi, alpha: float) -> WitnessResult:
     ``alpha`` is the maximal squared biseparable overlap with ``phi``; the
     robustness lower bound is max(0, -expectation/alpha).
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+    if not (is_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be a real number strictly between 0 and 1, got {alpha!r}")
     overlap = state_fidelity_pure(rho, phi)
     exp_value = alpha - overlap

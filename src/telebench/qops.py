@@ -23,8 +23,8 @@ import numbers
 
 import numpy as np
 
-# Structural invariants (values we construct) are enforced at 1e-9;
-# user-supplied inputs are validated at the looser 1e-6.
+# Every state, built here or given by the user, is held to 1e-9 when it
+# becomes a DensityMatrix; only a ket's norm is held to the looser 1e-6.
 STRUCTURAL_TOL = 1e-9
 INPUT_TOL = 1e-6
 
@@ -163,6 +163,11 @@ def require_normalized(psi) -> np.ndarray:
     return v
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; bool is an int subclass, so it is rejected by name."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_integer(name: str, value) -> int:
     """Return ``value`` as an int, raising unless it is an integer.
 
@@ -197,8 +202,8 @@ def state_fidelity_pure(rho, target):
     One :class:`DensityMatrix` and one ket give a float. A sequence of B
     states and a (B, d) array of kets give an array of B fidelities, from
     one batched ``matmul`` whose members equal the single-state values bit
-    for bit. Clamped to [0, 1]; values outside [0, 1 + 1e-9] indicate a bug
-    and raise.
+    for bit. Each ket's norm must be 1 to ``INPUT_TOL``; a valid state and such
+    a ket bound the value to within about 2e-6 of [0, 1], where it is clamped.
     """
     m, single = state_stack(rho)
     t = np.asarray(target, dtype=complex)
@@ -211,8 +216,6 @@ def state_fidelity_pure(rho, target):
     bras, kets = t.conj()[:, np.newaxis, :], t[:, :, np.newaxis]
     check_members(norms, lambda v: not abs(v - 1.0) <= INPUT_TOL, "ket is not normalized (norm {:.9f})".format, single)
     f = (bras @ (m @ kets))[:, 0, 0].real
-    outside = "fidelity {} outside [0, 1] beyond tolerance".format
-    check_members(f, lambda v: v < -STRUCTURAL_TOL or v > 1.0 + STRUCTURAL_TOL, outside, single)
     clamped = [min(1.0, max(0.0, v)) for v in f.tolist()]
     return clamped[0] if single else np.array(clamped)
 

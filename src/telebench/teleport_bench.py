@@ -145,8 +145,8 @@ def conditional_output_state(rho_m, outcome: str):
     check_members(
         probabilities, lambda p: p < VANISHING_PROBABILITY, lambda p: "outcome has vanishing probability", single
     )
-    states = DensityMatrix.stack(blocks / probabilities[:, np.newaxis, np.newaxis])
-    return (states[0], float(probabilities[0])) if single else (states, probabilities)
+    out = blocks / probabilities[:, np.newaxis, np.newaxis]
+    return (DensityMatrix(out[0]), float(probabilities[0])) if single else (DensityMatrix.stack(out), probabilities)
 
 
 def process_tomography(output_states) -> np.ndarray:

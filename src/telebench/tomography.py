@@ -23,8 +23,6 @@ from .qops import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    STRUCTURAL_TOL,
-    check_members,
     nearest_physical,
     require_count,
     require_integer,
@@ -153,12 +151,9 @@ def mle_reconstruct(values):
 
 
 def pauli_set(rho) -> np.ndarray:
-    """Exact expectation values of all 63 nontrivial Pauli strings,
-    ordered as :data:`PAULI_LABELS`: shape (63,) for one state, (B, 63) for
-    a sequence of B states."""
+    """Exact expectations Re Tr(rho P) of all 63 nontrivial Pauli strings, ordered as
+    :data:`PAULI_LABELS`: shape (63,) for one state, (B, 63) for a sequence of B states.
+    For a Hermitian P, Re Tr(rho P) is the expectation of rho's Hermitian part."""
     m, single = state_stack(rho, 8)
-    values = (m[:, np.newaxis] @ PAULI_STACK).trace(axis1=2, axis2=3)
-    worst = np.abs(values.imag).max(axis=1)
-    describe = "expectation has non-negligible imaginary part {:.3e}".format
-    check_members(worst, lambda v: v >= STRUCTURAL_TOL, describe, single)
-    return values.real[0] if single else values.real
+    values = (m[:, np.newaxis] @ PAULI_STACK).trace(axis1=2, axis2=3).real
+    return values[0] if single else values

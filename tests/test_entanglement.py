@@ -626,6 +626,12 @@ def test_witness_rejects_bad_alpha():
     assert witness_evaluate(rho, phi, alpha=np.float64(0.5)) == witness_evaluate(rho, phi, alpha=0.5)
 
 
+def test_witness_takes_a_target_inside_the_norm_tolerance():
+    e0 = computational_ket(0, 8)
+    result = witness_evaluate(DensityMatrix.from_ket(e0), e0 * (1 + 5e-7), alpha=0.5)
+    assert result.expectation == -0.5 and result.robustness_lower_bound == 1.0
+
+
 def test_witness_result_serializes():
     result = WitnessResult(0.5, -0.3, True, 0.6)
     assert result.to_dict() == {

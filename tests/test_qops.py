@@ -112,6 +112,14 @@ def test_state_fidelity_pure_examples():
     assert state_fidelity_pure(DensityMatrix.from_ket(e0), e1) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_state_fidelity_of_a_ket_inside_the_norm_tolerance_is_clamped_to_one():
+    # A norm of 1 + 5e-7 passes the ket check; the overlap 1 + 1e-6 is clamped, not rejected.
+    e0 = computational_ket(0, 8)
+    rho = DensityMatrix.from_ket(e0)
+    assert state_fidelity_pure(rho, e0 * (1 + 5e-7)) == 1.0
+    assert state_fidelity_pure([rho, rho], np.array([e0, e0 * (1 + 5e-7)])).tolist() == [1.0, 1.0]
+
+
 def test_state_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         state_fidelity_pure(DensityMatrix(np.eye(2) / 2.0), np.ones(8) / np.sqrt(8.0))

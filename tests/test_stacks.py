@@ -203,6 +203,48 @@ def test_stacked_stages_name_the_bad_member():
         simulate_readout([rho, rho], 10, 1)
 
 
+def _near_hermitian(seed=None):
+    """I/8 plus an imaginary symmetric part, Hermitian to 9.8e-10 (just inside
+    the constructor's 1e-9): on entries 01 and 10, or on every off-diagonal
+    entry, drawn from ``seed``."""
+    if seed is None:
+        s = np.zeros((8, 8))
+        s[0, 1] = s[1, 0] = 1.0
+    else:
+        s = np.random.default_rng(seed).standard_normal((8, 8))
+        s = s + s.T
+        np.fill_diagonal(s, 0.0)
+    return DensityMatrix(np.eye(8) / 8.0 + 0.49e-9j * s / np.abs(s).max())
+
+
+# Inputs the constructor accepts whose outputs it rejects: the projection onto
+# 00 divides the Hermitian residue by p = 1/4, and the evolution mixes it. A
+# DensityMatrix that stored its Hermitian part would accept both outputs.
+ONE_STATE_ERRORS = {
+    "conditional_output_state": (
+        lambda rho: conditional_output_state(rho, "00"),
+        _near_hermitian(),
+        "matrix is not Hermitian (deviation 3.920e-09)",
+    ),
+    "apply_circuit": (
+        lambda rho: apply_circuit(build_teleport_circuit(), rho),
+        _near_hermitian(3),
+        "matrix is not Hermitian (deviation 1.192e-09)",
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", ONE_STATE_ERRORS)
+def test_an_error_names_the_member_of_a_stack_and_no_member_of_one_state(stage):
+    run, rho, message = ONE_STATE_ERRORS[stage]
+    with pytest.raises(ValueError) as single:
+        run(rho)
+    assert str(single.value) == message
+    with pytest.raises(ValueError) as stacked:
+        run([DensityMatrix(np.eye(8) / 8.0), rho])
+    assert str(stacked.value) == f"member 1: {message}"
+
+
 # Each stage's register size: 8x8 states, except process tomography, which
 # takes the 2x2 states of qubit C. The tangle bound takes one state only.
 STAGE_SIZES = {

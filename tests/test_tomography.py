@@ -5,7 +5,7 @@ from oracles import kron_pauli, random_density, random_ket
 import telebench.teleport_bench as tb
 import telebench.tomography as tomography
 from telebench.circuit import DeviceParams, apply_circuit, ideal_phi
-from telebench.qops import DensityMatrix, computational_ket
+from telebench.qops import PAULI_X, DensityMatrix, computational_ket
 from telebench.tomography import (
     MAX_SHOTS,
     PAULI_LABELS,
@@ -261,6 +261,26 @@ def test_pauli_set_consistent_with_expectation():
     values = pauli_set(rho)
     for label, value in zip(PAULI_LABELS, values):
         assert value == pytest.approx(np.trace(rho.matrix @ kron_pauli(label)).real, abs=1e-12)
+
+
+# Hermitian to 9.8e-10, inside the constructor's 1e-9; summed over the 8 entries
+# of a Pauli trace, its imaginary part reaches 3.9e-9.
+NEAR_HERMITIAN_XXX = np.eye(8) / 8.0 + 4.9e-10j * np.kron(PAULI_X, np.kron(PAULI_X, PAULI_X))
+READOUT_STAGES = {
+    "pauli_set": pauli_set,
+    "readout_analytic": lambda rho: simulate_readout(rho, 0, 0),
+    "readout_sampled": lambda rho: simulate_readout(rho, 100, 0),
+    "mle_reconstruct": lambda rho: mle_reconstruct(simulate_readout(rho, 0, 0)).matrix,
+}
+
+
+@pytest.mark.parametrize("stage", READOUT_STAGES)
+def test_readout_stages_take_every_state_the_constructor_accepts(stage):
+    # The real part of each trace is the expectation of the state's Hermitian
+    # part, here I/8's, so every stage reads it as the maximally mixed state.
+    run = READOUT_STAGES[stage]
+    near = run(DensityMatrix(NEAR_HERMITIAN_XXX))
+    assert near.tobytes() == run(DensityMatrix(np.eye(8) / 8.0)).tobytes()
 
 
 def test_pauli_set_rejects_wrong_dimension():
