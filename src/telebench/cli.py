@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .circuit import DeviceParams
@@ -45,20 +44,14 @@ class ConfigError(Exception):
 
 
 def _load_config_file(path: str) -> dict:
-    candidate = Path(path)
-    if not candidate.exists():
-        bundled = resources.files("telebench").joinpath(f"data/{candidate.name}")
-        if candidate.name == str(candidate) and bundled.is_file():
-            text = bundled.read_text()
-        else:
-            raise ConfigError(f"config file not found: {path}")
-    else:
-        try:
-            text = candidate.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except (OSError, ValueError) as exc:  # ValueError: a path the OS refuses, such as one with a null byte
+        raise ConfigError(f"cannot read config file {path}: {getattr(exc, 'strerror', None) or exc}")
 
     def reject_constant(constant: str):
         raise ConfigError(f"config file {path} contains the non-finite number {constant}")
@@ -78,7 +71,7 @@ def _build_run_config(args: argparse.Namespace) -> tuple[DeviceParams, dict]:
     ``check_run_settings`` checks shots, seed, noise and restarts; its message is the config error. The
     seed resolves to an int, 0 when unset; ``None`` lives only here, for the check that sampled runs name one.
     """
-    data = _load_config_file(args.config) if args.config else {}
+    data = {} if args.config is None else _load_config_file(args.config)
     unknown = set(data) - {"device", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")

@@ -137,13 +137,6 @@ DEFAULT_RESTARTS = 200
 MAX_RESTARTS = 10_000
 
 
-def require_restarts(restarts) -> int:
-    """``restarts`` as an int; raises ``ValueError`` unless it is an integer in [1, :data:`MAX_RESTARTS`]."""
-    if (restarts := require_count("restarts", restarts, 1)) > MAX_RESTARTS:
-        raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
-    return restarts
-
-
 def _tangle_gradient(w: np.ndarray, terms: tuple) -> np.ndarray:
     """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW),
     from the ``terms`` ``_tangle_terms(w)[1]``.
@@ -228,13 +221,13 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
     the floor; the descent starts from the best restart. Deterministic for a
     given seed; the result is always a valid upper bound because every
     candidate is an exact decomposition. Raises ``TypeError`` for a sequence
-    of states and ``ValueError`` unless ``restarts`` is an integer in
-    [1, :data:`MAX_RESTARTS`] and ``seed`` an integer (numpy integers are
+    of states and ``ValueError`` unless ``require_count`` finds ``restarts`` in
+    [1, :data:`MAX_RESTARTS`] and ``seed`` is an integer (numpy integers are
     accepted; floats and booleans are not).
     """
     if not state_stack(rho, 8)[1]:
         raise TypeError("three_tangle_mixed_upper takes one DensityMatrix, not a sequence")
-    restarts = require_restarts(restarts)
+    restarts = require_count("restarts", restarts, 1, MAX_RESTARTS)
     seed = require_integer("seed", seed)
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-12

@@ -33,7 +33,7 @@ from .circuit import (
     build_teleport_circuit,
     ideal_phi,
 )
-from .entanglement import DEFAULT_RESTARTS, require_restarts, three_tangle_mixed_upper, witness_evaluate
+from .entanglement import DEFAULT_RESTARTS, MAX_RESTARTS, three_tangle_mixed_upper, witness_evaluate
 from .qops import (
     DensityMatrix,
     ID2,
@@ -44,11 +44,12 @@ from .qops import (
     check_members,
     computational_ket,
     nearest_physical,
+    require_count,
     require_integer,
     state_fidelity_pure,
     state_stack,
 )
-from .tomography import PAULI_LABELS, mle_reconstruct, pauli_set, require_shots, simulate_readout
+from .tomography import MAX_SHOTS, PAULI_LABELS, mle_reconstruct, pauli_set, simulate_readout
 
 SCHEMA_VERSION = 1
 
@@ -211,13 +212,14 @@ def _pack_pauli_set(values: np.ndarray) -> dict:
 def check_run_settings(shots, seed, noise, restarts) -> tuple[int, int, bool, int]:
     """The run settings as int, int, bool and int: their one check, for the runs and the CLI.
 
-    Raises ``ValueError`` unless ``shots`` is an integer in [0, ``tomography.MAX_SHOTS``], ``seed``
-    an integer, ``noise`` a bool and ``restarts`` an integer in [1, ``entanglement.MAX_RESTARTS``]
+    Raises ``ValueError`` unless ``qops.require_count`` finds ``shots`` in [0, ``tomography.MAX_SHOTS``]
+    and ``restarts`` in [1, ``entanglement.MAX_RESTARTS``], ``seed`` is an integer and ``noise`` a bool
     (numpy integers and bools pass; floats do not, nor booleans as integers).
     """
     if not isinstance(noise, (bool, np.bool_)):
         raise ValueError(f"noise must be a bool, got {noise!r}")
-    return require_shots(shots), require_integer("seed", seed), bool(noise), require_restarts(restarts)
+    shots = require_count("shots", shots, 0, MAX_SHOTS)
+    return shots, require_integer("seed", seed), bool(noise), require_count("restarts", restarts, 1, MAX_RESTARTS)
 
 
 def _metadata(device: DeviceParams, shots: int, seed: int, noise: bool, restarts: int) -> dict:

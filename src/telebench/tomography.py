@@ -63,13 +63,6 @@ MAX_SHOTS = 2**63 - 1
 ZERO_EXPECTATION = 1e-12
 
 
-def require_shots(shots) -> int:
-    """``shots`` as an int; raises ``ValueError`` unless it is an integer in [0, :data:`MAX_SHOTS`]."""
-    if (shots := require_count("shots", shots, 0)) > MAX_SHOTS:
-        raise ValueError(f"shots must be at most {MAX_SHOTS}, the limit of numpy's sampler, got {shots}")
-    return shots
-
-
 def simulate_readout(rho, shots: int, seed):
     """Sample Pauli expectation values of a three-qubit state, or of a stack.
 
@@ -87,11 +80,10 @@ def simulate_readout(rho, shots: int, seed):
     of a state share that stream, and the binomial sampler uses a varying
     number of uniforms per setting, so setting i depends on the seed and on
     the probabilities of settings 0 .. i, not on (seed, i) alone. Raises
-    ``ValueError`` unless ``shots`` is an integer in [0, :data:`MAX_SHOTS`]
-    and every seed an integer (numpy integers are accepted; floats and
-    booleans are not).
+    ``ValueError`` unless ``require_count`` finds ``shots`` in [0, :data:`MAX_SHOTS`]
+    and every seed is an integer (numpy integers pass; floats and booleans do not).
     """
-    shots = require_shots(shots)
+    shots = require_count("shots", shots, 0, MAX_SHOTS)
     exact = pauli_set(rho)
     single = exact.ndim == 1
     if single:

@@ -78,18 +78,40 @@ def test_bench_on_a_strongly_decohering_device_exits_0(tmp_path, capsys):
     assert out.count("skipped") == 3
 
 
-def test_bench_missing_config_exits_2(tmp_path, capsys):
+def test_bench_missing_config_exits_2(tmp_path, capsys, monkeypatch):
     code = run_cli(["bench", "--config", str(tmp_path / "nope.json")])
     err = capsys.readouterr().err
     assert code == 2
     assert "nope.json" in err
+    # A bare name is read from the working directory only, not from the package's data.
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["bench", "--config", "paper_device.json", "--out", "out"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config file not found: paper_device.json\n"
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_bench_config_directory_exits_2(tmp_path, capsys):
+def test_bench_config_directory_exits_2(tmp_path, capsys, monkeypatch):
     code = run_cli(["bench", "--config", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and str(tmp_path) in err
+    # An empty path names the working directory; it is not read as "no config".
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["bench", "--config", "", "--out", "out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config file : ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "path, reason", [("a\u0000b", "embedded null byte"), ("a" * 5000, "File name too long")], ids=["null_byte", "too_long"]
+)
+def test_bench_config_path_the_os_refuses_exits_2(path, reason, tmp_path, capsys):
+    code = run_cli(["bench", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: cannot read config file {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -385,17 +407,6 @@ def test_run_config_seed_is_the_resolved_int(tmp_path):
     for extra, seed in cases.items():
         _, settings = _build_run_config(build_parser().parse_args(["bench", *extra]))
         assert settings["seed"] == seed and type(settings["seed"]) is int
-
-
-def test_bench_bundled_reference_config(tmp_path, capsys):
-    code = run_cli(["bench", "--config", "paper_device.json", "--shots=0", "--noise=on",
-                    "--restarts", "5", "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "0.88" in out  # reference mean Fbar printed next to the simulated one
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["metadata"]["device"]["t1"] == [5.5e-7, 7.0e-7, 1.1e-6]
-    assert report["averages"]["mean_average_output_fidelity"] > 2.0 / 3.0
 
 
 def test_bench_csv_and_json_values_agree(tmp_path):

@@ -32,6 +32,15 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    # from_ket holds a ket by its state's trace check alone: |norm^2 - 1| <= 1e-9.
+    e0 = computational_ket(0, 8)
+    with pytest.raises(ValueError, match=r"^trace differs from 1 by 3\.000e\+00$"):
+        DensityMatrix.from_ket(2 * e0)
+    with pytest.raises(ValueError, match="^density matrix contains non-finite entries$"):
+        DensityMatrix.from_ket(np.full(8, np.nan))
+    with pytest.raises(ValueError, match=r"^trace differs from 1 by 1\.000e-06$"):
+        DensityMatrix.from_ket(e0 * (1 + 5e-7))
+    assert DensityMatrix.from_ket(e0 * (1 + 4e-10)).matrix[0, 0] == (1 + 4e-10) ** 2
 
 
 # --- partial trace (partial_trace_index_sum, the oracle the tests reduce with) ---
