@@ -10,9 +10,10 @@ It prints:
   ``run_benchmark(DeviceParams.reference(), shots, seed, noise=True)`` with
   shots in {0, 10000} and seeds 0-9, 40 inputs, as a mean with per-input
   means and the shots-0 ranges;
-- the held-out set, on which ``_REFINE_STEPS`` is chosen: the same inputs at
-  shots 0 and seeds 20-39, 40 inputs, as a mean, with the mean trials (tangle
-  sums the descent evaluates after its start) and gradients per search;
+- the held-out set, on which the descent's step budget is chosen: the same
+  inputs at shots 0 and seeds 20-39, 40 inputs, as a mean, with the mean
+  trials (tangle sums evaluated while a descent runs, after its start) and
+  gradients per search;
 - the excess over the GHZ/W roof (``test_entanglement.ghz_w_roof``) at
   p in {0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9}, seeds 0-9, with W built as
   ``1/np.sqrt(3.0)`` and as ``3**-0.5``: per p the largest excess and how
@@ -26,7 +27,6 @@ All searches run in one process with the default restart count. The rank-2
 part solves 40 LPs and needs SciPy, like the rest of the oracles.
 """
 
-import sys
 from collections import Counter
 
 import numpy as np
@@ -60,17 +60,27 @@ def seed_table() -> None:
 
 def held_out() -> None:
     counts = Counter()
+    refining = False
     originals = {name: getattr(entanglement, name) for name in ("_refine", "_tangle_terms", "_tangle_gradient")}
+
+    def refine(w):
+        nonlocal refining
+        counts["_refine"] += 1
+        refining = True
+        try:
+            return originals["_refine"](w)
+        finally:
+            refining = False
 
     def counted(name):
         def call(*args):
-            if name != "_tangle_terms" or sys._getframe(1).f_code.co_name == "_refine":
-                counts[name] += 1
+            counts[name] += refining
             return originals[name](*args)
 
         return call
 
-    for name in originals:
+    entanglement._refine = refine
+    for name in ("_tangle_terms", "_tangle_gradient"):
         setattr(entanglement, name, counted(name))
     try:
         values = []
