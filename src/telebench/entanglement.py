@@ -48,8 +48,9 @@ def _tangle_terms(w: np.ndarray) -> tuple[np.ndarray, tuple]:
     With a_ijk at row 4i + 2j + k of a column, the Cayley hyperdeterminant is
     Hdet = A^2 - 4 B C with A = a000 a111 - a001 a110 - a010 a101 + a011 a100,
     B = a000 a011 - a001 a010 and C = a100 a111 - a101 a110. The terms are
-    (A, B, C, Hdet, |Hdet|, p, keep): the factors per column, the column
-    norms p (1 where dropped) and the mask of kept columns.
+    (A, B, C, Hdet, |Hdet|, p, keep, q): the factors per column, the column
+    norms p (1 where dropped), the mask of kept columns and the column
+    tangles q = 4 |Hdet| / p (0 where dropped), whose sum is the value.
     """
     a0, a1, a2, a3, a4, a5, a6, a7 = (w[..., i, :] for i in range(8))
     big = a0 * a7 - a1 * a6 - a2 * a5 + a3 * a4
@@ -60,8 +61,8 @@ def _tangle_terms(w: np.ndarray) -> tuple[np.ndarray, tuple]:
     keep = p > 1e-14
     p = np.where(keep, p, 1.0)
     size = np.abs(hdet)
-    value = np.sum(np.where(keep, 4.0 * size / p, 0.0), axis=-1)
-    return value, (big, b, c, hdet, size, p, keep)
+    q = np.where(keep, 4.0 * size / p, 0.0)
+    return np.sum(q, axis=-1), (big, b, c, hdet, size, p, keep, q)
 
 
 def _column_tangle_sum(w: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def _tangle_gradient(w: np.ndarray, terms: tuple) -> np.ndarray:
     a column with H_k = 0 keeps only the (zero) norm term, and columns with
     p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``.
     """
-    big, b, c, hdet, size, p, keep = terms
+    big, b, c, hdet, size, p, keep, _ = terms
     d_hdet = _SIGNS * (2.0 * big * w[::-1] - 4.0 * np.repeat([c, b], 4, axis=0) * w[_HALF_REVERSED])
     phase = np.divide(hdet, size, out=np.zeros_like(hdet), where=size > 0.0)
     return np.where(keep, 4.0 * (phase * d_hdet.conj() / p - 2.0 * (size / p**2) * w), 0.0)
@@ -173,8 +174,7 @@ def _smooth_sum(value: np.ndarray, terms: tuple) -> tuple[np.ndarray, np.ndarray
     in ``terms``, and the column weights 2 q_k that turn ``_tangle_gradient``
     into its gradient, since d(q^2) = 2 q dq.
     """
-    _, _, _, _, size, p, keep = terms
-    q = np.where(keep, 4.0 * size / p, 0.0)
+    q = terms[-1]
     return np.sum(q * q, axis=-1), 2.0 * q
 
 

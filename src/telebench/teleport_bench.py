@@ -11,9 +11,11 @@ each, the conditional projection one call per outcome, and :func:`run_state`
 takes the same path with a stack of one. The inputs are fixed, so process
 tomography of an outcome is one product with a constant 16x16 inverse built
 at import (the fixed-input prescription of Chuang & Nielsen, J. Mod. Opt.
-44, 2455 (1997)). Published reference values for the modeled device are
-embedded in every report for side-by-side display; they are annotations,
-not targets.
+44, 2455 (1997)), made a 4x4 DensityMatrix. Every ideal chi is a pure state
+c c^dag, so the process fidelity Tr(chi . c c^dag) = <c|chi|c> is a
+``state_fidelity_pure`` like every other fidelity of a report. Published
+reference values for the modeled device are embedded in every report for
+side-by-side display; they are annotations, not targets.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .qops import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    STRUCTURAL_TOL,
     check_members,
     computational_ket,
     nearest_physical,
@@ -115,8 +116,8 @@ _BRANCH_KETS = {
     outcome: _read_only(np.array([op @ INPUT_KETS[label] for label in INPUT_LABELS]))
     for outcome, op in TELEPORT_BRANCH_OPS.items()
 }
-# Per outcome, the ideal process matrix chi = c c^dag: c_m = Tr(B_m^dag U)/2 expands its correction
-# operator U in CHI_BASIS, exactly, as each U is a basis element up to sign.
+# Per outcome, in OUTCOMES order, the ideal process matrix chi = c c^dag: c_m = Tr(B_m^dag U)/2 expands
+# its correction operator U in CHI_BASIS, exactly, as each U is a basis element up to sign.
 _BRANCH_COEFFS = np.einsum("mij,kij->km", np.conj(CHI_BASIS), list(TELEPORT_BRANCH_OPS.values())) / 2.0
 _IDEAL_CHIS = dict(zip(TELEPORT_BRANCH_OPS, _read_only(np.einsum("km,kn->kmn", _BRANCH_COEFFS, _BRANCH_COEFFS.conj()))))
 # The process-tomography design over the four inputs is square,
@@ -150,19 +151,22 @@ def conditional_output_state(rho_m, outcome: str):
     return (DensityMatrix(out[0]), float(probabilities[0])) if single else (DensityMatrix.stack(out), probabilities)
 
 
-def process_tomography(output_states) -> np.ndarray:
+def process_tomography(output_states) -> DensityMatrix:
     """Reconstruct the single-qubit process matrix from the outputs of the
     four canonical inputs, given in :data:`INPUT_LABELS` order.
 
     rho_out = sum_mn chi_mn B_m rho_in B_n^dag over the four fixed inputs is
     a square linear system, so chi is one product with the constant inverse
-    ``_CHI_SOLVE``; it is then hermitized, projected onto the positive cone
-    by eigenvalue truncation, and renormalized to unit trace.
+    ``_CHI_SOLVE``; :func:`nearest_physical` then hermitizes it, projects it
+    onto the positive cone by eigenvalue truncation and renormalizes it to
+    unit trace. So chi is returned as a 4x4 :class:`DensityMatrix`, and its
+    process fidelity against an ideal chi = c c^dag, which is pure, is
+    ``state_fidelity_pure(chi, c)`` = <c|chi|c> = Tr(chi . c c^dag).
     """
     outs, _ = state_stack(output_states, 2)
     if len(outs) != len(INPUT_LABELS):
         raise ValueError(f"need the {len(INPUT_LABELS)} single-qubit outputs of the inputs {INPUT_LABELS}")
-    return np.array(nearest_physical((_CHI_SOLVE @ outs.reshape(-1)).reshape(4, 4)).matrix)
+    return nearest_physical((_CHI_SOLVE @ outs.reshape(-1)).reshape(4, 4))
 
 
 def ideal_chi(outcome: str) -> np.ndarray:
@@ -172,21 +176,6 @@ def ideal_chi(outcome: str) -> np.ndarray:
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
     return np.array(_IDEAL_CHIS[outcome])
-
-
-def process_fidelity(chi_m: np.ndarray, chi_t: np.ndarray) -> float:
-    """Process fidelity Tr(chi_m . chi_t) of two 4x4 chi matrices, clamped
-    to [0, 1]. Non-finite entries, an imaginary residue or a value outside
-    [0, 1] beyond tolerance indicate a bug and raise."""
-    chi_m, chi_t = np.asarray(chi_m), np.asarray(chi_t)
-    if chi_m.shape != (4, 4) or chi_t.shape != (4, 4) or not (np.isfinite(chi_m).all() and np.isfinite(chi_t).all()):
-        raise ValueError(f"process fidelity takes two finite 4x4 chi matrices, got shapes {chi_m.shape}, {chi_t.shape}")
-    val = complex(np.trace(chi_m @ chi_t))
-    if abs(val.imag) >= 1e-9:
-        raise ValueError(f"process fidelity has imaginary residue {val.imag:.3e}")
-    if not -STRUCTURAL_TOL <= val.real <= 1.0 + STRUCTURAL_TOL:
-        raise ValueError(f"process fidelity {val.real} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, val.real))
 
 
 def average_output_fidelity(fp: float) -> float:
@@ -289,17 +278,18 @@ def run_benchmark(
     per outcome decides from its least probability over the inputs whether it is *projected* (not
     below :data:`VANISHING_PROBABILITY`), with conditional fidelities, else ``None``, and whether it
     is *kept* (projected, and not below the run's floor: 1e-6 at ``shots == 0``, else 10 counts),
-    with a process matrix and fidelities, else ``{"skipped": True}``. Deterministic for a given seed:
-    each input reads out from its own substream, and the two entangled inputs bound their tangle from
-    one substream. Raises before any work: ``ValueError`` for settings that :func:`check_run_settings`
-    rejects, ``TypeError`` unless ``device`` is a :class:`DeviceParams`.
+    with a process matrix and fidelities, else ``{"skipped": True}``. Its process fidelity is chi's
+    fidelity to the pure ideal chi = c c^dag (see :func:`process_tomography`). Deterministic for a
+    given seed: each input reads out from its own substream, and the two entangled inputs bound their
+    tangle from one substream. Raises before any work: ``ValueError`` for settings that
+    :func:`check_run_settings` rejects, ``TypeError`` unless ``device`` is a :class:`DeviceParams`.
     """
     metadata, entries, rhos_m = _run_inputs(device, INPUT_LABELS, shots, seed, noise, restarts)
     scale, floor = (metadata["shots"], SAMPLED_MIN_COUNTS) if metadata["shots"] else (1, ANALYTIC_PROBABILITY_FLOOR)
     # Row ij holds outcome ij's probability per input: the sum of the two diagonal entries with A, B in ij.
     table = np.array([rho.matrix.diagonal().real for rho in rhos_m]).reshape(-1, 4, 2).sum(axis=2).T.tolist()
     records, processes = [{} for _ in entries], {}
-    for outcome, probabilities in zip(OUTCOMES, table):
+    for outcome, probabilities, coeffs in zip(OUTCOMES, table, _BRANCH_COEFFS):
         projected = (least := min(probabilities)) >= VANISHING_PROBABILITY
         kept = projected and least * scale >= floor
         fidelities, processes[outcome] = [None] * len(entries), {"skipped": True}
@@ -308,9 +298,9 @@ def run_benchmark(
             fidelities = state_fidelity_pure(rhos_c, _BRANCH_KETS[outcome]).tolist()
         if kept:
             chi = process_tomography(rhos_c)
-            fp = process_fidelity(chi, ideal_chi(outcome))
+            fp = state_fidelity_pure(chi, coeffs)
             fps = {"process_fidelity": fp, "average_output_fidelity": average_output_fidelity(fp)}
-            processes[outcome] = {"skipped": False, "chi": _pack_matrix(chi), **fps}
+            processes[outcome] = {"skipped": False, "chi": _pack_matrix(chi.matrix), **fps}
         for record, probability, fidelity in zip(records, probabilities, fidelities):
             record[outcome] = {"probability": probability, "conditional_fidelity": fidelity}
     done = [process for process in processes.values() if not process["skipped"]]

@@ -1,24 +1,31 @@
 """Compare the report bytes of two source trees, case by case.
 
-Usage, from the repository root, with the old tree exported beside it::
+Usage, from the repository root::
 
     python tests/byte_identity.py OLD_SRC NEW_SRC
+    python tests/byte_identity.py HEAD src
 
-Each tree runs in its own subprocess with only its ``src`` on the path, and
-writes one SHA-256 per case. The cases are :func:`run_benchmark` (JSON and CSV
-text) on the reference device and on copies with every T1 and T2* scaled by
-0.3, 1e-2 and 1e-3, at 0, 20, 200 and 10,000 shots, noise on and off, seeds
-0-4, restarts 5; and :func:`run_state` (JSON text) of each input on the same
-grid at seed 3. A case that raises is recorded as its exception. Prints the
+Either argument is a ``src`` directory or, when it is not a directory, a git
+revision of this repository: its ``src`` is exported with ``git archive`` into
+a temporary directory, removed afterwards. A revision git cannot export exits
+2 with git's message. Each tree runs in its own subprocess with only its
+``src`` on the path, and writes one SHA-256 per case. The cases are
+:func:`run_benchmark` (JSON and CSV text) on the reference device and on
+copies with every T1 and T2* scaled by 0.3, 1e-2 and 1e-3, at 0, 20, 200 and
+10,000 shots, noise on and off, seeds 0-4, restarts 5; and :func:`run_state`
+(JSON text) of each input on the same grid at seed 3. A case that raises is recorded as its exception. Prints the
 case count and the ids that differ, and exits 1 on any difference. A refactor
 must leave all 288 cases identical. pytest does not collect this file.
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 FACTORS = (1.0, 0.3, 1e-2, 1e-3)
 SHOTS = (0, 20, 200, 10_000)
@@ -62,6 +69,17 @@ def emit() -> None:
 
 
 def digests_of(src: str) -> dict:
+    """The case digests of a ``src`` directory, or of the ``src`` of a git revision."""
+    if not os.path.isdir(src):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        export = subprocess.run(["git", "archive", src, "src"], cwd=root, capture_output=True)
+        if export.returncode:
+            sys.stderr.write(export.stderr.decode())
+            sys.exit(2)
+        with tempfile.TemporaryDirectory() as tree:
+            with tarfile.open(fileobj=io.BytesIO(export.stdout)) as archive:
+                archive.extractall(tree, filter="data")
+            return digests_of(os.path.join(tree, "src"))
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     done = subprocess.run([sys.executable, __file__, "--emit"], env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)

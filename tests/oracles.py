@@ -573,9 +573,10 @@ def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
     """``run_benchmark`` one state at a time: each input is evolved, read
     out, reconstructed and projected onto each outcome on its own, then the
     four conditional states of an outcome go to the least-squares process
-    tomography reference. An outcome's probability is the trace of its dense
-    projection; one that vanishes for some input is skipped, with no
-    conditional fidelity for any input."""
+    tomography reference, scored by its own clamped Re Tr(chi . chi_ideal).
+    An outcome's probability is the trace of its dense projection; one that
+    vanishes for some input is skipped, with no conditional fidelity for any
+    input."""
     states = {}
     conditionals = {outcome: [] for outcome in tb.OUTCOMES}
     for label in tb.INPUT_LABELS:
@@ -608,7 +609,7 @@ def per_state_benchmark(device, shots=0, seed=0, noise=False, restarts=200):
             processes[outcome] = {"skipped": True}
             continue
         chi = lstsq_process_tomography([tb.INPUT_KETS[label] for label in tb.INPUT_LABELS], conditionals[outcome])
-        fp = tb.process_fidelity(chi, tb.ideal_chi(outcome))
+        fp = min(1.0, max(0.0, float(np.trace(chi @ tb.ideal_chi(outcome)).real)))
         fbar = tb.average_output_fidelity(fp)
         processes[outcome] = {
             "skipped": False,

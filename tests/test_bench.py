@@ -8,7 +8,7 @@ import telebench.teleport_bench as tb
 from oracles import chi_from_kraus, dense_conditional_state, lstsq_process_tomography, random_density, random_unitary
 from telebench.entanglement import MAX_RESTARTS
 from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, apply_circuit, ideal_phi
-from telebench.qops import DensityMatrix, computational_ket
+from telebench.qops import DensityMatrix, computational_ket, state_fidelity_pure
 from telebench.tomography import MAX_SHOTS
 from telebench.teleport_bench import (
     CHI_BASIS,
@@ -19,7 +19,6 @@ from telebench.teleport_bench import (
     average_output_fidelity,
     conditional_output_state,
     ideal_chi,
-    process_fidelity,
     process_tomography,
     report_csv_rows,
     report_csv_text,
@@ -96,7 +95,7 @@ def canonical_inputs():
 
 def test_process_tomography_identity():
     outputs = [DensityMatrix.from_ket(k) for k in canonical_inputs()]
-    chi = process_tomography(outputs)
+    chi = process_tomography(outputs).matrix
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     assert np.max(np.abs(chi - expected)) < 1e-9
@@ -105,13 +104,13 @@ def test_process_tomography_identity():
 def test_process_tomography_pauli_conjugations():
     x = np.array(CHI_BASIS[1])
     outputs = [DensityMatrix.from_ket(x @ k) for k in canonical_inputs()]
-    chi = process_tomography(outputs)
+    chi = process_tomography(outputs).matrix
     assert chi[1, 1] == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(chi - ideal_chi("01"))) < 1e-9
 
     y_tilde = np.array(CHI_BASIS[2])
     outputs = [DensityMatrix.from_ket(y_tilde @ k) for k in canonical_inputs()]
-    chi = process_tomography(outputs)
+    chi = process_tomography(outputs).matrix
     assert np.max(np.abs(chi - ideal_chi("11"))) < 1e-9
 
 
@@ -132,7 +131,7 @@ def test_process_tomography_round_trip_against_kraus_expansion():
     for ket in canonical_inputs():
         rho_out = apply_channel(kraus, np.outer(ket, ket.conj()))
         outputs.append(DensityMatrix(rho_out))
-    chi = process_tomography(outputs)
+    chi = process_tomography(outputs).matrix
     oracle = chi_from_kraus(kraus)
     assert np.max(np.abs(chi - oracle)) < 1e-9
     assert np.max(np.abs(chi - lstsq_process_tomography(canonical_inputs(), outputs))) < 1e-12
@@ -145,7 +144,7 @@ def test_process_tomography_equals_the_least_squares_oracle_on_random_channels()
         v = random_unitary(rng, 2 * rank)[:, :2]
         kraus = [v[2 * k : 2 * k + 2] for k in range(rank)]
         outputs = [DensityMatrix(apply_channel(kraus, np.outer(k, k.conj()))) for k in canonical_inputs()]
-        chi = process_tomography(outputs)
+        chi = process_tomography(outputs).matrix
         assert np.max(np.abs(chi - lstsq_process_tomography(canonical_inputs(), outputs))) < 1e-12
         assert np.max(np.abs(chi - chi_from_kraus(kraus))) < 1e-12
 
@@ -155,7 +154,7 @@ def test_process_tomography_equals_the_least_squares_oracle_on_noisy_conditional
     for outcome in OUTCOMES:
         conditionals, _ = conditional_output_state(rho_out, outcome)
         oracle = lstsq_process_tomography(canonical_inputs(), conditionals)
-        assert np.max(np.abs(process_tomography(conditionals) - oracle)) < 1e-12
+        assert np.max(np.abs(process_tomography(conditionals).matrix - oracle)) < 1e-12
 
 
 def test_least_squares_oracle_rejects_degenerate_inputs():
@@ -200,41 +199,27 @@ def test_ideal_chi_entries():
         assert np.max(np.abs(chi @ chi - chi)) < 1e-12  # rank-1 projector
 
 
-def test_process_fidelity_examples():
+def test_state_fidelity_pure_scores_a_density_matrix_chi_against_its_coefficients():
+    # Every ideal chi is the pure state c c^dag, so a chi's process fidelity is <c|chi|c>.
+    for outcome, coeffs in zip(OUTCOMES, tb._BRANCH_COEFFS):
+        assert np.array_equal(np.outer(coeffs, coeffs.conj()), ideal_chi(outcome))
+        assert state_fidelity_pure(DensityMatrix(ideal_chi(outcome)), coeffs) == 1.0
+        assert state_fidelity_pure(DensityMatrix(np.eye(4) / 4.0), coeffs) == 0.25
+
+
+def test_process_fidelity_of_noisy_conditionals_is_the_clamped_trace_against_the_ideal_chi():
+    # The report's chi and Fp at shots 0, from the reconstructions the run makes of the noisy outputs.
+    device = DeviceParams.reference()
+    rho_out = apply_circuit(tb._CIRCUIT, [tb._INPUT_STATES[label] for label in INPUT_LABELS], device)
+    rhos_m = tb.mle_reconstruct(tb.simulate_readout(rho_out, 0, [0] * len(INPUT_LABELS)))
+    report = run_benchmark(device, noise=True)
     for outcome in OUTCOMES:
-        chi = ideal_chi(outcome)
-        assert process_fidelity(chi, chi) == pytest.approx(1.0)
-    depolarizing = np.eye(4, dtype=complex) / 4.0
-    assert process_fidelity(depolarizing, ideal_chi("00")) == pytest.approx(0.25)
-
-
-def test_process_fidelity_rejects_non_finite_chi():
-    # A NaN chi used to give a fidelity of 0.0.
-    for bad in (np.nan, np.inf, -np.inf):
-        chi = ideal_chi("00").copy()
-        chi[1, 2] = bad
-        for pair in ((chi, ideal_chi("00")), (ideal_chi("00"), chi)):
-            with pytest.raises(ValueError, match=r"takes two finite 4x4 chi matrices, got shapes \(4, 4\), \(4, 4\)"):
-                process_fidelity(*pair)
-
-
-def test_process_fidelity_takes_4x4_chi_matrices():
-    # Two 3x3 identities used to give a trace of 3, clamped to 1.0.
-    for chi_m, chi_t in ((np.eye(3), np.eye(3)), (np.eye(4), np.eye(3)), (np.eye(8) / 8.0, np.eye(8) / 8.0)):
-        with pytest.raises(ValueError, match="process fidelity takes two finite 4x4 chi matrices"):
-            process_fidelity(chi_m, chi_t)
-
-
-def test_process_fidelity_rejects_values_outside_the_unit_interval():
-    with pytest.raises(ValueError, match=r"process fidelity 4.0 outside \[0, 1\] beyond tolerance"):
-        process_fidelity(np.eye(4), np.eye(4))
-    with pytest.raises(ValueError, match="outside"):
-        process_fidelity(-ideal_chi("01"), ideal_chi("01"))
-    with pytest.raises(ValueError, match="imaginary residue"):
-        process_fidelity(1j * ideal_chi("01"), ideal_chi("01"))
-    # Rounding either side of [0, 1] is clamped, as state_fidelity_pure does.
-    assert process_fidelity((1.0 + 5e-10) * ideal_chi("10"), ideal_chi("10")) == 1.0
-    assert process_fidelity(-5e-10 * ideal_chi("10"), ideal_chi("10")) == 0.0
+        chi = process_tomography(conditional_output_state(rhos_m, outcome)[0])
+        assert isinstance(chi, DensityMatrix) and chi.matrix.shape == (4, 4) and not chi.matrix.flags.writeable
+        packed = report["processes"][outcome]["chi"]
+        assert np.array_equal(np.array(packed["real"]) + 1j * np.array(packed["imag"]), chi.matrix)
+        expected = min(1.0, max(0.0, np.trace(chi.matrix @ ideal_chi(outcome)).real))
+        assert report["processes"][outcome]["process_fidelity"] == expected
 
 
 def test_average_output_fidelity():
