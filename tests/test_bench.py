@@ -8,7 +8,7 @@ import telebench.teleport_bench as tb
 from oracles import chi_from_kraus, dense_conditional_state, lstsq_process_tomography, random_density, random_unitary
 from telebench.entanglement import MAX_RESTARTS
 from telebench.circuit import DeviceParams, TELEPORT_BRANCH_OPS, apply_circuit, ideal_phi
-from telebench.qops import DensityMatrix, computational_ket, state_fidelity_pure
+from telebench.qops import DensityMatrix, computational_ket, nearest_physical, state_fidelity_pure
 from telebench.tomography import MAX_SHOTS
 from telebench.teleport_bench import (
     CHI_BASIS,
@@ -205,6 +205,48 @@ def test_state_fidelity_pure_scores_a_density_matrix_chi_against_its_coefficient
         assert np.array_equal(np.outer(coeffs, coeffs.conj()), ideal_chi(outcome))
         assert state_fidelity_pure(DensityMatrix(ideal_chi(outcome)), coeffs) == 1.0
         assert state_fidelity_pure(DensityMatrix(np.eye(4) / 4.0), coeffs) == 0.25
+
+
+def test_process_fidelity_rejects_non_finite_chi():
+    # A non-finite chi can neither be projected nor held as a state, and a non-finite row of coefficients is no ket.
+    for bad in (np.nan, np.inf, -np.inf):
+        chi = ideal_chi("00").copy()
+        chi[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            nearest_physical(chi)
+        with pytest.raises(ValueError, match="density matrix contains non-finite entries"):
+            DensityMatrix(chi)
+        coeffs = tb._BRANCH_COEFFS[0].copy()
+        coeffs[1] = bad
+        with pytest.raises(ValueError, match="ket is not normalized"):
+            state_fidelity_pure(DensityMatrix(ideal_chi("00")), coeffs)
+
+
+def test_process_fidelity_takes_4x4_chi_matrices():
+    # A chi of another size does not match the four coefficients of an outcome.
+    for chi in (np.eye(3) / 3.0, np.eye(8) / 8.0):
+        with pytest.raises(ValueError, match=rf"target shape \(1, 4\) does not match states \(1, {len(chi)}\)"):
+            state_fidelity_pure(DensityMatrix(chi), tb._BRANCH_COEFFS[0])
+    with pytest.raises(ValueError, match=r"target shape \(1, 3\) does not match states \(1, 4\)"):
+        state_fidelity_pure(DensityMatrix(ideal_chi("00")), np.array([1.0, 0.0, 0.0]))
+    # Tomography reconstructs chi from single-qubit outputs only.
+    with pytest.raises(ValueError, match="member 0: state dimension 4 does not match 2"):
+        process_tomography([DensityMatrix(np.eye(4) / 4.0)] * len(INPUT_LABELS))
+
+
+def test_process_fidelity_rejects_values_outside_the_unit_interval():
+    # A chi whose score against an ideal chi could leave [0, 1] by more than rounding is not a state.
+    with pytest.raises(ValueError, match=r"trace differs from 1 by 3.000e\+00"):
+        DensityMatrix(np.eye(4))
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        DensityMatrix(-ideal_chi("01"))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(1j * ideal_chi("01"))
+    # Rounding either side of [0, 1] is clamped.
+    coeffs = tb._BRANCH_COEFFS[OUTCOMES.index("10")]
+    assert state_fidelity_pure(DensityMatrix((1.0 + 5e-10) * ideal_chi("10")), coeffs) == 1.0
+    below = (1.0 + 5e-10) * ideal_chi("00") - 5e-10 * ideal_chi("10")
+    assert state_fidelity_pure(DensityMatrix(below), coeffs) == 0.0
 
 
 def test_process_fidelity_of_noisy_conditionals_is_the_clamped_trace_against_the_ideal_chi():
