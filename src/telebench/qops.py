@@ -223,14 +223,21 @@ def state_fidelity_pure(rho, target):
 
 def _truncate_spectra(vals: np.ndarray) -> None:
     """Truncate each row of a (B, d) array of ascending eigenvalues in place. A uniform
-    shift keeps the order, so the zeroed eigenvalues are always a prefix of the row."""
+    shift keeps the order, so the zeroed eigenvalues are always a prefix of the row.
+    Each row with a negative eigenvalue is walked as Python floats, whose arithmetic is
+    numpy's float64 arithmetic, and written back; the other rows are not touched."""
     d = vals.shape[1]
-    for v in vals:
+    for k, v in enumerate(vals.tolist()):
+        if not v[0] < 0.0:
+            continue
         for i in range(d - 1):
             if not v[i] < 0.0:
                 break
-            v[i + 1 :] += v[i] / (d - 1 - i)
+            shift = v[i] / (d - 1 - i)
+            for j in range(i + 1, d):
+                v[j] += shift
             v[i] = 0.0
+        vals[k] = v
 
 
 def nearest_physical(h):

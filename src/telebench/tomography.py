@@ -6,6 +6,14 @@ dispersive transfer function of the physical joint readout is out of scope.
 Reconstruction is linear inversion over the Pauli basis followed by
 projection onto the physical set.
 
+Each Pauli string is a signed permutation matrix: every row and every
+column holds one entry, +-1 or +-i. So no stage multiplies by a dense
+string. :func:`pauli_set` gathers, for each string and each row i of rho,
+the one entry rho[i, k] that meets the string's entry P[k, i], and sums the
+8 products per string; :func:`linear_inversion` builds each entry of its
+estimate from the 8 strings that are nonzero there, summed in string
+order. Both reproduce the dense products bit for bit, signs of zero too.
+
 Every stage takes one state (or one 63-value record) or a stack of them,
 as :func:`telebench.circuit.apply_circuit` does: one in gives one result,
 a sequence of B states or a (B, 63) array gives a list or a (B, ...) array.
@@ -51,6 +59,20 @@ _INVERSION_OPERATORS = (
 ).reshape(64, 8, 8)
 _INVERSION_OPERATORS.setflags(write=False)
 PAULI_STACK = _INVERSION_OPERATORS[1:]
+
+# Gather tables, read off the operators above by np.nonzero, which lists
+# indices in C order; take_along_axis copies the phases with their signs of
+# zero. Column i of string s has its one entry _PHASES[s, i] in row
+# _COLUMNS[s, i], so Tr(rho P_s) is the sum over i of
+# rho[i, _COLUMNS[s, i]] * _PHASES[s, i]. Entry [i, j] of the 64 operators
+# is nonzero in exactly 8 of them: strings _STRINGS[:, i, j], ascending,
+# with values _STRING_PHASES[:, i, j]. _STRINGS is copied into C order
+# because the gather takes its layout, and the order of the sum follows that.
+_ROWS = np.arange(8)
+_COLUMNS = np.nonzero(PAULI_STACK.transpose(0, 2, 1))[2].reshape(63, 8)
+_PHASES = np.take_along_axis(PAULI_STACK, _COLUMNS[:, np.newaxis], axis=1)[:, 0]
+_STRINGS = np.nonzero(_INVERSION_OPERATORS.transpose(1, 2, 0))[2].reshape(8, 8, 8).transpose(2, 0, 1).copy()
+_STRING_PHASES = np.take_along_axis(_INVERSION_OPERATORS, _STRINGS, axis=0)
 
 # numpy's binomial sampler takes a number of trials only up to the largest int64.
 MAX_SHOTS = 2**63 - 1
@@ -110,6 +132,10 @@ def linear_inversion(values) -> np.ndarray:
     of magnitude at most 1. The output, (8, 8) or (B, 8, 8), is Hermitian
     with unit trace by construction but may have negative eigenvalues when
     the values are noisy.
+
+    Each entry sums its 8 nonzero terms <P> P[i, j], with <I> = 1, in
+    :data:`PAULI_LABELS` order from +0: the terms the dense sum over all 64
+    strings adds are exact zeros, so the two agree bit for bit.
     """
     values = np.asarray(values, dtype=float)
     single = values.ndim == 1
@@ -122,7 +148,8 @@ def linear_inversion(values) -> np.ndarray:
         message = f"expectation for {PAULI_LABELS[index]} not finite or out of range: {stack[k, index]}"
         raise stack_error(message, int(k), single)
     coeffs = np.concatenate((np.ones((len(stack), 1)), stack), axis=1)
-    mu = (coeffs[:, :, np.newaxis, np.newaxis] * _INVERSION_OPERATORS).sum(axis=1) / 8.0
+    # Summed over a leading axis from +0, so numpy adds the 8 terms in string order, not pairwise.
+    mu = (coeffs[:, _STRINGS] * _STRING_PHASES).sum(axis=1, initial=0.0) / 8.0
     return mu[0] if single else mu
 
 
@@ -145,7 +172,12 @@ def mle_reconstruct(values):
 def pauli_set(rho) -> np.ndarray:
     """Exact expectations Re Tr(rho P) of all 63 nontrivial Pauli strings, ordered as
     :data:`PAULI_LABELS`: shape (63,) for one state, (B, 63) for a sequence of B states.
-    For a Hermitian P, Re Tr(rho P) is the expectation of rho's Hermitian part."""
+    For a Hermitian P, Re Tr(rho P) is the expectation of rho's Hermitian part.
+
+    Each trace is gathered as the 8 products rho[i, k] P[k, i], one per row i
+    of rho, into a contiguous row. numpy sums that row pairwise, as
+    ``np.trace`` sums the diagonal of the dense product rho P; summed in the
+    gather's own memory order, it would differ in the last bit."""
     m, single = state_stack(rho, 8)
-    values = (m[:, np.newaxis] @ PAULI_STACK).trace(axis1=2, axis2=3).real
+    values = np.ascontiguousarray(m[:, _ROWS, _COLUMNS] * _PHASES).sum(axis=-1).real
     return values[0] if single else values

@@ -13,9 +13,15 @@ a temporary directory, removed afterwards. A revision git cannot export exits
 :func:`run_benchmark` (JSON and CSV text) on the reference device and on
 copies with every T1 and T2* scaled by 0.3, 1e-2 and 1e-3, at 0, 20, 200 and
 10,000 shots, noise on and off, seeds 0-4, restarts 5; and :func:`run_state`
-(JSON text) of each input on the same grid at seed 3. A case that raises is recorded as its exception. Prints the
-case count and the ids that differ, and exits 1 on any difference. A refactor
-must leave all 288 cases identical. pytest does not collect this file.
+(JSON text) of each input on the same grid at seed 3. A case that raises is recorded as its exception.
+
+Each case has a second SHA-256, of the report object before it is written:
+every float as ``float.hex``, so at full precision. The report text rounds
+floats to 12 significant digits, and a change of 1e-16 shows in it only where
+a value sits on a rounding boundary; the second hash sees every bit. Prints
+the case count, how many differ in text and at full precision, and the ids
+that differ in either, and exits 1 on any difference. A refactor must leave
+all 288 cases identical both ways. pytest does not collect this file.
 """
 
 import hashlib
@@ -47,8 +53,22 @@ def cases():
                     yield f"state_{label}-{grid}-seed3", label, device, shots, 3, noise
 
 
+def exact_text(value) -> str:
+    """A report as text with every float written exactly (``float.hex``) and dict keys sorted."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{key!r}:{exact_text(item)}" for key, item in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(exact_text, value)) + "]"
+    return float.hex(value) if isinstance(value, float) else repr(value)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def emit() -> None:
-    """Print {case id: SHA-256 of its report text} for the ``telebench`` on ``PYTHONPATH``."""
+    """Print {case id: [SHA-256 of its report text, SHA-256 of its exact floats]}
+    for the ``telebench`` on ``PYTHONPATH``."""
     import telebench
     from telebench.teleport_bench import report_csv_text, report_json_text, run_benchmark, run_state
 
@@ -61,10 +81,12 @@ def emit() -> None:
                 report = run_benchmark(device, shots, seed, noise, 5)
                 text = report_json_text(report) + report_csv_text(report)
             else:
-                text = report_json_text(run_state(device, label, shots, seed, noise, 5))
+                report = run_state(device, label, shots, seed, noise, 5)
+                text = report_json_text(report)
+            exact = exact_text(report)
         except Exception as error:  # a raise is an outcome too, and must match
-            text = f"{type(error).__name__}: {error}"
-        digests[case] = hashlib.sha256(text.encode()).hexdigest()
+            text = exact = f"{type(error).__name__}: {error}"
+        digests[case] = [sha256(text), sha256(exact)]
     print(json.dumps(digests))
 
 
@@ -91,7 +113,8 @@ def main(argv: list[str]) -> int:
         return 2
     old, new = map(digests_of, argv)
     differ = [case for case in old if old[case] != new.get(case)]
-    print(f"{len(old)} cases, {len(differ)} differ")
+    in_text = sum(old[case][0] != new.get(case, [None])[0] for case in old)
+    print(f"{len(old)} cases, {in_text} differ, {len(differ)} differ at full precision")
     for case in differ:
         print(f"  {case}")
     return 1 if differ or old.keys() != new.keys() else 0

@@ -11,7 +11,9 @@ input set (``lstsq_process_tomography``), and gates, channels and
 conditional states through dense full-register matrices. The textbook
 teleportation circuit (Hadamards and CNOTs) is a Kronecker-built unitary
 (``textbook_teleport_unitary``), Pauli strings are Kronecker products
-(``kron_pauli``), and the witness threshold is the largest one-qubit
+(``kron_pauli``), Pauli expectations and the Pauli-basis inversion are
+dense products with them (``dense_pauli_set``, ``dense_linear_inversion``),
+and the witness threshold is the largest one-qubit
 reduced eigenvalue (``biseparable_alpha``). Noisy
 evolution has a per-gate Kraus-list reference (``kraus_apply_circuit``)
 and a per-qubit block-update reference (``block_apply_circuit``), built
@@ -22,6 +24,7 @@ standard-library JSON encoder (``json_report_text``), and the stacked
 benchmark pipeline a run of one state at a time (``per_state_benchmark``).
 """
 
+import itertools
 import json
 import math
 
@@ -366,6 +369,24 @@ def kron_pauli(label):
     for ch in label:
         op = np.kron(op, {"I": np.eye(2, dtype=complex), "X": SX, "Y": SY, "Z": SZ}[ch])
     return op
+
+
+def dense_pauli_set(matrices):
+    """Re Tr(rho P) of each matrix of a (B, 8, 8) stack for the 63 nontrivial
+    strings in ``PAULI_LABELS`` order, as 63 dense 8x8 products and their
+    traces: shape (B, 63) (the reference for ``pauli_set``)."""
+    strings = np.array([kron_pauli("".join(p)) for p in itertools.product("IXYZ", repeat=3)][1:])
+    return (np.asarray(matrices)[:, np.newaxis] @ strings).trace(axis1=2, axis2=3).real
+
+
+def dense_linear_inversion(values):
+    """(1/8)(I + sum <P> P) of each record of a (B, 63) stack, as one dense
+    multiply-and-sum over all 64 strings, the identity first: shape
+    (B, 8, 8) (the reference for ``linear_inversion``)."""
+    operators = np.array([kron_pauli("".join(p)) for p in itertools.product("IXYZ", repeat=3)])
+    stack = np.asarray(values, dtype=float)
+    coeffs = np.concatenate((np.ones((len(stack), 1)), stack), axis=1)
+    return (coeffs[:, :, np.newaxis, np.newaxis] * operators).sum(axis=1) / 8.0
 
 
 def biseparable_alpha(phi):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import kron_pauli, random_density, random_ket
+from oracles import dense_linear_inversion, dense_pauli_set, kron_pauli, random_density, random_ket
 import telebench.teleport_bench as tb
 import telebench.tomography as tomography
 from telebench.circuit import DeviceParams, apply_circuit, ideal_phi
@@ -261,6 +263,62 @@ def test_pauli_set_consistent_with_expectation():
     values = pauli_set(rho)
     for label, value in zip(PAULI_LABELS, values):
         assert value == pytest.approx(np.trace(rho.matrix @ kron_pauli(label)).real, abs=1e-12)
+
+
+# -- the gather and the scatter against the dense products --------------------
+
+# Exact zeros of both signs are drawn often, so zero results and their signs are tested too.
+entries = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]), st.floats(-1.0, 1.0))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(1, 3).flatmap(lambda b: arrays(np.float64, (b, 8, 8, 2), elements=entries)))
+def test_pauli_set_equals_the_dense_traces_bit_for_bit(g):
+    g = g.view(complex)[..., 0]
+    m = g @ g.conj().swapaxes(1, 2)
+    traces = m.trace(axis1=1, axis2=2).real
+    assume(np.all(traces > 1e-3))
+    states = [DensityMatrix(x) for x in m / traces[:, np.newaxis, np.newaxis]]
+    dense = dense_pauli_set([s.matrix for s in states])
+    assert_same_bits(pauli_set(states), dense)
+    assert_same_bits(pauli_set(states[0]), dense[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.integers(1, 3).flatmap(lambda b: arrays(np.float64, (b, 63), elements=entries)))
+@example(values=np.zeros((1, 63)))
+@example(values=np.full((2, 63), -0.0))
+def test_linear_inversion_equals_the_dense_sum_bit_for_bit(values):
+    dense = dense_linear_inversion(values)
+    assert_same_bits(linear_inversion(values), dense)
+    assert_same_bits(linear_inversion(values[0]), dense[0])
+
+
+def test_gather_tables_are_signed_permutations():
+    operators = tomography._INVERSION_OPERATORS
+    assert tomography._COLUMNS.shape == (63, 8)
+    for columns in tomography._COLUMNS:
+        assert sorted(columns) == list(range(8))
+    # Every entry [i, j] is nonzero in exactly the 8 strings listed for it, in ascending order.
+    assert tomography._STRINGS.shape == (8, 8, 8)
+    assert np.all(np.diff(tomography._STRINGS, axis=0) > 0)
+    # The gather takes the table's layout, and the inversion's summation order follows it.
+    assert tomography._STRINGS.flags.c_contiguous
+    assert np.all(np.count_nonzero(operators, axis=0) == 8)
+    for phases in (tomography._PHASES, tomography._STRING_PHASES):
+        assert np.all(np.isin(phases, [1.0, -1.0, 1.0j, -1.0j]))
+    # The tables rebuild the operators: each string's entries, and each entry's strings.
+    rebuilt = np.zeros((63, 8, 8), dtype=complex)
+    rebuilt[np.arange(63)[:, np.newaxis], tomography._COLUMNS, np.arange(8)] = tomography._PHASES
+    assert np.array_equal(rebuilt, tomography.PAULI_STACK)
+    i, j = np.indices((8, 8))
+    assert np.array_equal(operators[tomography._STRINGS, i, j], tomography._STRING_PHASES)
 
 
 # Hermitian to 9.8e-10, inside the constructor's 1e-9; summed over the 8 entries
