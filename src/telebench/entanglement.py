@@ -5,19 +5,19 @@ amplitudes, evaluated as a polynomial over a batch of kets. The mixed-state
 three-tangle is reported as an upper bound on the convex roof, obtained by
 searching over pure-state decompositions: random restarts, scored in one
 batch, then an L-BFGS descent (memory 3) over the unitaries that re-mix all
-columns of the best one. The descent has two phases in one loop: 17 steps
-on the smooth surrogate sum_k q_k^2 of the column tangles q_k, which has the
-same zero set but no kink where a column's hyperdeterminant vanishes, then 2
-on the tangle sum itself; each phase accepts a step only when it lowers its
-own objective. 19 is the fewest steps whose held-out mean bound is not above
-that of the 26-step plain descent it replaced (see _REFINE_STEPS). The
-restarts are one pool of Haar isometries, drawn from a fixed seed once per
-process for a restart count and rank, rotated by one Haar unitary drawn from
-the search's seed. The eigendecomposition average is only the floor, never a
-descent start. Hdet is a quartic, so the gradient
-of either objective is in closed form. The search is heuristic, so the value
-is never a certificate of separability, only of how much tangle a
-decomposition can avoid.
+columns of the best one. The descent runs the budget table _DESCENT on one
+objective, sum_k q_k^p of the column tangles q_k (_objective): 17 steps at
+p = 2, a smooth surrogate with the same zero set but no kink where a
+column's hyperdeterminant vanishes, then 2 at p = 1, the tangle sum itself;
+each phase accepts a step only when it lowers its own objective. 19 is the
+fewest steps whose held-out mean bound is not above that of the 26-step
+plain descent it replaced (see _DESCENT). The restarts are one pool of Haar
+isometries, drawn from a fixed seed once per process for a restart count and
+rank, rotated by one Haar unitary drawn from the search's seed. The
+eigendecomposition average is only the floor, never a descent start. Hdet is
+a quartic, so the gradient of the objective is in closed form at every p.
+The search is heuristic, so the value is never a certificate of
+separability, only of how much tangle a decomposition can avoid.
 """
 
 from __future__ import annotations
@@ -39,11 +39,16 @@ def three_tangle_pure(psi) -> float:
     v = require_normalized(psi)
     if v.shape[0] != 8:
         raise ValueError("expected a three-qubit ket of dimension 8")
-    return min(float(_column_tangle_sum(v[:, np.newaxis] / np.linalg.norm(v))), 1.0)
+    return min(float(_tangle_terms(v[:, np.newaxis] / np.linalg.norm(v))[0]), 1.0)
 
 
 def _tangle_terms(w: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """``_column_tangle_sum`` at w together with the terms its gradient reuses.
+    """Average tangle sum(p_k * tau(w_k/|w_k|)) of unnormalized columns, and
+    the terms its gradient and ``_objective`` reuse.
+
+    ``w`` has shape (..., 8, m) and the sum shape (...). As tau is
+    homogeneous of degree 4, column k contributes 4|Hdet(w_k)| / p_k with
+    p_k = |w_k|^2; columns with p_k <= 1e-14 contribute nothing.
 
     With a_ijk at row 4i + 2j + k of a column, the Cayley hyperdeterminant is
     Hdet = A^2 - 4 B C with A = a000 a111 - a001 a110 - a010 a101 + a011 a100,
@@ -63,16 +68,6 @@ def _tangle_terms(w: np.ndarray) -> tuple[np.ndarray, tuple]:
     size = np.abs(hdet)
     q = np.where(keep, 4.0 * size / p, 0.0)
     return np.sum(q, axis=-1), (big, b, c, hdet, size, p, keep, q)
-
-
-def _column_tangle_sum(w: np.ndarray) -> np.ndarray:
-    """Average tangle sum(p_k * tau(w_k/|w_k|)) of unnormalized columns.
-
-    ``w`` has shape (..., 8, m) and the result shape (...). As tau is
-    homogeneous of degree 4, column k contributes 4|Hdet(w_k)| / p_k with
-    p_k = |w_k|^2; columns with p_k <= 1e-14 contribute nothing.
-    """
-    return _tangle_terms(w)[0]
 
 
 def _haar_isometries(g: np.ndarray) -> np.ndarray:
@@ -118,7 +113,7 @@ def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.nd
     rank = m_root.shape[1]
     rotation = _haar_isometries(np.random.default_rng(seed).standard_normal((rank, rank, 2)).view(complex)[..., 0])
     candidates = (m_root @ rotation.conj().T) @ _restart_isometries(restarts, rank)
-    return _column_tangle_sum(candidates), candidates
+    return _tangle_terms(candidates)[0], candidates
 
 
 # d(a0 a7 - a1 a6 - a2 a5 + a3 a4)/da_i is _SIGNS[i] a[7 - i]; on the first
@@ -127,17 +122,16 @@ def _restart_values(m_root: np.ndarray, restarts: int, seed: int) -> tuple[np.nd
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])[:, np.newaxis]
 _HALF_REVERSED = np.array([3, 2, 1, 0, 7, 6, 5, 4])
 
-# Most accepted steps of the refine's L-BFGS descent in all, the first
-# _SMOOTH_STEPS of them on the smooth surrogate, and the (s, y) pairs it keeps.
-# The total is the smallest whose mean bound on a held-out set (the noisy
-# reference outputs at shots 0, seeds 20-39; ``tests/tangle_table.py``) is not
-# above 0.091737, that of the 26-step plain descent it replaced, with at least
-# one step on the tangle sum and every test passing; of the splits of that
-# total, the one with the lowest held-out mean. At 18 steps, 17 + 1 fails the
-# GHZ/|000> scan oracle and 16 + 2 reads 0.093007; at 19, 18 + 1 fails that
-# oracle too, and 17 + 2 reads 0.085849.
-_REFINE_STEPS = 19
-_SMOOTH_STEPS = 17
+# The refine's budget, (power p of _objective, most accepted L-BFGS steps) per
+# phase in order, and the (s, y) pairs each phase keeps. The total is the
+# smallest whose mean bound on a held-out set (the noisy reference outputs at
+# shots 0, seeds 20-39; ``tests/tangle_table.py``) is not above 0.091737, that
+# of the 26-step plain descent it replaced, with at least one step at p = 1 and
+# every test passing; of the splits of that total, the one with the lowest
+# held-out mean. At 18 steps, 17 + 1 fails the GHZ/|000> scan oracle and
+# 16 + 2 reads 0.093007; at 19, 18 + 1 fails that oracle too, and 17 + 2 reads
+# 0.085849.
+_DESCENT = ((2, 17), (1, 2))
 _LBFGS_MEMORY = 3
 
 # Restarts of the tangle search when a run sets none, and the most it takes: its
@@ -150,13 +144,13 @@ MAX_RESTARTS = 10_000
 
 
 def _tangle_gradient(w: np.ndarray, terms: tuple) -> np.ndarray:
-    """Gradient G of ``_column_tangle_sum`` at w (8, m), so df = Re tr(G^dag dW),
-    from the ``terms`` ``_tangle_terms(w)[1]``.
+    """Gradient G of the tangle sum ``_tangle_terms(w)[0]`` at w (8, m), so
+    df = Re tr(G^dag dW), from the ``terms`` ``_tangle_terms(w)[1]``.
 
     dHdet is the cubic 2 A dA - 4 (C dB + B dC). Column k of G is
     4 (H_k / |H_k| conj(dH_k) / p_k - 2 |H_k| w_k / p_k^2) with p_k = |w_k|^2;
     a column with H_k = 0 keeps only the (zero) norm term, and columns with
-    p_k <= 1e-14 contribute nothing, as in ``_column_tangle_sum``.
+    p_k <= 1e-14 contribute nothing, as in ``_tangle_terms``.
     """
     big, b, c, hdet, size, p, keep, _ = terms
     d_hdet = _SIGNS * (2.0 * big * w[::-1] - 4.0 * np.repeat([c, b], 4, axis=0) * w[_HALF_REVERSED])
@@ -164,39 +158,34 @@ def _tangle_gradient(w: np.ndarray, terms: tuple) -> np.ndarray:
     return np.where(keep, 4.0 * (phase * d_hdet.conj() / p - 2.0 * (size / p**2) * w), 0.0)
 
 
-def _tangle_sum(value: np.ndarray, terms: tuple) -> tuple[np.ndarray, float]:
-    """The tangle sum ``value`` as a descent objective, with gradient weight 1."""
-    return value, 1.0
-
-
-def _smooth_sum(value: np.ndarray, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The smooth surrogate sum_k q_k^2 of the column tangles q_k = 4 |H_k| / p_k
-    in ``terms``, and the column weights 2 q_k that turn ``_tangle_gradient``
-    into its gradient, since d(q^2) = 2 q dq.
+def _objective(terms: tuple, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k q_k^power of the column tangles q_k = 4 |H_k| / p_k in ``terms``
+    (at power 1 the tangle sum), and the column weights power q_k^(power - 1)
+    that turn ``_tangle_gradient`` into its gradient.
     """
     q = terms[-1]
-    return np.sum(q * q, axis=-1), 2.0 * q
+    return np.sum(q**power, axis=-1), power * q ** (power - 1)
 
 
-def _descend(w: np.ndarray, value: float, terms: tuple, objective, steps: int) -> tuple[np.ndarray, float, tuple]:
-    """At most ``steps`` accepted L-BFGS steps on ``objective`` from w, whose
-    tangle sum and terms are ``value`` and ``terms``.
+def _descend(w: np.ndarray, value: float, terms: tuple, power: int, steps: int) -> tuple[np.ndarray, float, tuple]:
+    """At most ``steps`` accepted L-BFGS steps on ``_objective`` at ``power``
+    from w, whose tangle sum and terms are ``value`` and ``terms``.
 
-    ``objective(value, terms)`` gives the objective and the column weights of
-    its gradient. With A = W^dag (G * weights) the gradient is
-    g = A - A^dag in the Lie algebra u(m) of anti-Hermitian matrices, with the
-    inner product Re vdot. The direction r is limited-memory BFGS (Huang,
-    Gallivan and Absil, SIAM J. Optim. 25, 1660 (2015)): the two-loop
-    recursion over the last ``_LBFGS_MEMORY`` pairs s = -t r, y = g_new - g,
-    with no vector transport and scaled by s.y / y.y; the first direction is
-    g scaled to norm 1/8. A pair is kept only when s.y > 1e-12. The trial
-    W (I + X)^-1 (I - X), X = t/2 * r, is a Cayley transform, so W W^dag is
-    kept. It tries t = 1 first; a trial that lowers the objective by more
-    than 1e-12 is accepted, otherwise t halves. Stops once t is below 1e-9.
-    Returns the last accepted W with its tangle sum and terms.
+    With the column weights of ``_objective`` and A = W^dag (G * weights),
+    the gradient is g = A - A^dag in the Lie algebra u(m) of anti-Hermitian
+    matrices, with the inner product Re vdot. The direction r is
+    limited-memory BFGS (Huang, Gallivan and Absil, SIAM J. Optim. 25, 1660
+    (2015)): the two-loop recursion over the last ``_LBFGS_MEMORY`` pairs
+    s = -t r, y = g_new - g, with no vector transport and scaled by
+    s.y / y.y; the first direction is g scaled to norm 1/8. A pair is kept
+    only when s.y > 1e-12. The trial W (I + X)^-1 (I - X), X = t/2 * r, is a
+    Cayley transform, so W W^dag is kept. It tries t = 1 first; a trial that
+    lowers the objective by more than 1e-12 is accepted, otherwise t halves.
+    Stops once t is below 1e-9. Returns the last accepted W with its tangle
+    sum and terms.
     """
     eye = np.eye(w.shape[1])
-    f, weights = objective(value, terms)
+    f, weights = _objective(terms, power)
     pairs = []
     g = None
     for _ in range(steps):
@@ -223,7 +212,7 @@ def _descend(w: np.ndarray, value: float, terms: tuple, objective, steps: int) -
             x = (t / 2.0) * r
             trial = w @ np.linalg.solve(eye + x, eye - x)
             trial_value, trial_terms = _tangle_terms(trial)
-            trial_f, trial_weights = objective(trial_value, trial_terms)
+            trial_f, trial_weights = _objective(trial_terms, power)
             if trial_f < f - 1e-12:
                 break
             t *= 0.5
@@ -235,25 +224,25 @@ def _descend(w: np.ndarray, value: float, terms: tuple, objective, steps: int) -
 
 
 def _refine(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Two-phase L-BFGS descent of the tangle sum over W -> W U, U in U(m).
+    """Phased L-BFGS descent of the tangle sum over W -> W U, U in U(m).
 
     Every W U with U unitary is an exact decomposition of the same state
     (Hughston-Jozsa-Wootters), so the descent runs on U(m), as in
-    Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009); each phase is
-    one ``_descend``. The tangle sum sum_k q_k is not smooth where a
+    Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009); each phase of
+    ``_DESCENT`` is one ``_descend`` from where the last one ended, with
+    fresh L-BFGS memory. The tangle sum sum_k q_k is not smooth where a
     column's Hdet vanishes, and its minimiser puts most columns there, so a
-    descent of it crawls. So the first ``_SMOOTH_STEPS`` (17) accepted steps
-    descend the smooth surrogate sum_k q_k^2, which vanishes exactly where
-    the tangle sum does. Its minimisers differ from the tangle sum's where
-    the roof is positive, so the remaining ``_REFINE_STEPS - _SMOOTH_STEPS``
-    (2) steps descend the tangle sum, with fresh L-BFGS memory. Returns the start or the end of the descent,
-    whichever has the lower tangle sum, with that sum.
+    descent of it crawls. So the first 17 accepted steps descend the smooth
+    surrogate sum_k q_k^2, which vanishes exactly where the tangle sum does.
+    Its minimisers differ from the tangle sum's where the roof is positive,
+    so the last 2 steps descend the tangle sum. Returns the start or the end
+    of the descent, whichever has the lower tangle sum, with that sum.
     """
-    value, terms = _tangle_terms(w)
-    value = float(value)
-    end, end_value, end_terms = _descend(w, value, terms, _smooth_sum, _SMOOTH_STEPS)
-    end, end_value, _ = _descend(end, end_value, end_terms, _tangle_sum, _REFINE_STEPS - _SMOOTH_STEPS)
-    return (end, end_value) if end_value < value else (w, value)
+    start, (value, terms) = w, _tangle_terms(w)
+    start_value = value = float(value)
+    for power, steps in _DESCENT:
+        w, value, terms = _descend(w, value, terms, power, steps)
+    return (w, value) if value < start_value else (start, start_value)
 
 
 def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> float:
@@ -261,9 +250,11 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
 
     Pure-state decompositions are generated by mixing the eigendecomposition
     through random isometries with twice the rank many components, and the
-    best candidate is refined by L-BFGS descent over unitaries that re-mix
-    all its columns at once. The eigendecomposition's average is
-    the floor; the descent starts from the best restart. Deterministic for a
+    best candidate is refined by a two-phase L-BFGS descent over unitaries
+    that re-mix all its columns at once. The isometries are the one
+    per-process pool of each restart count and rank, rotated by a Haar
+    unitary drawn from ``seed``. The eigendecomposition's average is the
+    floor; the descent starts from the best restart. Deterministic for a
     given seed; the result is always a valid upper bound because every
     candidate is an exact decomposition. Raises ``TypeError`` for a sequence
     of states and ``ValueError`` unless ``require_count`` finds ``restarts`` in
@@ -281,7 +272,7 @@ def three_tangle_mixed_upper(rho: DensityMatrix, restarts: int = DEFAULT_RESTART
     basis = vecs[:, keep]
     r = int(lam.shape[0])
     m_root = basis * np.sqrt(lam)
-    floor = float(_column_tangle_sum(m_root))
+    floor = float(_tangle_terms(m_root)[0])
     if r == 1 or floor < 1e-9:
         return floor
     values, candidates = _restart_values(m_root, restarts, seed % (2**63))

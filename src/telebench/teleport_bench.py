@@ -116,10 +116,9 @@ _BRANCH_KETS = {
     outcome: _read_only(np.array([op @ INPUT_KETS[label] for label in INPUT_LABELS]))
     for outcome, op in TELEPORT_BRANCH_OPS.items()
 }
-# Per outcome, in OUTCOMES order, the ideal process matrix chi = c c^dag: c_m = Tr(B_m^dag U)/2 expands
-# its correction operator U in CHI_BASIS, exactly, as each U is a basis element up to sign.
+# Per outcome, in OUTCOMES order, the c of the ideal process matrix chi = c c^dag: c_m = Tr(B_m^dag U)/2
+# expands its correction operator U in CHI_BASIS, exactly, as each U is a basis element up to sign.
 _BRANCH_COEFFS = np.einsum("mij,kij->km", np.conj(CHI_BASIS), list(TELEPORT_BRANCH_OPS.values())) / 2.0
-_IDEAL_CHIS = dict(zip(TELEPORT_BRANCH_OPS, _read_only(np.einsum("km,kn->kmn", _BRANCH_COEFFS, _BRANCH_COEFFS.conj()))))
 # The process-tomography design over the four inputs is square,
 # design[(input, i, j), (m, n)] = (B_m rho_in B_n^dag)[i, j], and well
 # conditioned (condition number about 3.2), so chi is one product with its inverse.
@@ -175,7 +174,8 @@ def ideal_chi(outcome: str) -> np.ndarray:
     10 -> ZZ, 11 -> Y~Y~)."""
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    return np.array(_IDEAL_CHIS[outcome])
+    c = _BRANCH_COEFFS[OUTCOMES.index(outcome)]
+    return np.outer(c, c.conj())
 
 
 def average_output_fidelity(fp: float) -> float:
@@ -339,7 +339,7 @@ def run_state(
     return {
         "schema": SCHEMA_VERSION,
         "input": label,
-        "rho": _pack_matrix(np.array(rho_m.matrix)),
+        "rho": _pack_matrix(rho_m.matrix),
         **entry,
         "metadata": metadata,
     }

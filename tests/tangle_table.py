@@ -10,10 +10,11 @@ It prints:
   ``run_benchmark(DeviceParams.reference(), shots, seed, noise=True)`` with
   shots in {0, 10000} and seeds 0-9, 40 inputs, as a mean with per-input
   means and the shots-0 ranges;
-- the held-out set, on which the descent's step budget is chosen: the same
-  inputs at shots 0 and seeds 20-39, 40 inputs, as a mean, with the mean
-  trials (tangle sums evaluated while a descent runs, after its start) and
-  gradients per search;
+- the held-out set, on which the descent's step budget ``_DESCENT`` in
+  ``telebench.entanglement`` is chosen: the same inputs at shots 0 and
+  seeds 20-39, 40 inputs, as a mean, with the mean trials (tangle sums
+  evaluated while a descent runs, after its start) and gradients per
+  search;
 - the excess over the GHZ/W roof (``test_entanglement.ghz_w_roof``) at
   p in {0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9}, seeds 0-9, with W built as
   ``1/np.sqrt(3.0)`` and as ``3**-0.5``: per p the largest excess and how

@@ -19,12 +19,11 @@ import telebench.entanglement as entanglement
 from telebench.entanglement import (
     MAX_RESTARTS,
     WitnessResult,
-    _column_tangle_sum,
     _haar_isometries,
+    _objective,
     _refine,
     _restart_isometries,
     _restart_values,
-    _smooth_sum,
     _tangle_gradient,
     _tangle_terms,
     three_tangle_mixed_upper,
@@ -105,7 +104,7 @@ def test_three_tangle_matches_hyperdeterminant_oracle():
         assert abs(value - monogamy_tangle(psi)) < 1e-8
 
 
-def test_column_tangle_sum_matches_normalized_oracle_sum():
+def test_tangle_terms_sum_matches_normalized_oracle_sum():
     # Unnormalized columns, one of them zero: the homogeneous form must equal
     # sum_k p_k tau(w_k / sqrt(p_k)), skipping the zero column, also batched.
     rng = np.random.default_rng(12)
@@ -117,10 +116,10 @@ def test_column_tangle_sum_matches_normalized_oracle_sum():
         for w in stack:
             p = np.sum(np.abs(w) ** 2, axis=0)
             expected.append(sum(pk * hyperdet_tangle(wk / np.sqrt(pk)) for pk, wk in zip(p, w.T) if pk > 0))
-        batched = _column_tangle_sum(stack)
+        batched = _tangle_terms(stack)[0]
         assert batched.shape == (3,)
         for w, b, e in zip(stack, batched, expected):
-            assert abs(_column_tangle_sum(w) - e) < 1e-12
+            assert abs(_tangle_terms(w)[0] - e) < 1e-12
             assert abs(b - e) < 1e-12
 
 
@@ -260,7 +259,7 @@ def test_restart_candidates_depend_only_on_seed_and_index(rank):
     assert candidates.shape == (200, 8, 2 * rank)
     for k, w in enumerate(candidates):
         assert np.max(np.abs(w @ w.conj().T - rho)) <= 1e-12
-        assert values[k] == _column_tangle_sum(w)
+        assert values[k] == _tangle_terms(w)[0]
         if k < 50:
             np.testing.assert_array_equal(few_candidates[k], w)
 
@@ -498,7 +497,7 @@ def gradient_columns():
 
 @pytest.mark.parametrize("index", range(8))
 def test_tangle_gradient_matches_central_differences(index):
-    # Each column adds to _column_tangle_sum on its own, so each is
+    # Each column adds to the tangle sum on its own, so each is
     # differenced alone, with a step relative to its norm; G is the
     # gradient in the sense df = Re tr(G^dag dW).
     w = gradient_columns()[index]
@@ -511,30 +510,49 @@ def test_tangle_gradient_matches_central_differences(index):
         numeric = np.zeros(8, dtype=complex)
         for unit in (1.0, 1.0j):
             steps = h * unit * np.eye(8)[:, :, np.newaxis]
-            numeric += unit * (_column_tangle_sum(column + steps) - _column_tangle_sum(column - steps)) / (2.0 * h)
+            numeric += unit * (_tangle_terms(column + steps)[0] - _tangle_terms(column - steps)[0]) / (2.0 * h)
         np.testing.assert_allclose(gradient[:, k], numeric, rtol=1e-6, atol=1e-9 * norm)
 
 
+def test_objective_at_power_one_is_the_tangle_sum_with_unit_weights():
+    # The p = 1 phase must be the plain tangle-sum descent bit for bit: its
+    # objective is the sum _tangle_terms returns and its weights leave the
+    # gradient as it is. The p = 2 phase is sum_k q_k * q_k with weights 2 q_k.
+    rng = np.random.default_rng(18)
+    stack = rng.normal(size=(3, 8, 6)) + 1j * rng.normal(size=(3, 8, 6))
+    stack[1, :, 2] = 0.0
+    for w in (*stack, stack):
+        value, terms = _tangle_terms(w)
+        q = terms[-1]
+        plain, ones = _objective(terms, 1)
+        assert plain.tobytes() == value.tobytes()
+        assert ones.shape == q.shape and np.all(ones == 1.0)
+        smooth, weights = _objective(terms, 2)
+        assert smooth.tobytes() == np.sum(q * q, axis=-1).tobytes()
+        assert weights.tobytes() == (2.0 * q).tobytes()
+
+
+@pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("rank", [8, 2])
-def test_smooth_sum_gradient_matches_central_differences(rank):
-    # The surrogate sum_k q_k^2 is differenced column by column, like the
-    # tangle sum, on a 2r-column decomposition of a random rank-r state; its
-    # gradient is _tangle_gradient with column k weighted by 2 q_k.
+def test_weighted_tangle_gradient_is_the_objective_gradient(rank, power):
+    # sum_k q_k^p is differenced column by column, like the tangle sum, on a
+    # 2r-column decomposition of a random rank-r state; its gradient is
+    # _tangle_gradient with column k weighted by p q_k^(p - 1).
     rng = np.random.default_rng(16)
     vals, vecs = np.linalg.eigh(random_density(rng, 8, rank))
     root = vecs[:, -rank:] * np.sqrt(vals[-rank:])
     w = root @ _haar_isometries(rng.normal(size=(2 * rank, rank)) + 1j * rng.normal(size=(2 * rank, rank))).conj().T
-    value, terms = _tangle_terms(w)
-    surrogate, weights = _smooth_sum(value, terms)
+    terms = _tangle_terms(w)[1]
+    objective, weights = _objective(terms, power)
     gradient = _tangle_gradient(w, terms) * weights
-    assert surrogate > 0.0
+    assert objective > 0.0
     for k in range(w.shape[1]):
         column = w[:, [k]]
         h = 1e-5 * float(np.linalg.norm(column))
         numeric = np.zeros(8, dtype=complex)
         for unit in (1.0, 1.0j):
             steps = h * unit * np.eye(8)[:, :, np.newaxis]
-            plus, minus = (_smooth_sum(*_tangle_terms(column + sign * steps))[0] for sign in (1.0, -1.0))
+            plus, minus = (_objective(_tangle_terms(column + sign * steps)[1], power)[0] for sign in (1.0, -1.0))
             numeric += unit * (plus - minus) / (2.0 * h)
         np.testing.assert_allclose(gradient[:, k], numeric, rtol=1e-6, atol=1e-9 * float(np.linalg.norm(gradient[:, k])))
 
@@ -558,10 +576,10 @@ def test_refine_keeps_the_decomposition_and_never_raises_the_tangle(state):
     for m in (r, r + 2, 2 * r):
         g = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
         w = root @ _haar_isometries(g).conj().T
-        before = _column_tangle_sum(w)
+        before = _tangle_terms(w)[0]
         refined, after = _refine(w)
         assert np.max(np.abs(refined @ refined.conj().T - w @ w.conj().T)) <= 1e-12
-        assert after == _column_tangle_sum(refined)
+        assert after == _tangle_terms(refined)[0]
         assert after <= before
         lowered.append(after < before - 1e-6)
     assert any(lowered)
@@ -578,8 +596,9 @@ def test_a_noisy_search_evaluates_few_rejected_trials(monkeypatch):
         function = getattr(entanglement, name)
         monkeypatch.setattr(entanglement, name, lambda *args, name=name, f=function: calls.update([name]) or f(*args))
     run_state(DeviceParams.reference(), "minus", shots=0, seed=0, noise=True)
-    assert 1 <= calls["_tangle_gradient"] <= entanglement._REFINE_STEPS + 1
-    assert calls["_tangle_terms"] <= 1.3 * entanglement._REFINE_STEPS + 2
+    steps = sum(steps for _, steps in entanglement._DESCENT)
+    assert 1 <= calls["_tangle_gradient"] <= steps + 1
+    assert calls["_tangle_terms"] <= 1.3 * steps + 2
 
 
 def test_mixed_tangle_validates_inputs():
